@@ -10,7 +10,7 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import csv
 import json
 import sys
 from pathlib import Path
@@ -52,7 +52,6 @@ PATCH_GRID = ["10", "20", "30", "50", "70", "90"]
 
 DEFAULTS = {
     "seed": 1000,
-    "threads": 1,
     "tau": 0.5,
     "patch": "30x30",
     "encoder_dim": 64,
@@ -108,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int)
     common.add_argument("--out-dir", required=True)
-    common.add_argument("--threads", type=int)
 
     parser = _Parser(prog="facegraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -385,6 +383,7 @@ def _sweep_point(config: dict, out_dir: Path, param: str, token: str):
 
 def cmd_sweep(config: dict, out_dir: Path) -> int:
     _require(config, "param")
+    _require(config, "dataset")
     param = config["param"]
     grid_text = config.get("grid")
     tokens = ([t.strip() for t in str(grid_text).split(",") if t.strip()]
@@ -393,27 +392,17 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
         raise UsageError("--grid is empty")
 
     columns = [param, "Acc", "F1-Score", "WAR", "UAR", "loss", "mean_edges", "status"]
-    rows: list[dict | None] = [None] * len(tokens)
-
-    def run_point(k: int):
-        token = tokens[k]
+    rows = []
+    for token in tokens:
         try:
-            rows[k] = _sweep_point(config, out_dir, param, token)
+            rows.append(_sweep_point(config, out_dir, param, token))
         except Exception as exc:  # failures are table rows, not aborts
-            rows[k] = {param: token, "status": f"error: {exc}"}
+            rows.append({param: token, "status": f"error: {exc}"})
 
-    threads = int(config["threads"])
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_point, range(len(tokens))))
-    else:
-        for k in range(len(tokens)):
-            run_point(k)
-
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in columns))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(row.get(c, "")) for c in columns] for row in rows)
     print(f"wrote {len(tokens)} sweep rows to {out_dir / 'sweep.csv'}")
     return 0
 

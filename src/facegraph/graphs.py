@@ -6,10 +6,24 @@ Euclidean distance between the two landmark positions. Edges survive only
 where that weight strictly exceeds a data-driven threshold: the mean of the
 off-diagonal weights plus ``tau`` standard deviations.
 
-All pairwise quantities are evaluated once per unordered pair with scalar
-arithmetic and mirrored, and the threshold statistics accumulate sequentially
-in row-major order. That keeps every result bit-reproducible against a plain
-per-entry reference, which the test suite relies on.
+Every result is bit-for-bit equal to a plain per-entry reference that uses
+``np.dot`` for inner products, ``math.sqrt``/``math.exp`` for scalars and
+sequential sums in row-major order; the test suite relies on that. The code is
+vectorized only with primitives that round exactly like that reference:
+
+- ``np.vecdot`` over rows calls the same dot kernel as a per-pair ``np.dot``
+  on rows with the same strides;
+- elementwise ``-``, ``*``, ``/``, ``np.sqrt`` and ``np.clip`` are correctly
+  rounded (or exact), element by element, like their scalar forms;
+- ``np.cumsum(...)[-1]`` adds in order, one element at a time.
+
+Matrix products (``F @ F.T``, a row gemv ``F[i+1:] @ F[i]``) and ``einsum``
+are not used: they block or reorder the accumulation and disagree with
+per-pair ``np.dot`` on most entries. ``np.exp`` is not used either: its own
+SIMD kernel rounds differently from the C library ``exp`` behind ``math.exp``
+on a few percent of entries, so the exponential stays a scalar call over the
+upper triangle. ``np.sum`` and ``np.mean`` add pairwise, so the statistics do
+not use them.
 """
 
 from __future__ import annotations
@@ -65,18 +79,17 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     Rows whose norm is at most 1e-12 are returned as exact zeros rather than
     divided by a vanishing value.
     """
-    out = np.array(features, dtype=float, copy=True)
-    if out.ndim != 2:
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim != 2:
         raise InvalidInputError("feature matrix must be 2-D")
-    for i in range(out.shape[0]):
-        row = out[i]
-        if not np.all(np.isfinite(row)):
-            raise InvalidInputError(f"feature row {i} contains non-finite values")
-        norm = math.sqrt(float(np.dot(row, row)))
-        if norm > 1e-12:
-            out[i] = row / norm
-        else:
-            out[i] = 0.0
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise InvalidInputError(f"feature row {row} contains non-finite values")
+    norms = np.sqrt(np.vecdot(feats, feats))[:, None]
+    # same memory layout as the input: the BLAS dot kernel depends on row strides
+    out = np.zeros_like(feats)
+    np.divide(feats, norms, out=out, where=norms > 1e-12)
     return out
 
 
@@ -114,14 +127,16 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
         )
     n = pts.shape[0]
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            weight = similarity_kernel(feats[i], feats[j])
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            weight /= math.exp(math.sqrt(dx * dx + dy * dy))
-            out[i, j] = weight
-            out[j, i] = weight
+    for i in range(n - 1):
+        out[i, i + 1:] = np.vecdot(feats[i], feats[i + 1:])
+    dx = pts[:, 0, None] - pts[None, :, 0]
+    dy = pts[:, 1, None] - pts[None, :, 1]
+    upper = np.triu_indices(n, k=1)
+    distances = np.sqrt(dx * dx + dy * dy)[upper]
+    decay = np.fromiter(map(math.exp, distances.tolist()), float, len(distances))
+    weights = np.clip(out[upper], 0.0, 1.0) / decay
+    out[upper] = weights
+    out[upper[::-1]] = weights
     return out
 
 
@@ -134,23 +149,18 @@ def threshold_from_weights(weights, tau: float) -> ThresholdStats:
     mean can land an ulp off the common value, which would corrupt the
     degenerate all-equal case that must stay exactly edgeless.
     """
-    count = len(weights)
+    values = np.asarray(weights, dtype=float)
+    count = len(values)
     if count < 1:
         raise InvalidInputError("cannot compute threshold statistics of no weights")
-    first = weights[0]
-    if all(value == first for value in weights):
-        return ThresholdStats(tau=float(tau), mean=float(first), std=0.0,
-                              threshold=float(first))
-    total = 0.0
-    for value in weights:
-        total += value
-    mean = total / count
-    squares = 0.0
-    for value in weights:
-        dev = value - mean
-        squares += dev * dev
+    first = float(values[0])
+    if np.all(values == first):
+        return ThresholdStats(tau=float(tau), mean=first, std=0.0, threshold=first)
+    mean = float(np.cumsum(values)[-1]) / count
+    deviations = values - mean
+    squares = float(np.cumsum(deviations * deviations)[-1])
     std = math.sqrt(squares / count)
-    return ThresholdStats(tau=float(tau), mean=float(mean), std=float(std),
+    return ThresholdStats(tau=float(tau), mean=mean, std=std,
                           threshold=float(mean + tau * std))
 
 
@@ -166,8 +176,8 @@ def threshold_stats(raw: np.ndarray, tau: float) -> ThresholdStats:
     n = weights.shape[0]
     if n < 2:
         raise InvalidInputError("need at least 2 nodes for off-diagonal statistics")
-    off_diagonal = [weights[i, j] for i in range(n) for j in range(n) if i != j]
-    return threshold_from_weights(off_diagonal, tau)
+    # boolean indexing walks the matrix in row-major order
+    return threshold_from_weights(weights[~np.eye(n, dtype=bool)], tau)
 
 
 def binarize(raw: np.ndarray, threshold: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -110,10 +111,12 @@ class TestTrain:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         dataset = synth(tmp_path)
         config_path = tmp_path / "bad.json"
-        config_path.write_text(json.dumps({"learning_rate": 0.1}))
-        code = main(["train", "--out-dir", str(tmp_path / "o"),
-                     "--dataset", str(dataset), "--config", str(config_path)])
-        assert code == 1
+        # "threads" names the removed --threads flag
+        for doc in ({"learning_rate": 0.1}, {"threads": 2}):
+            config_path.write_text(json.dumps(doc))
+            code = main(["train", "--out-dir", str(tmp_path / "o"),
+                         "--dataset", str(dataset), "--config", str(config_path)])
+            assert code == 1
 
     def test_config_file_can_supply_dataset_path(self, tmp_path):
         dataset = synth(tmp_path)
@@ -243,16 +246,31 @@ class TestSweep:
         assert lines[1].startswith("0,") and "error" in lines[1]
         assert lines[2].split(",")[-1] == "ok"
 
-    def test_threads_give_same_table(self, tmp_path):
-        dataset = synth(tmp_path)
-        seq = tmp_path / "seq"
-        par = tmp_path / "par"
-        args = ["--dataset", str(dataset), "--param", "tau",
-                "--grid", "0.2,0.5,0.9", "--epochs", "2", "--batch-size", "4",
-                "--hidden", "8"]
-        assert main(["sweep", "--out-dir", str(seq), *args]) == 0
-        assert main(["sweep", "--out-dir", str(par), *args, "--threads", "3"]) == 0
-        assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
+    def test_error_message_with_comma_stays_one_field(self, tmp_path):
+        # the dataset path, and so the error message, contains a comma
+        dataset = synth(tmp_path, "img,ds", extra=["--with-images", "--per-class", "2",
+                                                   "--landmarks", "12"])
+        broken = sorted((dataset / "images").glob("*.pgm"))[0]
+        broken.write_bytes(broken.read_bytes()[:100])
+        out = tmp_path / "csweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "patch", "--grid", "10,20", "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8",
+                     "--encoder-dim", "16"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) == 3
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert [row[0] for row in rows[1:]] == ["10", "20"]
+        assert all(row[-1].startswith("error: ") and "img,ds" in row[-1]
+                   for row in rows[1:])
+
+    def test_missing_dataset_is_usage_error(self, tmp_path):
+        out = tmp_path / "nosweep"
+        code = main(["sweep", "--out-dir", str(out), "--param", "tau",
+                     "--grid", "0.2,0.5"])
+        assert code == 1
+        assert not (out / "sweep.csv").exists()
 
 
 class TestUsage:

@@ -14,6 +14,7 @@ from facegraph import (
     threshold_from_weights,
     threshold_stats,
 )
+from facegraph.cli import TAU_GRID as CLI_TAU_GRID
 
 from oracles import naive_graph
 
@@ -248,6 +249,38 @@ class TestBruteForceEquivalence:
             assert stats.mean == mean and stats.std == std
             assert stats.threshold == threshold
             assert np.array_equal(graph.adjacency, adjacency)
+
+    def test_bitwise_match_at_real_face_shape(self):
+        # N=68 landmarks, d=64 features: the shape of real face data
+        rng = np.random.default_rng(68)
+        coincident = random_instance(rng, n=68, d=64)
+        coincident[0][[5, 40]] = coincident[0][17]
+        zero_row = random_instance(rng, n=68, d=64)
+        zero_row[1][33] = 0.0
+        for points, features in (coincident, zero_row):
+            for token in CLI_TAU_GRID:
+                tau = float(token)
+                graph = build_graph(points, features, tau, 0)
+                normalized, raw, expected_stats, adjacency = naive_graph(
+                    points, features, tau)
+                production_raw = raw_adjacency(graph.features, points)
+                stats = threshold_stats(production_raw, tau)
+                actual_stats = (stats.mean, stats.std, stats.threshold)
+                for actual, expected in ((graph.features, normalized),
+                                         (production_raw, raw),
+                                         (actual_stats, expected_stats)):
+                    assert np.array_equal(np.asarray(actual).view(np.int64),
+                                          np.asarray(expected).view(np.int64))
+                assert np.array_equal(graph.adjacency, adjacency)
+
+    def test_threshold_from_weights_list_matches_array(self):
+        rng = np.random.default_rng(29)
+        weights = rng.random(68 * 67)
+        for tau in (0.0, 0.5, 0.9):
+            assert (threshold_from_weights(weights.tolist(), tau)
+                    == threshold_from_weights(weights, tau))
+        assert (threshold_from_weights([0.3] * 5, 0.5)
+                == threshold_from_weights(np.full(5, 0.3), 0.5))
 
     def test_degenerate_equal_weights_safe(self):
         # every pair identical: zero variance, empty graph, no error
