@@ -55,6 +55,7 @@ from .gcn import (
     load_checkpoint,
     lr_schedule,
     normalize_adjacency,
+    param_shapes,
     predict,
     readout,
     save_checkpoint,

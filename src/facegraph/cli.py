@@ -174,6 +174,15 @@ def _build_parser() -> argparse.ArgumentParser:
 _PATH_KEYS = ("dataset", "checkpoint", "param", "grid", "sample_id")
 
 
+def _type_ok(value, default) -> bool:
+    """A config value must match its default's type; an int fits a float key."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _effective_config(args) -> dict:
     """Merge defaults, config file and flags (flags win).
 
@@ -191,9 +200,16 @@ def _effective_config(args) -> dict:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{path}: invalid JSON config ({exc})") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{path}: config must be a JSON object")
         unknown = set(loaded) - set(DEFAULTS) - set(_PATH_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            default = DEFAULTS.get(key, "")  # path keys hold strings
+            if not _type_ok(value, default):
+                raise UsageError(f"config key {key!r} must be a "
+                                 f"{type(default).__name__}, got {value!r}")
         config.update(loaded)
         explicit |= set(loaded)
     for key in (*DEFAULTS, *_PATH_KEYS):

@@ -32,19 +32,12 @@ POOL_GRID = 8
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """How to turn patches into feature vectors.
+    """Settings of the built-in pooled-projection patch encoder."""
 
-    ``kind`` is ``"toy-projection"`` for the built-in encoder or
-    ``"external-file"`` when features come precomputed from files.
-    """
-
-    kind: str = "toy-projection"
     out_dim: int = 64
     projection_seed: int = 1000
 
     def __post_init__(self):
-        if self.kind not in ("toy-projection", "external-file"):
-            raise InvalidInputError(f"unknown encoder kind: {self.kind!r}")
         if self.out_dim < 1:
             raise InvalidInputError("encoder output dimension must be >= 1")
 
@@ -154,8 +147,6 @@ def _projection_matrix(seed: int, out_dim: int) -> np.ndarray:
 
 def encode_patch_toy(patch: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Deterministic patch embedding: pool to 8x8, flatten, project to out_dim."""
-    if config.kind != "toy-projection":
-        raise InvalidInputError("encode_patch_toy requires a toy-projection config")
     pooled = _pool_to_grid(patch)
     return _projection_matrix(config.projection_seed, config.out_dim) @ pooled.ravel()
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     CacheMismatchError,
@@ -36,7 +35,6 @@ __all__ = [
     "ForwardCache",
     "GcnConfig",
     "GcnModel",
-    "Gradients",
     "TrainConfig",
     "adam_step",
     "backward",
@@ -50,6 +48,7 @@ __all__ = [
     "load_checkpoint",
     "lr_schedule",
     "normalize_adjacency",
+    "param_shapes",
     "predict",
     "readout",
     "save_checkpoint",
@@ -62,6 +61,48 @@ CHECKPOINT_VERSION = 1
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) on |x| <= 1, and
+# erfc(a) = exp(-a^2) P(a) / Q(a) on 1 < a < 8. U and Q are monic; their
+# leading 1.0 makes the Horner loop reproduce Cephes' p1evl exactly.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x, coefs):
+    out = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x):
+    """Error function, elementwise, in Cephes' operation order.
+
+    Past |x| = 6 erfc is below 2**-54, so 1 - erfc rounds to exactly 1; the
+    clamp keeps both branches finite, and +-inf maps to +-1.
+    """
+    x = np.asarray(x, dtype=float)
+    near = np.clip(x, -1.0, 1.0)
+    z = near * near
+    near = near * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    a = np.minimum(np.abs(x), 6.0)
+    erfc = np.exp(-a * a) * _polevl(a, _ERFC_P) / _polevl(a, _ERFC_Q)
+    return np.where(np.abs(x) <= 1.0, near, np.copysign(1.0 - erfc, x))
+
 
 def _relu(x):
     return np.maximum(x, 0.0)
@@ -72,11 +113,11 @@ def _relu_grad(x):
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return 0.5 * x * (1.0 + _erf(x / _SQRT2))
 
 
 def _gelu_grad(x):
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 
@@ -124,12 +165,24 @@ class GcnConfig:
         return [self.in_dim] + [self.hidden_dim] * self.num_layers
 
 
+def param_shapes(config: GcnConfig) -> list[tuple[int, ...]]:
+    """Shapes of :attr:`GcnModel.params`, in order.
+
+    One dims[l] x dims[l + 1] weight per layer, then the num_classes x
+    dims[-1] readout weight, then the num_classes readout bias.
+    """
+    dims = config.layer_dims()
+    return ([(dims[l], dims[l + 1]) for l in range(config.num_layers)]
+            + [(config.num_classes, dims[-1]), (config.num_classes,)])
+
+
 @dataclass
 class GcnModel:
+    """A config plus its parameters as one list laid out by :func:`param_shapes`:
+    the layer weights, the readout weight, then the readout bias."""
+
     config: GcnConfig
-    layer_weights: list[np.ndarray]   # layer l maps dims[l] -> dims[l + 1]
-    readout_weight: np.ndarray        # num_classes x dims[-1]
-    readout_bias: np.ndarray          # num_classes
+    params: list[np.ndarray]
 
 
 @dataclass
@@ -209,28 +262,25 @@ def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
     """Glorot-uniform initialized model; biases start at zero."""
     rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
            else np.random.default_rng(rng_or_seed))
-    dims = config.layer_dims()
-    layer_weights = [_glorot(rng, dims[l], dims[l + 1])
-                     for l in range(config.num_layers)]
-    readout_weight = _glorot(rng, config.num_classes, dims[-1])
-    readout_bias = np.zeros(config.num_classes)
-    return GcnModel(config=config, layer_weights=layer_weights,
-                    readout_weight=readout_weight, readout_bias=readout_bias)
+    *weight_shapes, bias_shape = param_shapes(config)
+    params = [_glorot(rng, *shape) for shape in weight_shapes]
+    return GcnModel(config=config, params=[*params, np.zeros(bias_shape)])
 
 
 @dataclass
 class ForwardCache:
-    """Intermediate values one backward pass needs, tied to the exact parameters."""
+    """Intermediate values one backward pass needs, tied to the exact parameters.
 
-    layer_weights: list[np.ndarray]
-    readout_weight: np.ndarray
-    readout_bias: np.ndarray
+    ``params`` holds the very arrays of :attr:`GcnModel.params` the pass used,
+    in the same order.
+    """
+
+    params: tuple[np.ndarray, ...]
     norm_adj: np.ndarray
     aggregated: list[np.ndarray]     # A_hat @ H per layer
     preactivations: list[np.ndarray]
     dropout_masks: list
     embedding: np.ndarray
-    probabilities: np.ndarray
 
 
 def forward(model: GcnModel, sample: GraphSample, mode: str = "eval",
@@ -241,6 +291,9 @@ def forward(model: GcnModel, sample: GraphSample, mode: str = "eval",
     In train mode, inverted dropout is applied to every hidden activation
     except the final layer's, drawing masks from ``rng``; eval mode is fully
     deterministic. Pass ``norm_adj`` to reuse a precomputed normalization.
+
+    The layers are written out rather than calling :func:`gcn_layer`, because
+    backward needs each layer's ``A_hat @ H`` and pre-activation.
     """
     if mode not in ("train", "eval"):
         raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -255,12 +308,13 @@ def forward(model: GcnModel, sample: GraphSample, mode: str = "eval",
         raise InvalidInputError("train-mode forward with dropout needs an rng")
     a_hat = normalize_adjacency(sample.adjacency) if norm_adj is None else norm_adj
 
+    *layer_weights, readout_weight, readout_bias = model.params
     act, _ = ACTIVATIONS[config.activation]
     aggregated = []
     preactivations = []
     masks = []
     keep = 1.0 - config.dropout_rate
-    for layer, weight in enumerate(model.layer_weights):
+    for layer, weight in enumerate(layer_weights):
         m = a_hat @ h
         z = m @ weight
         h = act(z)
@@ -273,19 +327,15 @@ def forward(model: GcnModel, sample: GraphSample, mode: str = "eval",
         preactivations.append(z)
         masks.append(mask)
 
-    embedding = h.mean(axis=0)
-    logits = model.readout_weight @ embedding + model.readout_bias
-    probabilities = _softmax(logits)
+    embedding = readout(h)
+    probabilities = _softmax(readout_weight @ embedding + readout_bias)
     cache = ForwardCache(
-        layer_weights=list(model.layer_weights),
-        readout_weight=model.readout_weight,
-        readout_bias=model.readout_bias,
+        params=tuple(model.params),
         norm_adj=a_hat,
         aggregated=aggregated,
         preactivations=preactivations,
         dropout_masks=masks,
         embedding=embedding,
-        probabilities=probabilities,
     )
     return probabilities, cache
 
@@ -302,16 +352,12 @@ def cross_entropy(labels_onehot: np.ndarray, probabilities: np.ndarray) -> float
     return float(-np.mean(np.sum(y * np.log(clamped), axis=1)))
 
 
-@dataclass
-class Gradients:
-    layer_weights: list[np.ndarray]
-    readout_weight: np.ndarray
-    readout_bias: np.ndarray
-
-
 def backward(model: GcnModel, cache: ForwardCache,
-             logit_grad: np.ndarray) -> Gradients:
+             logit_grad: np.ndarray) -> list[np.ndarray]:
     """Analytic gradients of all parameters given the loss gradient at the logits.
+
+    The gradients come as one list in :attr:`GcnModel.params` order: the
+    layer weights, the readout weight, then the readout bias.
 
     For softmax plus cross-entropy that upstream gradient is simply
     probabilities minus the one-hot label (scaled by the batch weighting).
@@ -319,34 +365,31 @@ def backward(model: GcnModel, cache: ForwardCache,
     come from a forward pass against the very same parameter arrays;
     :func:`adam_step` replaces arrays, so a stale cache is detected.
     """
-    same = (len(cache.layer_weights) == len(model.layer_weights)
-            and all(c is m for c, m in zip(cache.layer_weights, model.layer_weights))
-            and cache.readout_weight is model.readout_weight
-            and cache.readout_bias is model.readout_bias)
-    if not same:
+    if not (len(cache.params) == len(model.params)
+            and all(c is p for c, p in zip(cache.params, model.params))):
         raise CacheMismatchError(
             "forward cache does not match the model's current parameters"
         )
+    *layer_weights, readout_weight, _ = model.params
     dlogits = np.asarray(logit_grad, dtype=float)
     grad_readout_weight = np.outer(dlogits, cache.embedding)
     grad_readout_bias = dlogits.copy()
 
     n_nodes = cache.norm_adj.shape[0]
-    d_embedding = model.readout_weight.T @ dlogits
+    d_embedding = readout_weight.T @ dlogits
     dh = np.repeat((d_embedding / n_nodes)[None, :], n_nodes, axis=0)
 
     _, act_grad = ACTIVATIONS[model.config.activation]
-    grads = [None] * len(model.layer_weights)
-    for layer in range(len(model.layer_weights) - 1, -1, -1):
+    grads = [None] * len(layer_weights)
+    for layer in range(len(layer_weights) - 1, -1, -1):
         mask = cache.dropout_masks[layer]
         if mask is not None:
             dh = dh * mask
         dz = dh * act_grad(cache.preactivations[layer])
         grads[layer] = cache.aggregated[layer].T @ dz
         if layer > 0:
-            dh = cache.norm_adj.T @ (dz @ model.layer_weights[layer].T)
-    return Gradients(layer_weights=grads, readout_weight=grad_readout_weight,
-                     readout_bias=grad_readout_bias)
+            dh = cache.norm_adj.T @ (dz @ layer_weights[layer].T)
+    return [*grads, grad_readout_weight, grad_readout_bias]
 
 
 @dataclass
@@ -406,21 +449,6 @@ def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
     return config.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / (total_epochs - 1)))
 
 
-def _model_params(model: GcnModel) -> list[np.ndarray]:
-    return [*model.layer_weights, model.readout_weight, model.readout_bias]
-
-
-def _set_model_params(model: GcnModel, params: list[np.ndarray]) -> None:
-    n_layers = model.config.num_layers
-    model.layer_weights = list(params[:n_layers])
-    model.readout_weight = params[n_layers]
-    model.readout_bias = params[n_layers + 1]
-
-
-def _flat_grads(g: Gradients) -> list[np.ndarray]:
-    return [*g.layer_weights, g.readout_weight, g.readout_bias]
-
-
 def train(dataset: list[GraphSample], model_config: GcnConfig,
           train_config: TrainConfig):
     """Mini-batch training loop; returns the model and the per-epoch history.
@@ -449,7 +477,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     model = init_model(model_config, rng)
     norm_adjs = [normalize_adjacency(s.adjacency) for s in dataset]
     onehots = np.eye(num_classes)[[s.label for s in dataset]]
-    state = init_adam(_model_params(model), train_config.adam_beta1,
+    state = init_adam(model.params, train_config.adam_beta1,
                       train_config.adam_beta2, train_config.adam_eps)
 
     n = len(dataset)
@@ -462,7 +490,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
         for start in range(0, n, train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
             scale = 1.0 / len(batch)
-            grad_total = [np.zeros_like(p) for p in _model_params(model)]
+            grad_total = [np.zeros_like(p) for p in model.params]
             for idx in batch:
                 probs, cache = forward(model, dataset[idx], mode="train", rng=rng,
                                        norm_adj=norm_adjs[idx])
@@ -470,11 +498,10 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
                 loss_sum += -math.log(max(float(probs[label]), 1e-12))
                 correct += int(np.argmax(probs) == label)
                 sample_grads = backward(model, cache, (probs - onehots[idx]) * scale)
-                for total, g in zip(grad_total, _flat_grads(sample_grads)):
+                for total, g in zip(grad_total, sample_grads):
                     total += g
-            new_params, state = adam_step(_model_params(model), grad_total, state,
-                                          lr, train_config.weight_decay)
-            _set_model_params(model, new_params)
+            model.params, state = adam_step(model.params, grad_total, state,
+                                            lr, train_config.weight_decay)
         mean_loss = loss_sum / n
         if not math.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -521,11 +548,22 @@ def _matrix_doc(array: np.ndarray) -> dict:
     return {"shape": list(array.shape), "data": array.ravel().tolist()}
 
 
-def _matrix_from_doc(doc, name: str) -> np.ndarray:
+def _matrix_from_doc(doc, name: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
-        return np.asarray(doc["data"], dtype=float).reshape(doc["shape"])
+        array = np.asarray(doc["data"], dtype=float).reshape(doc["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed matrix entry {name!r}") from exc
+    if array.shape != shape:
+        raise CheckpointError(f"matrix entry {name!r} has shape {list(array.shape)}, "
+                              f"the config needs {list(shape)}")
+    return array
+
+
+def _matrix_list_from_doc(docs, name: str, shapes) -> list[np.ndarray]:
+    if not isinstance(docs, list) or len(docs) != len(shapes):
+        raise CheckpointError(f"{name!r} must list {len(shapes)} matrices")
+    return [_matrix_from_doc(d, f"{name}[{i}]", shape)
+            for i, (d, shape) in enumerate(zip(docs, shapes))]
 
 
 def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
@@ -537,6 +575,7 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
     bit for bit, and the byte stream is deterministic for identical weights.
     """
     config = model.config
+    *layer_weights, readout_weight, readout_bias = model.params
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -548,9 +587,9 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
             "activation": config.activation,
             "dropout_rate": config.dropout_rate,
         },
-        "layer_weights": [_matrix_doc(w) for w in model.layer_weights],
-        "readout_weight": _matrix_doc(model.readout_weight),
-        "readout_bias": _matrix_doc(model.readout_bias),
+        "layer_weights": [_matrix_doc(w) for w in layer_weights],
+        "readout_weight": _matrix_doc(readout_weight),
+        "readout_bias": _matrix_doc(readout_bias),
     }
     if preprocess is not None:
         doc["preprocess"] = preprocess
@@ -570,13 +609,17 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, meta) where meta may carry
-    'preprocess' and 'optimizer' entries."""
+    'preprocess' and 'optimizer' entries.
+
+    Every parameter and optimizer moment must have the shape
+    :func:`param_shapes` gives for the stored config.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: not valid JSON") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {doc.get('version')}")
@@ -584,27 +627,26 @@ def load_checkpoint(path):
         config = GcnConfig(**doc["config"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed config section") from exc
-    model = GcnModel(
-        config=config,
-        layer_weights=[_matrix_from_doc(w, f"layer_weights[{i}]")
-                       for i, w in enumerate(doc.get("layer_weights", []))],
-        readout_weight=_matrix_from_doc(doc.get("readout_weight"), "readout_weight"),
-        readout_bias=_matrix_from_doc(doc.get("readout_bias"), "readout_bias"),
-    )
-    if len(model.layer_weights) != config.num_layers:
-        raise CheckpointError(f"{path}: expected {config.num_layers} layer matrices")
-    meta = {"preprocess": doc.get("preprocess")}
+    shapes = param_shapes(config)
+    *layer_shapes, weight_shape, bias_shape = shapes
+    model = GcnModel(config=config, params=[
+        *_matrix_list_from_doc(doc.get("layer_weights"), "layer_weights", layer_shapes),
+        _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape),
+        _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape),
+    ])
+    meta = {"preprocess": doc.get("preprocess"), "optimizer": None}
     if "optimizer" in doc:
         opt = doc["optimizer"]
+        try:
+            step = int(opt["step"])
+            beta1, beta2, eps = float(opt["beta1"]), float(opt["beta2"]), float(opt["eps"])
+            first, second = opt["first_moment"], opt["second_moment"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"{path}: malformed optimizer section") from exc
         meta["optimizer"] = AdamState(
-            step=int(opt["step"]),
-            first_moment=[_matrix_from_doc(m, "first_moment")
-                          for m in opt["first_moment"]],
-            second_moment=[_matrix_from_doc(v, "second_moment")
-                           for v in opt["second_moment"]],
-            beta1=float(opt["beta1"]), beta2=float(opt["beta2"]),
-            eps=float(opt["eps"]),
+            step=step,
+            first_moment=_matrix_list_from_doc(first, "first_moment", shapes),
+            second_moment=_matrix_list_from_doc(second, "second_moment", shapes),
+            beta1=beta1, beta2=beta2, eps=eps,
         )
-    else:
-        meta["optimizer"] = None
     return model, meta

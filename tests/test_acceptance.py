@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 
-import facegraph.gcn as gcn
 from facegraph import (
     GcnConfig,
     SyntheticSpec,
@@ -245,7 +244,7 @@ def test_round_trips(tmp_path):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(path, model)
     restored, _ = load_checkpoint(path)
-    for a, b in zip(gcn._model_params(model), gcn._model_params(restored)):
+    for a, b in zip(model.params, restored.params):
         assert np.array_equal(a, b)
     for graph in graphs:
         before, _ = forward(model, graph)

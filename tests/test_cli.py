@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import facegraph
 from facegraph.cli import main
 
 TINY = ["--classes", "2", "--per-class", "6", "--landmarks", "6",
@@ -23,6 +28,16 @@ def quick_train(tmp_path, dataset, name="run", epochs="4", extra=()):
                  *extra])
     assert code == 0
     return out
+
+
+def test_cli_import_needs_numpy_only():
+    code = ("import sys, facegraph.cli; "
+            "leaked = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not leaked, leaked")
+    env = {**os.environ, "PYTHONPATH": str(Path(facegraph.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestSynth:
@@ -118,6 +133,26 @@ class TestTrain:
                          "--dataset", str(dataset), "--config", str(config_path)])
             assert code == 1
 
+    def test_wrongly_typed_config_value_is_usage_error(self, tmp_path):
+        dataset = synth(tmp_path)
+        config_path = tmp_path / "bad.json"
+        for doc in ({"epochs": "ten"}, {"hidden": 8.5}, {"seed": True},
+                    {"dropout": "0.1"}, {"with_images": 1}, {"dataset": 5},
+                    [{"epochs": 1}]):
+            config_path.write_text(json.dumps(doc))
+            code = main(["train", "--out-dir", str(tmp_path / "o"),
+                         "--dataset", str(dataset), "--config", str(config_path)])
+            assert code == 1, doc
+
+    def test_int_config_value_accepted_for_float_key(self, tmp_path):
+        dataset = synth(tmp_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"tau": 1, "lr": 1, "epochs": 1,
+                                           "hidden": 8}))
+        out = tmp_path / "int_floats"
+        assert main(["train", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--config", str(config_path)]) == 0
+
     def test_config_file_can_supply_dataset_path(self, tmp_path):
         dataset = synth(tmp_path)
         config_path = tmp_path / "run.json"
@@ -169,6 +204,38 @@ class TestEval:
         assert (run / "metrics.json").read_text() == plain_doc
         # an explicit tau is honored instead of the checkpoint's
         assert json.loads((overridden / "config.json").read_text())["tau"] == 0.9
+
+
+class TestBadCheckpoint:
+    """Hand-edited checkpoints end in a data error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("edit", [
+        # hidden 8: layer 1 is 8x8; 4x16 holds the same 64 numbers
+        lambda d: d["layer_weights"][1].update(shape=[4, 16]),
+        lambda d: d["readout_bias"].update(shape=[3], data=[0.0, 0.0, 0.0]),
+        lambda d: d.update(optimizer={"step": "x"}),
+        lambda d: d["layer_weights"].pop(),
+    ], ids=["layer_shape", "bias_length", "optimizer_step", "layer_count"])
+    def test_edited_checkpoint(self, tmp_path, edit):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
+        doc = json.loads((run / "checkpoint.json").read_text())
+        edit(doc)
+        checkpoint = tmp_path / "edited.json"
+        checkpoint.write_text(json.dumps(doc))
+        code = main(["eval", "--out-dir", str(tmp_path / "ev"),
+                     "--dataset", str(dataset), "--checkpoint", str(checkpoint)])
+        assert code == 2
+
+    @pytest.mark.parametrize("content", [b"[]", b"\xff\xfe{}"],
+                             ids=["not_an_object", "not_utf8"])
+    def test_not_a_json_object(self, tmp_path, content):
+        dataset = synth(tmp_path)
+        checkpoint = tmp_path / "junk.json"
+        checkpoint.write_bytes(content)
+        code = main(["eval", "--out-dir", str(tmp_path / "ev"),
+                     "--dataset", str(dataset), "--checkpoint", str(checkpoint)])
+        assert code == 2
 
 
 class TestBuildGraphAndExports:

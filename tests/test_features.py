@@ -113,15 +113,9 @@ class TestToyEncoder:
         assert feature.shape == (64,)
         assert np.all(np.isfinite(feature))
 
-    def test_external_file_kind_rejected_here(self):
-        with pytest.raises(InvalidInputError):
-            encode_patch_toy(np.ones((4, 4)), EncoderConfig(kind="external-file"))
-
     def test_bad_config(self):
         with pytest.raises(InvalidInputError):
             EncoderConfig(out_dim=0)
-        with pytest.raises(InvalidInputError):
-            EncoderConfig(kind="mystery")
 
 
 class TestFeaturesForSample:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -64,7 +65,7 @@ def finite_difference_grads(model, sample, step=1e-5, mode="eval", rng_seed=None
         return -math.log(max(float(probs[sample.label]), 1e-12))
 
     grads = []
-    for p in gcn._model_params(model):
+    for p in model.params:
         grad = np.zeros_like(p)
         flat_p, flat_g = p.ravel(), grad.ravel()
         for k in range(flat_p.size):
@@ -84,7 +85,7 @@ def analytic_grads(model, sample, mode="eval", rng_seed=None):
     probs, cache = forward(model, sample, mode=mode, rng=rng)
     onehot = np.zeros(model.config.num_classes)
     onehot[sample.label] = 1.0
-    return gcn._flat_grads(backward(model, cache, probs - onehot))
+    return backward(model, cache, probs - onehot)
 
 
 def max_relative_error(analytic, numeric):
@@ -127,6 +128,21 @@ class TestNormalizeAdjacency:
     def test_not_square(self):
         with pytest.raises(InvalidInputError):
             normalize_adjacency(np.zeros((2, 3)))
+
+
+class TestErf:
+    def test_within_3_ulp_of_math_erf(self):
+        x = np.concatenate([np.linspace(-7.0, 7.0, 140001),
+                            np.random.default_rng(0).uniform(-7.0, 7.0, 20000),
+                            [0.0, -0.0, 1.0, -1.0, 6.0]])
+        want = np.array([math.erf(v) for v in x])
+        got = gcn._erf(x)
+        assert np.all(np.abs(got - want) <= 3 * np.spacing(np.abs(want)))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_infinities_and_nan(self):
+        assert np.array_equal(gcn._erf(np.array([np.inf, -np.inf])), [1.0, -1.0])
+        assert np.isnan(gcn._erf(np.nan))
 
 
 class TestGcnLayer:
@@ -267,13 +283,13 @@ class TestBackward:
         probs, cache = forward(model, self.sample)
         onehot = np.array([0.0, 1.0])
         grads = backward(model, cache, probs - onehot)
-        assert np.array_equal(grads.readout_bias, probs - onehot)
+        assert np.array_equal(grads[-1], probs - onehot)
 
     def test_zero_upstream_gradient(self):
         model = self.model_for("gelu")
         _, cache = forward(model, self.sample)
         grads = backward(model, cache, np.zeros(2))
-        for g in gcn._flat_grads(grads):
+        for g in grads:
             assert np.array_equal(g, np.zeros_like(g))
 
     @pytest.mark.parametrize("activation", ["relu", "gelu", "elu"])
@@ -293,10 +309,9 @@ class TestBackward:
     def test_stale_cache_detected(self):
         model = self.model_for("relu")
         probs, cache = forward(model, self.sample)
-        params = gcn._model_params(model)
+        params = model.params
         grads = [np.ones_like(p) for p in params]
-        new_params, _ = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
-        gcn._set_model_params(model, new_params)
+        model.params, _ = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
         with pytest.raises(CacheMismatchError):
             backward(model, cache, probs)
 
@@ -374,7 +389,7 @@ class TestTrain:
         model, history = train(graphs, config, TrainConfig(epochs=0))
         reference = init_model(config, np.random.default_rng(1000))
         assert history == []
-        for got, want in zip(gcn._model_params(model), gcn._model_params(reference)):
+        for got, want in zip(model.params, reference.params):
             assert np.array_equal(got, want)
 
     def test_loss_decreases_on_separable_data(self):
@@ -389,7 +404,7 @@ class TestTrain:
         model_a, hist_a = train(graphs, config, TrainConfig(epochs=5))
         model_b, hist_b = train(graphs, config, TrainConfig(epochs=5))
         assert hist_a == hist_b
-        for a, b in zip(gcn._model_params(model_a), gcn._model_params(model_b)):
+        for a, b in zip(model_a.params, model_b.params):
             assert np.array_equal(a, b)
 
     def test_empty_dataset_rejected(self):
@@ -421,8 +436,7 @@ class TestPredict:
         sample = toy_sample(rng, num_classes=3)
         config = GcnConfig(in_dim=3, num_classes=3, hidden_dim=4)
         model = init_model(config, 0)
-        model.readout_weight = np.zeros_like(model.readout_weight)
-        model.readout_bias = np.zeros_like(model.readout_bias)
+        model.params[-2:] = [np.zeros_like(p) for p in model.params[-2:]]
         labels, probs = predict(model, [sample])
         assert np.allclose(probs, 1.0 / 3.0)
         assert labels[0] == 0
@@ -445,7 +459,7 @@ class TestCheckpoint:
         save_checkpoint(path, model, preprocess={"tau": 0.5})
         loaded, meta = load_checkpoint(path)
         assert meta["preprocess"] == {"tau": 0.5}
-        for a, b in zip(gcn._model_params(model), gcn._model_params(loaded)):
+        for a, b in zip(model.params, loaded.params):
             assert np.array_equal(a, b)
 
     def test_forward_after_reload_zero_ulp(self, tmp_path):
@@ -461,10 +475,9 @@ class TestCheckpoint:
 
     def test_optimizer_state_round_trip(self, tmp_path):
         model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
-        params = gcn._model_params(model)
+        params = model.params
         grads = [np.full_like(p, 0.1) for p in params]
-        new_params, state = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
-        gcn._set_model_params(model, new_params)
+        model.params, state = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
         path = tmp_path / "model.json"
         save_checkpoint(path, model, optimizer=state)
         _, meta = load_checkpoint(path)
@@ -472,6 +485,27 @@ class TestCheckpoint:
         assert restored.step == 1
         for a, b in zip(state.first_moment, restored.first_moment):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["readout_weight"].update(shape=[4, 2]),
+        lambda d: d["readout_bias"].update(shape=[1, 2]),
+        lambda d: d["optimizer"]["first_moment"].pop(),
+        lambda d: d["optimizer"]["second_moment"][0].update(shape=[4, 3]),
+        lambda d: d["optimizer"].update(step="x"),
+        lambda d: d["optimizer"].update(step=float("inf")),
+        lambda d: d["optimizer"].pop("beta1"),
+        lambda d: d["optimizer"].update(second_moment=None),
+    ], ids=["weight_shape", "bias_shape", "moment_count", "moment_shape",
+            "step_text", "step_inf", "no_beta1", "moments_null"])
+    def test_shapes_and_optimizer_checked_against_config(self, tmp_path, edit):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, optimizer=init_adam(model.params))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
