@@ -49,7 +49,6 @@ from .gcn import (
     evaluate,
     forward,
     gcn_layer,
-    graph_embedding,
     init_adam,
     init_model,
     load_checkpoint,

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .features import EncoderConfig
 from .gcn import (
+    ACTIVATIONS,
     GcnConfig,
     TrainConfig,
     evaluate,
@@ -75,6 +76,18 @@ DEFAULTS = {
     "feature_noise": 0.25,
     "with_images": False,
 }
+_PATH_KEYS = ("dataset", "checkpoint", "param", "grid", "sample_id")
+CHOICES = {
+    "activation": list(ACTIVATIONS),
+    "split": ["random", "subject"],
+    "param": ["tau", "patch"],
+}
+_HELP = {"grid": "comma separated values; defaults per parameter"}
+
+# Settings shared by several subcommands; _COMMANDS says which take which.
+_GRAPH = ("dataset", "tau", "patch", "encoder_dim", "encoder_seed")
+_MODEL = ("hidden", "layers", "activation", "dropout", "lr", "lr_min",
+          "weight_decay", "epochs", "batch_size", "test_fraction", "split")
 
 
 class UsageError(Exception):
@@ -102,76 +115,30 @@ def _parse_patch(text) -> tuple[int, int]:
     return h, w
 
 
+def _add_setting(parser: argparse.ArgumentParser, key: str) -> None:
+    """The flag for one config key, typed like its default (path keys are strings)."""
+    flag = "--" + key.replace("_", "-")
+    default = DEFAULTS.get(key, "")
+    if isinstance(default, bool):
+        parser.add_argument(flag, action="store_true", default=None)
+    else:
+        parser.add_argument(flag, type=type(default), choices=CHOICES.get(key),
+                            help=_HELP.get(key))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--seed", type=int)
+    _add_setting(common, "seed")
     common.add_argument("--out-dir", required=True)
 
     parser = _Parser(prog="facegraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", type=int)
-    p.add_argument("--landmarks", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--displacement", type=float)
-    p.add_argument("--feature-noise", type=float)
-    p.add_argument("--with-images", action="store_true", default=None)
-
-    def add_graph_flags(sp):
-        sp.add_argument("--dataset")
-        sp.add_argument("--tau", type=float)
-        sp.add_argument("--patch")
-        sp.add_argument("--encoder-dim", type=int)
-        sp.add_argument("--encoder-seed", type=int)
-
-    def add_model_flags(sp):
-        sp.add_argument("--hidden", type=int)
-        sp.add_argument("--layers", type=int)
-        sp.add_argument("--activation", choices=["relu", "gelu", "elu"])
-        sp.add_argument("--dropout", type=float)
-        sp.add_argument("--lr", type=float)
-        sp.add_argument("--lr-min", type=float)
-        sp.add_argument("--weight-decay", type=float)
-        sp.add_argument("--epochs", type=int)
-        sp.add_argument("--batch-size", type=int)
-        sp.add_argument("--test-fraction", type=float)
-        sp.add_argument("--split", choices=["random", "subject"])
-
-    p = sub.add_parser("build-graph", parents=[common],
-                       help="build and export graphs for every sample")
-    add_graph_flags(p)
-
-    p = sub.add_parser("train", parents=[common], help="train a model")
-    add_graph_flags(p)
-    add_model_flags(p)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
-    add_graph_flags(p)
-    p.add_argument("--checkpoint")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="train/eval per grid point of tau or patch size")
-    add_graph_flags(p)
-    add_model_flags(p)
-    p.add_argument("--param", choices=["tau", "patch"])
-    p.add_argument("--grid", help="comma separated values; defaults per parameter")
-
-    p = sub.add_parser("export-embeddings", parents=[common],
-                       help="write readout embeddings for external plotting")
-    add_graph_flags(p)
-    p.add_argument("--checkpoint")
-
-    p = sub.add_parser("export-graph", parents=[common],
-                       help="write one sample's graph as JSON and DOT")
-    add_graph_flags(p)
-    p.add_argument("--sample-id")
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for key in keys:
+            _add_setting(p, key)
     return parser
-
-
-_PATH_KEYS = ("dataset", "checkpoint", "param", "grid", "sample_id")
 
 
 def _type_ok(value, default) -> bool:
@@ -241,21 +208,18 @@ def _encoder(config: dict) -> EncoderConfig:
 
 
 def _synth_spec(config: dict) -> SyntheticSpec:
-    for key in ("classes", "per_class", "landmarks", "feature_dim"):
-        if config[key] < 1:
-            raise UsageError(f"--{key.replace('_', '-')} must be positive")
-    for key in ("displacement", "feature_noise"):
-        if config[key] < 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be >= 0")
-    return SyntheticSpec(
-        num_classes=config["classes"],
-        samples_per_class=config["per_class"],
-        landmark_count=config["landmarks"],
-        feature_dim=config["feature_dim"],
-        geometry_displacement_scale=config["displacement"],
-        feature_noise_scale=config["feature_noise"],
-        seed=config["seed"],
-    )
+    try:
+        return SyntheticSpec(
+            num_classes=config["classes"],
+            samples_per_class=config["per_class"],
+            landmark_count=config["landmarks"],
+            feature_dim=config["feature_dim"],
+            geometry_displacement_scale=config["displacement"],
+            feature_noise_scale=config["feature_noise"],
+            seed=config["seed"],
+        )
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_synth(config: dict, out_dir: Path) -> int:
@@ -449,14 +413,21 @@ def cmd_export_graph(config: dict, out_dir: Path) -> int:
     return 0
 
 
+# name -> (handler, help text, the settings its flags set)
 _COMMANDS = {
-    "synth": cmd_synth,
-    "build-graph": cmd_build_graph,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "export-embeddings": cmd_export_embeddings,
-    "export-graph": cmd_export_graph,
+    "synth": (cmd_synth, "generate a synthetic dataset",
+              ("classes", "per_class", "landmarks", "feature_dim", "displacement",
+               "feature_noise", "with_images")),
+    "build-graph": (cmd_build_graph, "build and export graphs for every sample", _GRAPH),
+    "train": (cmd_train, "train a model", _GRAPH + _MODEL),
+    "eval": (cmd_eval, "evaluate a checkpoint", _GRAPH + ("checkpoint",)),
+    "sweep": (cmd_sweep, "train/eval per grid point of tau or patch size",
+              _GRAPH + _MODEL + ("param", "grid")),
+    "export-embeddings": (cmd_export_embeddings,
+                          "write readout embeddings for external plotting",
+                          _GRAPH + ("checkpoint",)),
+    "export-graph": (cmd_export_graph, "write one sample's graph as JSON and DOT",
+                     _GRAPH + ("sample_id",)),
 }
 
 
@@ -468,7 +439,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _echo_config(config, out_dir)
-        return _COMMANDS[args.command](config, out_dir)
+        handler, _, _ = _COMMANDS[args.command]
+        return handler(config, out_dir)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

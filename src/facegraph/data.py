@@ -14,9 +14,10 @@ row-major order.
 from __future__ import annotations
 
 import json
+import re
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .features import EncoderConfig, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, build_graph, edge_count
-from .gcn import GcnModel, graph_embedding, predict
+from .gcn import GcnModel, forward
 
 __all__ = [
     "Dataset",
@@ -60,6 +61,10 @@ EXPRESSION_NAMES = ("anger", "disgust", "fear", "happy", "sad", "surprise", "neu
 IMAGE_SIZE = 224
 CIRCLE_RADIUS = 50.0
 CIRCLE_CENTER = (112.0, 112.0)
+
+# Sample ids name output files, so they may not hold a path separator or
+# start with a dot.
+SAMPLE_ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
 @dataclass
@@ -144,18 +149,34 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.maximum(norms, 1e-12)
 
 
+def _synthetic_landmarks(spec: SyntheticSpec, rng: np.random.Generator,
+                         class_geometry: np.ndarray):
+    """Yield (sample_id, label, landmarks) class by class.
+
+    Each class displaces the circular template by its geometry row; each
+    sample adds jitter of a tenth of the displacement scale, so zero scales
+    mean identical samples. The jitter is drawn lazily, so whatever the
+    caller draws per sample follows it in the random stream.
+    """
+    template = _circle_template(spec.landmark_count)
+    jitter_scale = 0.1 * spec.geometry_displacement_scale
+    for label in range(spec.num_classes):
+        base = template + spec.geometry_displacement_scale * class_geometry[label]
+        for k in range(spec.samples_per_class):
+            jitter = rng.normal(size=(spec.landmark_count, 2)) * jitter_scale
+            yield f"s{k:03d}_c{label}", label, base + jitter
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic feature-backed dataset with class structure.
 
     Each class gets a fixed displacement pattern applied to a circular
     landmark template and one unit feature prototype per landmark. Samples
-    add per-sample landmark jitter (a tenth of the displacement scale, so
-    zero scales mean identical samples) and feature noise, then the feature
-    rows are re-normalized and quantized to float32 so that writing and
-    reloading the dataset is bitwise faithful.
+    add landmark jitter and feature noise, then the feature rows are
+    re-normalized and quantized to float32 so that writing and reloading the
+    dataset is bitwise faithful.
     """
     rng = np.random.default_rng(spec.seed)
-    template = _circle_template(spec.landmark_count)
     class_geometry = rng.normal(size=(spec.num_classes, spec.landmark_count, 2))
     class_prototypes = np.stack([
         _unit_rows(rng.normal(size=(spec.landmark_count, spec.feature_dim)))
@@ -163,19 +184,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     ])
 
     samples = []
-    jitter_scale = 0.1 * spec.geometry_displacement_scale
-    for label in range(spec.num_classes):
-        base = template + spec.geometry_displacement_scale * class_geometry[label]
-        for k in range(spec.samples_per_class):
-            jitter = rng.normal(size=(spec.landmark_count, 2)) * jitter_scale
-            noise = rng.normal(size=(spec.landmark_count, spec.feature_dim))
-            feats = _unit_rows(class_prototypes[label] + spec.feature_noise_scale * noise)
-            samples.append(SampleRecord(
-                sample_id=f"s{k:03d}_c{label}",
-                label=label,
-                landmarks=base + jitter,
-                features=feats.astype(np.float32),
-            ))
+    for sample_id, label, landmarks in _synthetic_landmarks(spec, rng, class_geometry):
+        noise = rng.normal(size=(spec.landmark_count, spec.feature_dim))
+        feats = _unit_rows(class_prototypes[label] + spec.feature_noise_scale * noise)
+        samples.append(SampleRecord(sample_id=sample_id, label=label, landmarks=landmarks,
+                                    features=feats.astype(np.float32)))
     return Dataset(class_names=_class_names(spec.num_classes),
                    feature_dim=spec.feature_dim,
                    landmark_count=spec.landmark_count,
@@ -207,24 +220,17 @@ def generate_synthetic_imageset(spec: SyntheticSpec):
     encodes patches. The class signal is the per-landmark blob brightness.
     """
     rng = np.random.default_rng(spec.seed)
-    template = _circle_template(spec.landmark_count)
     class_geometry = rng.normal(size=(spec.num_classes, spec.landmark_count, 2))
     amplitudes = rng.uniform(60.0, 220.0, size=(spec.num_classes, spec.landmark_count))
 
     samples = []
     images = {}
-    jitter_scale = 0.1 * spec.geometry_displacement_scale
-    for label in range(spec.num_classes):
-        base = template + spec.geometry_displacement_scale * class_geometry[label]
-        for k in range(spec.samples_per_class):
-            jitter = rng.normal(size=(spec.landmark_count, 2)) * jitter_scale
-            landmarks = base + jitter
-            sample_id = f"s{k:03d}_c{label}"
-            samples.append(SampleRecord(
-                sample_id=sample_id, label=label, landmarks=landmarks,
-                features=None, image_path=f"images/{sample_id}.pgm",
-            ))
-            images[sample_id] = _render_image(landmarks, amplitudes[label])
+    for sample_id, label, landmarks in _synthetic_landmarks(spec, rng, class_geometry):
+        samples.append(SampleRecord(
+            sample_id=sample_id, label=label, landmarks=landmarks,
+            features=None, image_path=f"images/{sample_id}.pgm",
+        ))
+        images[sample_id] = _render_image(landmarks, amplitudes[label])
     dataset = Dataset(class_names=_class_names(spec.num_classes),
                       feature_dim=spec.feature_dim,
                       landmark_count=spec.landmark_count,
@@ -286,12 +292,23 @@ def _manifest_path(path) -> Path:
     return p
 
 
+def _contained(sid: str, entry) -> PurePath:
+    """A manifest side-file path, which must stay inside the dataset directory."""
+    path = PurePath(entry) if isinstance(entry, str) else None
+    if path is None or path.is_absolute() or ".." in path.parts:
+        raise DatasetError(f"sample {sid!r}: side-file path {entry!r} must be "
+                           f"relative to the manifest, without '..'")
+    return path
+
+
 def load_dataset(path) -> Dataset:
     """Parse and fully validate a dataset manifest.
 
     Errors name the offending sample: label out of range, wrong landmark
     count, wrong feature dimension, or a missing side file each raise a
-    distinct exception type.
+    distinct exception type. Sample ids must match :data:`SAMPLE_ID_PATTERN`
+    and be unique, and feature and image paths must be relative with no
+    ``..`` component (checked on the text, so symlinked directories load).
     """
     manifest_path = _manifest_path(path)
     if not manifest_path.exists():
@@ -316,8 +333,15 @@ def load_dataset(path) -> Dataset:
     root = manifest_path.parent
     num_classes = len(class_names)
     samples = []
-    for entry in sample_docs:
-        sid = str(entry.get("sample_id", f"#{len(samples)}"))
+    seen = set()
+    for index, entry in enumerate(sample_docs):
+        sid = entry.get("sample_id") if isinstance(entry, dict) else None
+        if not isinstance(sid, str) or not SAMPLE_ID_PATTERN.fullmatch(sid):
+            raise ManifestParseError(f"sample {index}: sample_id {sid!r} must be a "
+                                     f"string matching {SAMPLE_ID_PATTERN.pattern}")
+        if sid in seen:
+            raise DatasetError(f"sample {index}: duplicate sample_id {sid!r}")
+        seen.add(sid)
         try:
             label = int(entry["label"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -346,7 +370,7 @@ def load_dataset(path) -> Dataset:
         features = None
         if feature_entry is not None:
             if isinstance(feature_entry, str):
-                blob_path = root / feature_entry
+                blob_path = root / _contained(sid, feature_entry)
                 if not blob_path.exists():
                     raise MissingFileError(f"sample {sid!r}: missing feature file {blob_path}")
                 features = read_feature_blob(blob_path)
@@ -364,7 +388,7 @@ def load_dataset(path) -> Dataset:
 
         image_path = None
         if image_entry is not None:
-            image_file = root / str(image_entry)
+            image_file = root / _contained(sid, image_entry)
             if not image_file.exists():
                 raise MissingFileError(f"sample {sid!r}: missing image file {image_file}")
             image_path = str(image_file)
@@ -443,16 +467,13 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
 
 def export_embeddings(model: GcnModel, graph_pairs, path) -> None:
     """CSV with sample_id, true and predicted label, then the readout embedding."""
-    ids = [sid for sid, _ in graph_pairs]
-    samples = [g for _, g in graph_pairs]
-    predictions, _ = predict(model, samples)
     dim = model.config.hidden_dim
     header = ["sample_id", "label", "prediction"] + [f"dim_{k}" for k in range(dim)]
     lines = [",".join(header)]
-    for sid, sample, pred in zip(ids, samples, predictions):
-        emb = graph_embedding(model, sample)
-        values = [sid, str(sample.label), str(int(pred))] + [repr(float(v)) for v in emb]
-        lines.append(",".join(values))
+    for sid, sample in graph_pairs:
+        probs, cache = forward(model, sample, mode="eval")
+        values = [sid, str(sample.label), str(int(probs.argmax()))]
+        lines.append(",".join(values + [repr(float(v)) for v in cache.embedding]))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

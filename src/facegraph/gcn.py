@@ -42,7 +42,6 @@ __all__ = [
     "evaluate",
     "forward",
     "gcn_layer",
-    "graph_embedding",
     "init_adam",
     "init_model",
     "load_checkpoint",
@@ -458,6 +457,8 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     step per batch at the scheduled learning rate. The batch loss is the mean
     cross-entropy over the batch. History rows report the mean loss and
     accuracy over the samples as seen during the epoch (dropout active).
+    A non-finite parameter after any step raises :class:`NumericError`
+    naming the epoch and the batch index.
     """
     if not dataset:
         raise InvalidInputError("training dataset is empty")
@@ -502,6 +503,9 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
                     total += g
             model.params, state = adam_step(model.params, grad_total, state,
                                             lr, train_config.weight_decay)
+            if not all(np.isfinite(p).all() for p in model.params):
+                raise NumericError(f"non-finite parameters at epoch {epoch}, "
+                                   f"batch {start // train_config.batch_size}")
         mean_loss = loss_sum / n
         if not math.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
@@ -519,12 +523,6 @@ def predict(model: GcnModel, samples: list[GraphSample]):
     for k, sample in enumerate(samples):
         probs[k], _ = forward(model, sample, mode="eval")
     return probs.argmax(axis=1), probs
-
-
-def graph_embedding(model: GcnModel, sample: GraphSample) -> np.ndarray:
-    """Readout-layer embedding of one graph in eval mode."""
-    _, cache = forward(model, sample, mode="eval")
-    return cache.embedding
 
 
 def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
@@ -607,12 +605,33 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
         handle.write("\n")
 
 
+def _check_preprocess(pre, path) -> None:
+    """Check the graph settings a checkpoint records; each key is optional."""
+    if not isinstance(pre, dict):
+        raise CheckpointError(f"{path}: 'preprocess' must be a JSON object")
+    checks = {
+        "tau": ("a finite number",
+                lambda v: type(v) is int or (type(v) is float and math.isfinite(v))),
+        "patch_h": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+        "patch_w": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+        "encoder_dim": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+        "encoder_seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    }
+    for key, (wanted, ok) in checks.items():
+        if key in pre and not ok(pre[key]):
+            raise CheckpointError(f"{path}: preprocess {key!r} must be {wanted}, "
+                                  f"got {pre[key]!r}")
+    if ("patch_h" in pre) != ("patch_w" in pre):
+        raise CheckpointError(f"{path}: preprocess needs patch_h and patch_w together")
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, meta) where meta may carry
     'preprocess' and 'optimizer' entries.
 
     Every parameter and optimizer moment must have the shape
-    :func:`param_shapes` gives for the stored config.
+    :func:`param_shapes` gives for the stored config, and a 'preprocess'
+    block must hold usable graph settings.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -634,6 +653,8 @@ def load_checkpoint(path):
         _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape),
         _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape),
     ])
+    if "preprocess" in doc:
+        _check_preprocess(doc["preprocess"], path)
     meta = {"preprocess": doc.get("preprocess"), "optimizer": None}
     if "optimizer" in doc:
         opt = doc["optimizer"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import facegraph
+from facegraph import cli
 from facegraph.cli import main
 
 TINY = ["--classes", "2", "--per-class", "6", "--landmarks", "6",
@@ -215,7 +216,19 @@ class TestBadCheckpoint:
         lambda d: d["readout_bias"].update(shape=[3], data=[0.0, 0.0, 0.0]),
         lambda d: d.update(optimizer={"step": "x"}),
         lambda d: d["layer_weights"].pop(),
-    ], ids=["layer_shape", "bias_length", "optimizer_step", "layer_count"])
+        lambda d: d["preprocess"].update(tau="abc"),
+        lambda d: d["preprocess"].update(tau=None),
+        lambda d: d["preprocess"].update(tau=True),
+        lambda d: d["preprocess"].update(tau=float("inf")),
+        lambda d: d.update(preprocess={"patch_h": 30}),
+        lambda d: d["preprocess"].update(patch_w=0),
+        lambda d: d["preprocess"].update(encoder_dim=2.5),
+        lambda d: d["preprocess"].update(encoder_seed="7"),
+        lambda d: d.update(preprocess=5),
+    ], ids=["layer_shape", "bias_length", "optimizer_step", "layer_count",
+            "tau_text", "tau_null", "tau_bool", "tau_inf", "patch_h_alone",
+            "patch_w_zero", "encoder_dim_float", "encoder_seed_text",
+            "preprocess_not_object"])
     def test_edited_checkpoint(self, tmp_path, edit):
         dataset = synth(tmp_path)
         run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
@@ -247,6 +260,16 @@ class TestBuildGraphAndExports:
         summary = (out / "summary.csv").read_text().strip().split("\n")
         assert len(summary) == 13  # header + 12 samples
         assert (out / "graphs" / "s000_c0.json").exists()
+
+    def test_escaping_sample_id_is_data_error(self, tmp_path):
+        dataset = synth(tmp_path)
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["samples"][0]["sample_id"] = "../../escaped"
+        (dataset / "manifest.json").write_text(json.dumps(doc))
+        out = tmp_path / "esc" / "run" / "out"
+        assert main(["build-graph", "--out-dir", str(out),
+                     "--dataset", str(dataset)]) == 2
+        assert not (tmp_path / "esc" / "run" / "escaped.json").exists()
 
     def test_export_graph_files_and_edge_count(self, tmp_path):
         dataset = synth(tmp_path)
@@ -341,6 +364,24 @@ class TestSweep:
 
 
 class TestUsage:
+    def test_every_setting_is_a_flag_typed_like_its_default(self, tmp_path):
+        def value(key):  # a path key has no default; --param needs a choice
+            return cli.DEFAULTS.get(key, cli.CHOICES.get(key, [""])[0])
+
+        for name, (_, _, keys) in cli._COMMANDS.items():
+            out = tmp_path / name
+            argv = [name, "--out-dir", str(out), "--seed", str(value("seed"))]
+            for key in keys:
+                flag = "--" + key.replace("_", "-")
+                argv += [flag] if value(key) is False else [flag, str(value(key))]
+            main(argv)  # config.json is echoed before the command runs
+            echoed = json.loads((out / "config.json").read_text())
+            for key in ("seed", *keys):
+                want = True if value(key) is False else value(key)
+                assert type(echoed[key]) is type(want) and echoed[key] == want, key
+        flagged = {"seed"}.union(*(keys for _, _, keys in cli._COMMANDS.values()))
+        assert flagged == set(cli.DEFAULTS) | set(cli._PATH_KEYS)
+
     def test_missing_subcommand(self):
         assert main([]) == 1
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,31 @@ class TestSaveLoad:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(DimensionMismatchError, match="s000_c0"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda s, root: s[1].update(sample_id="../../escaped"), "../../escaped"),
+        (lambda s, root: s[1].update(sample_id=".hidden"), ".hidden"),
+        (lambda s, root: s[1].update(sample_id=s[0]["sample_id"]), "s000_c0"),
+        (lambda s, root: s[1].pop("sample_id"), "sample 1"),
+        (lambda s, root: s[1].update(sample_id=7), "sample 1"),
+        (lambda s, root: s[1].update(features="../ds/" + s[1]["features"]), "s001_c0"),
+        (lambda s, root: s[1].update(features=f"{root}/{s[1]['features']}"), "s001_c0"),
+        (lambda s, root: s[1].update(image="../ds/" + s[1]["features"]), "s001_c0"),
+    ], ids=["escaping_id", "dot_id", "duplicate_id", "missing_id", "int_id",
+            "feature_dotdot", "feature_absolute", "image_dotdot"])
+    def test_sample_ids_and_paths_restricted(self, tmp_path, edit, named):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        edit(doc["samples"], manifest.parent)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=re.escape(named)):
+            load_dataset(manifest)
+
+    def test_symlinked_side_directory_loads(self, tmp_path):
+        save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        (tmp_path / "ds" / "features").rename(tmp_path / "elsewhere")
+        (tmp_path / "ds" / "features").symlink_to(tmp_path / "elsewhere")
+        assert len(load_dataset(tmp_path / "ds").samples) == 15
 
     def test_unparseable_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"

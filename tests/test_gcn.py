@@ -11,6 +11,7 @@ from facegraph import (
     GcnConfig,
     GraphSample,
     InvalidInputError,
+    NumericError,
     SyntheticSpec,
     TrainConfig,
     adam_step,
@@ -410,6 +411,16 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):
             train([], GcnConfig(in_dim=4, num_classes=2), TrainConfig(epochs=1))
+
+    def test_non_finite_parameters_name_the_batch(self):
+        # lr 1e200: the first step leaves finite weights near 1e200, and the
+        # second step's forward overflows them, in epoch 0's second batch
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                      match=r"epoch 0, batch 1\b"):
+            train(graphs, config, TrainConfig(epochs=2, batch_size=4,
+                                              lr_init=1e200, lr_min=1e199))
 
     def test_dim_mismatch_rejected(self):
         graphs = separable_graphs()
