@@ -184,6 +184,9 @@ def _effective_config(args) -> dict:
         if value is not None:
             config[key] = value
             explicit.add(key)
+    for key in ("seed", "encoder_seed"):
+        if config[key] < 0:
+            raise UsageError(f"{key} must be >= 0, got {config[key]}")
     config["command"] = args.command
     config["out_dir"] = str(args.out_dir)
     config["_explicit"] = explicit

@@ -329,6 +329,8 @@ def load_dataset(path) -> Dataset:
         sample_docs = doc["samples"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestParseError(f"{manifest_path}: missing or malformed field ({exc})") from exc
+    if not isinstance(sample_docs, list):
+        raise ManifestParseError(f"{manifest_path}: samples must be a list")
 
     root = manifest_path.parent
     num_classes = len(class_names)

@@ -6,6 +6,15 @@ encoder: average-pool to an 8x8 grid, scale to [0, 1], multiply by a seeded
 random projection. Precomputed feature files can be used instead, see
 :mod:`facegraph.data`.
 
+A sample's patches are encoded together, bit-for-bit equal to a reference
+that takes ``np.mean`` of each cell and ``P @ grid`` per patch (the tests rely
+on it). Two ``np.add.reduceat`` passes sum every cell of the N x h x w stack
+in float64. Sums of whole numbers below 2**53 are exact in any order, so for
+integer pixels ``sum / count / 255.0`` equals ``mean() / 255.0`` (fractional
+pixels agree only to rounding). The projection is one gemv per contiguous
+grid: a batched ``pooled @ P.T`` GEMM differed on 129,528 of 156,672 entries
+of a 36-sample N=68 set, and a strided grid also rounds differently.
+
 Also provides binary PGM (P5, 8-bit) image reading and writing.
 """
 
@@ -99,6 +108,25 @@ def write_pgm(path, image: np.ndarray) -> None:
         handle.write(pixels.tobytes())
 
 
+def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Cut one h x w window per (x, y) center into an N x h x w stack."""
+    img = np.asarray(image)
+    if img.ndim != 2:
+        raise InvalidInputError("image must be a 2-D intensity grid")
+    if h < 1 or w < 1:
+        raise InvalidInputError(f"patch size must be positive, got {h}x{w}")
+    if not np.all(np.isfinite(centers)):
+        raise InvalidInputError("patch center must be finite")
+    height, width = img.shape
+    # Every center a patch or more beyond a border cuts the same edge window,
+    # so clamping there first keeps huge coordinates from overflowing int64.
+    cx = np.rint(np.clip(centers[:, 0], -w, width + w)).astype(np.int64)
+    cy = np.rint(np.clip(centers[:, 1], -h, height + h)).astype(np.int64)
+    rows = np.clip(cy[:, None] - h // 2 + np.arange(h), 0, height - 1)
+    cols = np.clip(cx[:, None] - w // 2 + np.arange(w), 0, width - 1)
+    return img[rows[:, :, None], cols[:, None, :]]
+
+
 def extract_patch(image: np.ndarray, center, h: int, w: int) -> np.ndarray:
     """Cut an h x w window around a landmark, replicating edge pixels.
 
@@ -106,34 +134,8 @@ def extract_patch(image: np.ndarray, center, h: int, w: int) -> np.ndarray:
     falling outside the image are clamped to the nearest valid pixel, so the
     output shape is always exactly h x w.
     """
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise InvalidInputError("image must be a 2-D intensity grid")
-    if h < 1 or w < 1:
-        raise InvalidInputError(f"patch size must be positive, got {h}x{w}")
-    cx, cy = float(center[0]), float(center[1])
-    if not (np.isfinite(cx) and np.isfinite(cy)):
-        raise InvalidInputError("patch center must be finite")
-    top = int(round(cy)) - h // 2
-    left = int(round(cx)) - w // 2
-    rows = np.clip(np.arange(top, top + h), 0, img.shape[0] - 1)
-    cols = np.clip(np.arange(left, left + w), 0, img.shape[1] - 1)
-    return img[np.ix_(rows, cols)]
-
-
-def _pool_to_grid(patch: np.ndarray) -> np.ndarray:
-    """Average-pool an arbitrary patch onto a fixed POOL_GRID x POOL_GRID grid."""
-    pixels = np.asarray(patch, dtype=float)
-    h, w = pixels.shape
-    pooled = np.empty((POOL_GRID, POOL_GRID))
-    for i in range(POOL_GRID):
-        r0 = (i * h) // POOL_GRID
-        r1 = max(r0 + 1, ((i + 1) * h) // POOL_GRID)
-        for j in range(POOL_GRID):
-            c0 = (j * w) // POOL_GRID
-            c1 = max(c0 + 1, ((j + 1) * w) // POOL_GRID)
-            pooled[i, j] = pixels[r0:r1, c0:c1].mean()
-    return pooled / 255.0
+    centers = np.array([[float(center[0]), float(center[1])]])
+    return _cut_windows(image, centers, h, w)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,10 +147,28 @@ def _projection_matrix(seed: int, out_dim: int) -> np.ndarray:
     return matrix
 
 
+def _encode(patches: np.ndarray, config: EncoderConfig) -> np.ndarray:
+    """Pool each patch of an N x h x w stack to the 8x8 grid and project it."""
+    n, h, w = patches.shape
+    # reduceat sums [start, next start), or the one pixel at start when the next
+    # start is no greater: the cells [r0, max(r0 + 1, r1)) of the reference.
+    rows, cols = (np.arange(POOL_GRID) * size // POOL_GRID for size in (h, w))
+    sums = np.add.reduceat(np.add.reduceat(patches, rows, axis=1, dtype=np.float64),
+                           cols, axis=2)
+    counts = np.outer(np.add.reduceat(np.ones(h, dtype=np.int64), rows),
+                      np.add.reduceat(np.ones(w, dtype=np.int64), cols))
+    # C order, so each grid below is a contiguous vector
+    grids = (sums / counts / 255.0).reshape(n, POOL_GRID * POOL_GRID)
+    matrix = _projection_matrix(config.projection_seed, config.out_dim)
+    out = np.empty((n, config.out_dim))
+    for k in range(n):
+        out[k] = matrix @ grids[k]
+    return out
+
+
 def encode_patch_toy(patch: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Deterministic patch embedding: pool to 8x8, flatten, project to out_dim."""
-    pooled = _pool_to_grid(patch)
-    return _projection_matrix(config.projection_seed, config.out_dim) @ pooled.ravel()
+    return _encode(np.asarray(patch)[None], config)[0]
 
 
 def features_for_sample(image: np.ndarray, landmarks: np.ndarray, h: int, w: int,
@@ -157,6 +177,4 @@ def features_for_sample(image: np.ndarray, landmarks: np.ndarray, h: int, w: int
     points = np.asarray(landmarks, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise InvalidInputError("landmark array must have shape (N, 2)")
-    rows = [encode_patch_toy(extract_patch(image, point, h, w), config)
-            for point in points]
-    return np.stack(rows, axis=0)
+    return _encode(_cut_windows(image, points, h, w), config)

@@ -77,6 +77,30 @@ def naive_patch(image, center, h, w):
     return out
 
 
+def naive_encode(patch, out_dim, seed):
+    """Per-cell mean pooling onto an 8x8 grid, scaled by 1/255, then one
+    projection of that grid by the encoder's seeded matrix."""
+    pixels = np.asarray(patch, dtype=float)
+    h, w = pixels.shape
+    pooled = np.empty((8, 8))
+    for i in range(8):
+        r0 = (i * h) // 8
+        r1 = max(r0 + 1, ((i + 1) * h) // 8)
+        for j in range(8):
+            c0 = (j * w) // 8
+            c1 = max(c0 + 1, ((j + 1) * w) // 8)
+            pooled[i, j] = pixels[r0:r1, c0:c1].mean()
+    pooled = pooled / 255.0
+    projection = np.random.default_rng(seed).standard_normal((out_dim, 64)) / 8
+    return projection @ pooled.ravel()
+
+
+def naive_features(image, landmarks, h, w, out_dim, seed):
+    """One naive_encode of one naive_patch per landmark; row i is landmark i."""
+    return np.stack([naive_encode(naive_patch(image, point, h, w), out_dim, seed)
+                     for point in landmarks])
+
+
 def naive_metrics(true_labels, predicted_labels, num_classes):
     """Per-sample counting reference for accuracy, recalls, UAR, WAR, macro-F1."""
     truth = list(true_labels)

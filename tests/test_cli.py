@@ -271,6 +271,15 @@ class TestBuildGraphAndExports:
                      "--dataset", str(dataset)]) == 2
         assert not (tmp_path / "esc" / "run" / "escaped.json").exists()
 
+    def test_huge_landmark_on_image_is_clamped(self, tmp_path):
+        dataset = synth(tmp_path, "imgds", extra=["--with-images"])
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["samples"][0]["landmarks"][0] = [1e300, 5.0]
+        doc["samples"][1]["landmarks"][2] = [5.0, -1e300]
+        (dataset / "manifest.json").write_text(json.dumps(doc))
+        assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
+                     "--dataset", str(dataset)]) == 0
+
     def test_export_graph_files_and_edge_count(self, tmp_path):
         dataset = synth(tmp_path)
         out = tmp_path / "g"
@@ -381,6 +390,25 @@ class TestUsage:
                 assert type(echoed[key]) is type(want) and echoed[key] == want, key
         flagged = {"seed"}.union(*(keys for _, _, keys in cli._COMMANDS.values()))
         assert flagged == set(cli.DEFAULTS) | set(cli._PATH_KEYS)
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("synth", ["--seed", "-1"], None),
+        ("synth", [], {"seed": -1}),
+        ("train", ["--seed", "-1"], None),
+        ("train", ["--encoder-seed", "-1"], None),
+        ("train", [], {"encoder_seed": -1}),
+        ("sweep", ["--param", "tau", "--grid", "0.5", "--seed", "-1"], None),
+        ("sweep", ["--param", "tau", "--grid", "0.5"], {"encoder_seed": -1}),
+    ], ids=["synth_flag", "synth_config", "train_flag", "train_encoder_flag",
+            "train_encoder_config", "sweep_flag", "sweep_encoder_config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, command, flags, config):
+        args = [command, "--out-dir", str(tmp_path / "o"), *flags]
+        if command != "synth":
+            args += ["--dataset", str(synth(tmp_path)), "--epochs", "1", "--hidden", "8"]
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "run.json")]
+        assert main(args) == 1
 
     def test_missing_subcommand(self):
         assert main([]) == 1

@@ -211,6 +211,15 @@ class TestSaveLoad:
         with pytest.raises(DatasetError, match=re.escape(named)):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("samples", [5, None, "s000_c0", {"sample_id": "s"}])
+    def test_samples_must_be_a_list(self, tmp_path, samples):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        doc["samples"] = samples
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestParseError, match="samples"):
+            load_dataset(manifest)
+
     def test_symlinked_side_directory_loads(self, tmp_path):
         save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
         (tmp_path / "ds" / "features").rename(tmp_path / "elsewhere")

@@ -12,7 +12,13 @@ from facegraph import (
     write_pgm,
 )
 
-from oracles import naive_patch
+from oracles import naive_encode, naive_features, naive_patch
+
+PATCH_SIZES = [(1, 1), (5, 7), (8, 8), (30, 30), (33, 17), (64, 64)]
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
 class TestPgm:
@@ -73,6 +79,14 @@ class TestExtractPatch:
                 patch = extract_patch(image, center, h, w)
                 assert patch.shape == (h, w)
                 assert np.array_equal(patch, naive_patch(image, center, h, w))
+
+    @pytest.mark.parametrize("center", [(1e300, 5.0), (-1e300, 5.0), (5.0, 1e300),
+                                        (5.0, -1e300), (-1e300, 1e300)])
+    def test_huge_center_clamped(self, center):
+        rng = np.random.default_rng(6)
+        image = rng.integers(0, 256, size=(8, 11), dtype=np.uint8)
+        patch = extract_patch(image, center, 4, 5)
+        assert np.array_equal(patch, naive_patch(image, center, 4, 5))
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -141,3 +155,34 @@ class TestFeaturesForSample:
         perm = rng.permutation(6)
         permuted = features_for_sample(image, landmarks[perm], 7, 7, config)
         assert np.array_equal(permuted, base[perm])
+
+
+class TestFeatureOracle:
+    """The encoder equals the per-cell pooling loop, as int64 bit patterns."""
+
+    @pytest.mark.parametrize("out_dim", [1, 64])
+    @pytest.mark.parametrize("h, w", PATCH_SIZES)
+    def test_features_for_sample(self, h, w, out_dim):
+        rng = np.random.default_rng(100 * h + w)
+        height, width = 41, 52
+        image = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        borders = [(0, 0), (width - 1, height - 1), (-3, 20), (width + 4, 20),
+                   (20, -3), (20, height + 4), (-70, -70), (width + 70, height + 70)]
+        # Python's round() takes half to even
+        halves = [(2.5, 3.5), (-0.5, 0.5), (width - 0.5, height - 1.5), (10.5, 11.5)]
+        scattered = rng.uniform(-10.0, width + 10.0, size=(20, 2))
+        landmarks = np.vstack([borders, halves, scattered]).astype(float)
+        config = EncoderConfig(out_dim=out_dim, projection_seed=7)
+        feats = features_for_sample(image, landmarks, h, w, config)
+        expected = naive_features(image, landmarks, h, w, out_dim, 7)
+        assert np.array_equal(bits(feats), bits(expected))
+
+    @pytest.mark.parametrize("out_dim", [1, 64])
+    @pytest.mark.parametrize("h, w", PATCH_SIZES)
+    def test_encode_patch_toy(self, h, w, out_dim):
+        rng = np.random.default_rng(100 * h + w + 1)
+        patch = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+        config = EncoderConfig(out_dim=out_dim, projection_seed=11)
+        expected = bits(naive_encode(patch, out_dim, 11))
+        for pixels in (patch, patch.astype(float)):
+            assert np.array_equal(bits(encode_patch_toy(pixels, config)), expected)
