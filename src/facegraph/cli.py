@@ -187,10 +187,18 @@ def _effective_config(args) -> dict:
     for key in ("seed", "encoder_seed"):
         if config[key] < 0:
             raise UsageError(f"{key} must be >= 0, got {config[key]}")
+    _check_finite(config)
     config["command"] = args.command
     config["out_dir"] = str(args.out_dir)
     config["_explicit"] = explicit
     return config
+
+
+def _check_finite(config: dict) -> None:
+    for key, default in DEFAULTS.items():
+        # false for nan, +-inf and ints beyond the float range
+        if isinstance(default, float) and not abs(config[key]) <= sys.float_info.max:
+            raise UsageError(f"{key} must be a finite number, got {config[key]!r}")
 
 
 def _require(config: dict, key: str) -> None:
@@ -275,16 +283,19 @@ def cmd_build_graph(config: dict, out_dir: Path) -> int:
 
 
 def _model_and_train_config(config: dict, in_dim: int, num_classes: int):
-    model_config = GcnConfig(
-        in_dim=in_dim, num_classes=num_classes, hidden_dim=config["hidden"],
-        num_layers=config["layers"], activation=config["activation"],
-        dropout_rate=config["dropout"],
-    )
-    train_config = TrainConfig(
-        epochs=config["epochs"], batch_size=config["batch_size"],
-        lr_init=config["lr"], lr_min=config["lr_min"],
-        weight_decay=config["weight_decay"], seed=config["seed"],
-    )
+    try:
+        model_config = GcnConfig(
+            in_dim=in_dim, num_classes=num_classes, hidden_dim=config["hidden"],
+            num_layers=config["layers"], activation=config["activation"],
+            dropout_rate=config["dropout"],
+        )
+        train_config = TrainConfig(
+            epochs=config["epochs"], batch_size=config["batch_size"],
+            lr_init=config["lr"], lr_min=config["lr_min"],
+            weight_decay=config["weight_decay"], seed=config["seed"],
+        )
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from exc
     return model_config, train_config
 
 
@@ -341,8 +352,8 @@ def cmd_train(config: dict, out_dir: Path) -> int:
 
 def cmd_eval(config: dict, out_dir: Path) -> int:
     _require(config, "checkpoint")
-    model, meta = load_checkpoint(config["checkpoint"])
-    dataset, pairs = _load_graphs(_merge_preprocess(config, meta.get("preprocess")))
+    model, preprocess = load_checkpoint(config["checkpoint"])
+    dataset, pairs = _load_graphs(_merge_preprocess(config, preprocess))
     report = evaluate(model, [g for _, g in pairs])
     _report_json(report, out_dir / "metrics.json")
     print(format_report(report, dataset.class_names))
@@ -353,6 +364,7 @@ def _sweep_point(config: dict, out_dir: Path, param: str, token: str):
     point_config = dict(config)
     if param == "tau":
         point_config["tau"] = float(token)
+        _check_finite(point_config)
     else:
         size = int(token)
         point_config["patch"] = f"{size}x{size}"
@@ -392,8 +404,8 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
 
 def cmd_export_embeddings(config: dict, out_dir: Path) -> int:
     _require(config, "checkpoint")
-    model, meta = load_checkpoint(config["checkpoint"])
-    _, pairs = _load_graphs(_merge_preprocess(config, meta.get("preprocess")))
+    model, preprocess = load_checkpoint(config["checkpoint"])
+    _, pairs = _load_graphs(_merge_preprocess(config, preprocess))
     target = out_dir / "embeddings.csv"
     export_embeddings(model, pairs, target)
     print(f"wrote {len(pairs)} embeddings to {target}")

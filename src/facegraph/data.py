@@ -238,11 +238,8 @@ def generate_synthetic_imageset(spec: SyntheticSpec):
     return dataset, images
 
 
-def save_dataset(dataset: Dataset, out_dir, images: dict | None = None,
-                 feature_storage: str = "blob") -> Path:
+def save_dataset(dataset: Dataset, out_dir, images: dict | None = None) -> Path:
     """Write manifest.json plus feature blobs / PGM images; returns the manifest path."""
-    if feature_storage not in ("blob", "inline"):
-        raise InvalidInputError("feature_storage must be 'blob' or 'inline'")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     sample_docs = []
@@ -255,13 +252,10 @@ def save_dataset(dataset: Dataset, out_dir, images: dict | None = None,
             "image": None,
         }
         if sample.features is not None:
-            if feature_storage == "inline":
-                doc["features"] = np.asarray(sample.features, dtype=np.float32).tolist()
-            else:
-                rel = f"features/{sample.sample_id}.fgf"
-                (root / "features").mkdir(exist_ok=True)
-                write_feature_blob(root / rel, sample.features)
-                doc["features"] = rel
+            rel = f"features/{sample.sample_id}.fgf"
+            (root / "features").mkdir(exist_ok=True)
+            write_feature_blob(root / rel, sample.features)
+            doc["features"] = rel
         if sample.image_path is not None:
             rel = sample.image_path
             if images is not None and sample.sample_id in images:

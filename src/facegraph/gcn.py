@@ -41,7 +41,6 @@ __all__ = [
     "cross_entropy",
     "evaluate",
     "forward",
-    "gcn_layer",
     "init_adam",
     "init_model",
     "load_checkpoint",
@@ -194,9 +193,6 @@ class TrainConfig:
     lr_min: float = 1e-4
     weight_decay: float = 5e-4
     seed: int = 1000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -222,20 +218,6 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     with_loops = adj + np.eye(adj.shape[0])
     inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
     return with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
-
-
-def gcn_layer(norm_adj: np.ndarray, node_feats: np.ndarray, weight: np.ndarray,
-              activation: str) -> np.ndarray:
-    """One propagation step: sigma(A_hat @ H @ W)."""
-    a_hat = np.asarray(norm_adj, dtype=float)
-    h = np.asarray(node_feats, dtype=float)
-    w = np.asarray(weight, dtype=float)
-    if a_hat.shape[1] != h.shape[0] or h.shape[1] != w.shape[0]:
-        raise InvalidInputError(
-            f"dimension mismatch: A_hat {a_hat.shape}, H {h.shape}, W {w.shape}"
-        )
-    act, _ = ACTIVATIONS[activation]
-    return act(a_hat @ h @ w)
 
 
 def readout(node_feats: np.ndarray) -> np.ndarray:
@@ -290,9 +272,6 @@ def forward(model: GcnModel, sample: GraphSample, mode: str = "eval",
     In train mode, inverted dropout is applied to every hidden activation
     except the final layer's, drawing masks from ``rng``; eval mode is fully
     deterministic. Pass ``norm_adj`` to reuse a precomputed normalization.
-
-    The layers are written out rather than calling :func:`gcn_layer`, because
-    backward needs each layer's ``A_hat @ H`` and pre-activation.
     """
     if mode not in ("train", "eval"):
         raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -391,22 +370,22 @@ def backward(model: GcnModel, cache: ForwardCache,
     return [*grads, grad_readout_weight, grad_readout_bias]
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     step: int
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: list[np.ndarray], beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def init_adam(params: list[np.ndarray]) -> AdamState:
     return AdamState(step=0,
                      first_moment=[np.zeros_like(p) for p in params],
-                     second_moment=[np.zeros_like(p) for p in params],
-                     beta1=beta1, beta2=beta2, eps=eps)
+                     second_moment=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
@@ -420,22 +399,21 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     if len(params) != len(grads):
         raise InvalidInputError("params and grads must be parallel lists")
     t = state.step + 1
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
     new_params = []
     new_m = []
     new_v = []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
         if weight_decay != 0.0:
             p = p * (1.0 - lr * weight_decay)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         new_params.append(p - lr * update)
         new_m.append(m)
         new_v.append(v)
-    return new_params, AdamState(step=t, first_moment=new_m, second_moment=new_v,
-                                 beta1=state.beta1, beta2=state.beta2, eps=state.eps)
+    return new_params, AdamState(step=t, first_moment=new_m, second_moment=new_v)
 
 
 def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
@@ -478,8 +456,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     model = init_model(model_config, rng)
     norm_adjs = [normalize_adjacency(s.adjacency) for s in dataset]
     onehots = np.eye(num_classes)[[s.label for s in dataset]]
-    state = init_adam(model.params, train_config.adam_beta1,
-                      train_config.adam_beta2, train_config.adam_eps)
+    state = init_adam(model.params)
 
     n = len(dataset)
     history = []
@@ -564,9 +541,8 @@ def _matrix_list_from_doc(docs, name: str, shapes) -> list[np.ndarray]:
             for i, (d, shape) in enumerate(zip(docs, shapes))]
 
 
-def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
-                    optimizer: AdamState | None = None) -> None:
-    """Write model weights (and optionally optimizer state) as versioned JSON.
+def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> None:
+    """Write model weights (and optionally graph settings) as versioned JSON.
 
     Matrices are stored row-major with declared shapes. JSON float text
     round-trips doubles exactly, so save then load reproduces every weight
@@ -591,15 +567,6 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None,
     }
     if preprocess is not None:
         doc["preprocess"] = preprocess
-    if optimizer is not None:
-        doc["optimizer"] = {
-            "step": optimizer.step,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "first_moment": [_matrix_doc(m) for m in optimizer.first_moment],
-            "second_moment": [_matrix_doc(v) for v in optimizer.second_moment],
-        }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
@@ -626,12 +593,11 @@ def _check_preprocess(pre, path) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (model, meta) where meta may carry
-    'preprocess' and 'optimizer' entries.
+    """Read a checkpoint; returns (model, preprocess), preprocess None if absent.
 
-    Every parameter and optimizer moment must have the shape
-    :func:`param_shapes` gives for the stored config, and a 'preprocess'
-    block must hold usable graph settings.
+    Every parameter must have the shape :func:`param_shapes` gives for the
+    stored config, and a 'preprocess' block must hold usable graph settings.
+    An 'optimizer' block, which older versions could write, is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -646,8 +612,7 @@ def load_checkpoint(path):
         config = GcnConfig(**doc["config"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed config section") from exc
-    shapes = param_shapes(config)
-    *layer_shapes, weight_shape, bias_shape = shapes
+    *layer_shapes, weight_shape, bias_shape = param_shapes(config)
     model = GcnModel(config=config, params=[
         *_matrix_list_from_doc(doc.get("layer_weights"), "layer_weights", layer_shapes),
         _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape),
@@ -655,19 +620,4 @@ def load_checkpoint(path):
     ])
     if "preprocess" in doc:
         _check_preprocess(doc["preprocess"], path)
-    meta = {"preprocess": doc.get("preprocess"), "optimizer": None}
-    if "optimizer" in doc:
-        opt = doc["optimizer"]
-        try:
-            step = int(opt["step"])
-            beta1, beta2, eps = float(opt["beta1"]), float(opt["beta2"]), float(opt["eps"])
-            first, second = opt["first_moment"], opt["second_moment"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CheckpointError(f"{path}: malformed optimizer section") from exc
-        meta["optimizer"] = AdamState(
-            step=step,
-            first_moment=_matrix_list_from_doc(first, "first_moment", shapes),
-            second_moment=_matrix_list_from_doc(second, "second_moment", shapes),
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
-    return model, meta
+    return model, doc.get("preprocess")

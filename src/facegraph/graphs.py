@@ -29,11 +29,15 @@ not use them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+# math.exp overflows above this; a pair that far apart has decay inf, weight 0
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 __all__ = [
     "GraphSample",
@@ -43,7 +47,6 @@ __all__ = [
     "edge_count",
     "l2_normalize_rows",
     "raw_adjacency",
-    "similarity_kernel",
     "threshold_from_weights",
     "threshold_stats",
 ]
@@ -93,24 +96,11 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def similarity_kernel(x_i: np.ndarray, x_j: np.ndarray) -> float:
-    """Cosine similarity of two unit (or zero) vectors, clamped to [0, 1].
-
-    The upper clamp removes rounding spill above 1 for identical unit rows,
-    so the weight range contract of :func:`raw_adjacency` holds exactly.
-    """
-    a = np.asarray(x_i, dtype=float)
-    b = np.asarray(x_j, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidInputError(
-            f"kernel inputs must be 1-D vectors of equal length, got {a.shape} and {b.shape}"
-        )
-    return min(1.0, max(0.0, float(np.dot(a, b))))
-
-
 def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Pre-threshold edge weights: feature kernel over exp(pairwise distance).
 
+    The kernel is the cosine similarity of two rows clamped to [0, 1]; the
+    upper clamp removes rounding spill above 1 for identical unit rows.
     ``features`` must already be row-normalized. The diagonal is forced to
     zero so self-similarity never enters the threshold statistics; self-loops
     are added later by the GCN normalization instead.
@@ -129,11 +119,15 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n))
     for i in range(n - 1):
         out[i, i + 1:] = np.vecdot(feats[i], feats[i + 1:])
-    dx = pts[:, 0, None] - pts[None, :, 0]
-    dy = pts[:, 1, None] - pts[None, :, 1]
     upper = np.triu_indices(n, k=1)
-    distances = np.sqrt(dx * dx + dy * dy)[upper]
-    decay = np.fromiter(map(math.exp, distances.tolist()), float, len(distances))
+    with np.errstate(over="ignore"):  # huge coordinates give distance inf
+        dx = pts[:, 0, None] - pts[None, :, 0]
+        dy = pts[:, 1, None] - pts[None, :, 1]
+        distances = np.sqrt(dx * dx + dy * dy)[upper]
+    far = distances > _LOG_MAX_DOUBLE
+    decay = np.fromiter(map(math.exp, np.where(far, 0.0, distances).tolist()),
+                        float, len(distances))
+    decay[far] = math.inf
     weights = np.clip(out[upper], 0.0, 1.0) / decay
     out[upper] = weights
     out[upper[::-1]] = weights

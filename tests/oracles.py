@@ -8,6 +8,7 @@ promises it.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,9 +35,13 @@ def naive_graph(points, raw_features, tau):
             if i == j:
                 continue
             similarity = min(1.0, max(0.0, float(np.dot(normalized[i], normalized[j]))))
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            raw[i, j] = similarity / math.exp(math.sqrt(dx * dx + dy * dy))
+            with np.errstate(over="ignore"):
+                dx = pts[i, 0] - pts[j, 0]
+                dy = pts[i, 1] - pts[j, 1]
+                distance = math.sqrt(dx * dx + dy * dy)
+            # past log(max double) math.exp overflows: the decay is inf
+            far = distance > math.log(sys.float_info.max)
+            raw[i, j] = similarity / (math.inf if far else math.exp(distance))
 
     off_diagonal = [raw[i, j] for i in range(n) for j in range(n) if i != j]
     if all(v == off_diagonal[0] for v in off_diagonal):

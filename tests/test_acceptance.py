@@ -19,7 +19,6 @@ from facegraph import (
     edge_count,
     evaluate,
     forward,
-    gcn_layer,
     generate_synthetic,
     init_model,
     load_checkpoint,
@@ -38,6 +37,7 @@ from oracles import naive_graph, nearest_prototype_accuracy
 from test_gcn import (
     analytic_grads,
     finite_difference_grads,
+    layer_output,
     max_relative_error,
     permute_sample,
     toy_sample,
@@ -107,15 +107,17 @@ def test_permutation_properties():
     model = init_model(GcnConfig(in_dim=4, num_classes=3, hidden_dim=16), 3)
     a_hat = normalize_adjacency(sample.adjacency)
     weight = rng.normal(size=(4, 5))
-    base_layer = gcn_layer(a_hat, sample.features, weight, "relu")
-    base_probs, _ = forward(model, sample)
+    base_layer = layer_output(a_hat, sample.features, weight, "relu")
+    base_probs, base_cache = forward(model, sample)
     worst = 0.0
     for _ in range(20):
         perm = rng.permutation(6)
-        permuted_layer = gcn_layer(a_hat[np.ix_(perm, perm)],
-                                   sample.features[perm], weight, "relu")
+        permuted_layer = layer_output(a_hat[np.ix_(perm, perm)],
+                                      sample.features[perm], weight, "relu")
         worst = max(worst, float(np.max(np.abs(permuted_layer - base_layer[perm]))))
-        probs, _ = forward(model, permute_sample(sample, perm))
+        probs, cache = forward(model, permute_sample(sample, perm))
+        for z, base_z in zip(cache.preactivations, base_cache.preactivations):
+            worst = max(worst, float(np.max(np.abs(z - base_z[perm]))))
         worst = max(worst, float(np.max(np.abs(probs - base_probs))))
     assert worst <= 1e-9
     print(f"[PASS] permutation properties: max deviation {worst:.2e} over 20 permutations")

@@ -207,6 +207,33 @@ class TestEval:
         assert json.loads((overridden / "config.json").read_text())["tau"] == 0.9
 
 
+def with_optimizer_block(doc):
+    """The optimizer block older versions could write beside the weights."""
+    params = [*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]]
+    moments = [{"shape": p["shape"], "data": [0.5] * len(p["data"])} for p in params]
+    return {**doc, "optimizer": {"step": 7, "beta1": 0.9, "beta2": 0.999,
+                                 "eps": 1e-8, "first_moment": moments,
+                                 "second_moment": moments}}
+
+
+class TestOlderCheckpoint:
+    def test_optimizer_block_is_ignored(self, tmp_path):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="2", extra=["--hidden", "8"])
+        doc = json.loads((run / "checkpoint.json").read_text())
+        older = tmp_path / "older.json"
+        with open(older, "w", encoding="utf-8") as handle:
+            json.dump(with_optimizer_block(doc), handle, sort_keys=True,
+                      separators=(",", ":"))
+        outputs = []
+        for name, checkpoint in (("now", run / "checkpoint.json"), ("older", older)):
+            out = tmp_path / name
+            assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                         "--checkpoint", str(checkpoint)]) == 0
+            outputs.append((out / "metrics.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestBadCheckpoint:
     """Hand-edited checkpoints end in a data error (exit 2), not a traceback."""
 
@@ -214,7 +241,6 @@ class TestBadCheckpoint:
         # hidden 8: layer 1 is 8x8; 4x16 holds the same 64 numbers
         lambda d: d["layer_weights"][1].update(shape=[4, 16]),
         lambda d: d["readout_bias"].update(shape=[3], data=[0.0, 0.0, 0.0]),
-        lambda d: d.update(optimizer={"step": "x"}),
         lambda d: d["layer_weights"].pop(),
         lambda d: d["preprocess"].update(tau="abc"),
         lambda d: d["preprocess"].update(tau=None),
@@ -225,7 +251,7 @@ class TestBadCheckpoint:
         lambda d: d["preprocess"].update(encoder_dim=2.5),
         lambda d: d["preprocess"].update(encoder_seed="7"),
         lambda d: d.update(preprocess=5),
-    ], ids=["layer_shape", "bias_length", "optimizer_step", "layer_count",
+    ], ids=["layer_shape", "bias_length", "layer_count",
             "tau_text", "tau_null", "tau_bool", "tau_inf", "patch_h_alone",
             "patch_w_zero", "encoder_dim_float", "encoder_seed_text",
             "preprocess_not_object"])
@@ -279,6 +305,14 @@ class TestBuildGraphAndExports:
         (dataset / "manifest.json").write_text(json.dumps(doc))
         assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
                      "--dataset", str(dataset)]) == 0
+
+    def test_landmarks_too_far_apart_for_exp(self, tmp_path):
+        # pair distances past 709.78 overflow math.exp; such pairs weigh 0
+        dataset = synth(tmp_path, extra=["--displacement", "1e3"])
+        out = tmp_path / "far"
+        assert main(["build-graph", "--out-dir", str(out),
+                     "--dataset", str(dataset)]) == 0
+        assert (out / "summary.csv").exists()
 
     def test_export_graph_files_and_edge_count(self, tmp_path):
         dataset = synth(tmp_path)
@@ -364,12 +398,37 @@ class TestSweep:
         assert all(row[-1].startswith("error: ") and "img,ds" in row[-1]
                    for row in rows[1:])
 
+    def test_non_finite_tau_token_is_error_row(self, tmp_path):
+        dataset = synth(tmp_path)
+        out = tmp_path / "nansweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "tau", "--grid", "nan,inf,0.5", "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:]] == ["nan", "inf", "0.5"]
+        assert all(row[-1].startswith("error: ") for row in rows[1:3])
+        assert rows[3][-1] == "ok"
+        assert not (out / "point_tau_nan").exists()
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         out = tmp_path / "nosweep"
         code = main(["sweep", "--out-dir", str(out), "--param", "tau",
                      "--grid", "0.2,0.5"])
         assert code == 1
         assert not (out / "sweep.csv").exists()
+
+
+def usage_args(tmp_path, command, flags, config):
+    """Arguments for ``command`` with ``flags``, plus ``config`` as a config file."""
+    args = [command, "--out-dir", str(tmp_path / "o")]
+    if command != "synth":
+        args += ["--dataset", str(synth(tmp_path)), "--epochs", "1", "--hidden", "8"]
+    args += flags
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "run.json")]
+    return args
 
 
 class TestUsage:
@@ -402,13 +461,26 @@ class TestUsage:
     ], ids=["synth_flag", "synth_config", "train_flag", "train_encoder_flag",
             "train_encoder_config", "sweep_flag", "sweep_encoder_config"])
     def test_negative_seed_is_usage_error(self, tmp_path, command, flags, config):
-        args = [command, "--out-dir", str(tmp_path / "o"), *flags]
-        if command != "synth":
-            args += ["--dataset", str(synth(tmp_path)), "--epochs", "1", "--hidden", "8"]
-        if config is not None:
-            (tmp_path / "run.json").write_text(json.dumps(config))
-            args += ["--config", str(tmp_path / "run.json")]
-        assert main(args) == 1
+        assert main(usage_args(tmp_path, command, flags, config)) == 1
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("train", ["--tau", "nan"], None),
+        ("train", ["--lr", "nan"], None),
+        ("train", ["--weight-decay", "inf"], None),
+        ("train", [], {"test_fraction": float("nan")}),
+        ("train", [], {"lr": 10 ** 400, "lr_min": 10 ** 399}),
+        ("synth", ["--feature-noise", "inf"], None),
+        ("train", ["--hidden", "0"], None),
+        ("train", ["--batch-size", "0"], None),
+        ("train", ["--dropout", "1.0"], None),
+        ("train", ["--lr", "1e-3", "--lr-min", "1e-2"], None),
+    ], ids=["tau_nan", "lr_nan", "weight_decay_inf", "test_fraction_nan_config",
+            "lr_huge_int_config", "synth_noise_inf", "hidden_zero",
+            "batch_size_zero", "dropout_one", "lr_min_above_lr"])
+    def test_bad_setting_is_usage_error(self, tmp_path, command, flags, config):
+        assert main(usage_args(tmp_path, command, flags, config)) == 1
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_missing_subcommand(self):
         assert main([]) == 1

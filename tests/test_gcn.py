@@ -6,9 +6,11 @@ import pytest
 
 import facegraph.gcn as gcn
 from facegraph import (
+    ACTIVATIONS,
     CacheMismatchError,
     CheckpointError,
     GcnConfig,
+    GcnModel,
     GraphSample,
     InvalidInputError,
     NumericError,
@@ -20,7 +22,6 @@ from facegraph import (
     dataset_graphs,
     evaluate,
     forward,
-    gcn_layer,
     generate_synthetic,
     init_adam,
     init_model,
@@ -52,6 +53,19 @@ def permute_sample(sample, perm):
                        features=sample.features[perm],
                        adjacency=sample.adjacency[np.ix_(perm, perm)],
                        label=sample.label)
+
+
+def layer_output(norm_adj, node_feats, weight, activation):
+    """One GCN layer, sigma(A_hat @ H @ W), read from a one-layer model's forward."""
+    n, d = node_feats.shape
+    config = GcnConfig(in_dim=d, num_classes=1, hidden_dim=weight.shape[1],
+                       num_layers=1, activation=activation)
+    model = GcnModel(config, [weight, np.zeros((1, weight.shape[1])), np.zeros(1)])
+    sample = GraphSample(landmarks=np.zeros((n, 2)), features=node_feats,
+                         adjacency=np.zeros((n, n), dtype=np.int64), label=0)
+    _, cache = forward(model, sample, norm_adj=norm_adj)
+    act, _ = ACTIVATIONS[activation]
+    return act(cache.preactivations[0])
 
 
 def finite_difference_grads(model, sample, step=1e-5, mode="eval", rng_seed=None):
@@ -149,7 +163,7 @@ class TestErf:
 class TestGcnLayer:
     def test_identity_composition(self):
         h = np.array([[0.5, 2.0, 0.0]])
-        out = gcn_layer(np.array([[1.0]]), h, np.eye(3), "relu")
+        out = layer_output(np.array([[1.0]]), h, np.eye(3), "relu")
         assert np.array_equal(out, h)
 
     @pytest.mark.parametrize("activation", ["relu", "gelu", "elu"])
@@ -157,17 +171,13 @@ class TestGcnLayer:
         rng = np.random.default_rng(1)
         a_hat = normalize_adjacency((rng.random((4, 4)) < 0.5).astype(int) * 0)
         h = rng.normal(size=(4, 3))
-        out = gcn_layer(a_hat, h, np.zeros((3, 2)), activation)
+        out = layer_output(a_hat, h, np.zeros((3, 2)), activation)
         assert np.array_equal(out, np.zeros((4, 2)))
 
     def test_two_node_average(self):
         a_hat = normalize_adjacency(np.array([[0, 1], [1, 0]]))
-        out = gcn_layer(a_hat, np.array([[2.0], [0.0]]), np.array([[1.0]]), "relu")
+        out = layer_output(a_hat, np.array([[2.0], [0.0]]), np.array([[1.0]]), "relu")
         assert np.max(np.abs(out - 1.0)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            gcn_layer(np.eye(2), np.ones((2, 3)), np.ones((4, 2)), "relu")
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
@@ -177,8 +187,8 @@ class TestGcnLayer:
         w = rng.normal(size=(3, 4))
         for _ in range(5):
             perm = rng.permutation(5)
-            permuted = gcn_layer(a_hat[np.ix_(perm, perm)], h[perm], w, "gelu")
-            assert np.max(np.abs(permuted - gcn_layer(a_hat, h, w, "gelu")[perm])) < 1e-9
+            permuted = layer_output(a_hat[np.ix_(perm, perm)], h[perm], w, "gelu")
+            assert np.max(np.abs(permuted - layer_output(a_hat, h, w, "gelu")[perm])) < 1e-9
 
 
 class TestReadout:
@@ -468,8 +478,8 @@ class TestCheckpoint:
         model = init_model(GcnConfig(in_dim=4, num_classes=3, hidden_dim=8), 1)
         path = tmp_path / "model.json"
         save_checkpoint(path, model, preprocess={"tau": 0.5})
-        loaded, meta = load_checkpoint(path)
-        assert meta["preprocess"] == {"tau": 0.5}
+        loaded, preprocess = load_checkpoint(path)
+        assert preprocess == {"tau": 0.5}
         for a, b in zip(model.params, loaded.params):
             assert np.array_equal(a, b)
 
@@ -484,34 +494,29 @@ class TestCheckpoint:
         after, _ = forward(loaded, sample)
         assert np.array_equal(before, after)
 
-    def test_optimizer_state_round_trip(self, tmp_path):
+    def test_optimizer_block_of_older_files_ignored(self, tmp_path):
         model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
-        params = model.params
-        grads = [np.full_like(p, 0.1) for p in params]
-        model.params, state = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, optimizer=state)
-        _, meta = load_checkpoint(path)
-        restored = meta["optimizer"]
-        assert restored.step == 1
-        for a, b in zip(state.first_moment, restored.first_moment):
+        save_checkpoint(path, model, preprocess={"tau": 0.5})
+        doc = json.loads(path.read_text())
+        moments = [{"shape": list(p.shape), "data": np.full(p.size, 0.5).tolist()}
+                   for p in model.params]
+        doc["optimizer"] = {"step": 3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                            "first_moment": moments, "second_moment": moments}
+        path.write_text(json.dumps(doc))
+        loaded, preprocess = load_checkpoint(path)
+        assert preprocess == {"tau": 0.5}
+        for a, b in zip(model.params, loaded.params):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["readout_weight"].update(shape=[4, 2]),
         lambda d: d["readout_bias"].update(shape=[1, 2]),
-        lambda d: d["optimizer"]["first_moment"].pop(),
-        lambda d: d["optimizer"]["second_moment"][0].update(shape=[4, 3]),
-        lambda d: d["optimizer"].update(step="x"),
-        lambda d: d["optimizer"].update(step=float("inf")),
-        lambda d: d["optimizer"].pop("beta1"),
-        lambda d: d["optimizer"].update(second_moment=None),
-    ], ids=["weight_shape", "bias_shape", "moment_count", "moment_shape",
-            "step_text", "step_inf", "no_beta1", "moments_null"])
+    ], ids=["weight_shape", "bias_shape"])
     def test_shapes_and_optimizer_checked_against_config(self, tmp_path, edit):
         model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, optimizer=init_adam(model.params))
+        save_checkpoint(path, model)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))

@@ -10,7 +10,6 @@ from facegraph import (
     edge_count,
     l2_normalize_rows,
     raw_adjacency,
-    similarity_kernel,
     threshold_from_weights,
     threshold_stats,
 )
@@ -61,32 +60,34 @@ class TestNormalizeRows:
 
 
 class TestSimilarityKernel:
+    """The clamped cosine kernel, seen through two coincident landmarks: there
+    the decay is exp(0) = 1, so the weight is exactly the kernel value."""
+
+    @staticmethod
+    def kernel(x_i, x_j):
+        return raw_adjacency(np.array([x_i, x_j]), np.zeros((2, 2)))[0, 1]
+
     def test_identical_unit_vectors(self):
-        assert similarity_kernel(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
+        assert self.kernel([1.0, 0.0], [1.0, 0.0]) == 1.0
 
     def test_orthogonal(self):
-        assert similarity_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert self.kernel([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_45_degrees(self):
         s = math.sqrt(0.5)
-        value = similarity_kernel(np.array([1.0, 0.0]), np.array([s, s]))
-        assert value == s  # 0.7071067811865476
+        assert self.kernel([1.0, 0.0], [s, s]) == s  # 0.7071067811865476
 
     def test_negative_clamped(self):
-        assert similarity_kernel(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
+        assert self.kernel([1.0, 0.0], [-1.0, 0.0]) == 0.0
 
     def test_rounding_spill_clamped(self):
         row = l2_normalize_rows(np.array([[3.0, 4.0]]))[0]
-        assert similarity_kernel(row, row) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            similarity_kernel(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        assert self.kernel(row, row) == 1.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(3)
         a = l2_normalize_rows(rng.normal(size=(2, 5)))
-        assert similarity_kernel(a[0], a[1]) == similarity_kernel(a[1], a[0])
+        assert self.kernel(a[0], a[1]) == self.kernel(a[1], a[0])
 
 
 class TestRawAdjacency:
@@ -131,6 +132,22 @@ class TestRawAdjacency:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             raw_adjacency(np.ones((3, 2)), np.zeros((2, 2)))
+
+    def test_far_landmarks_weigh_zero(self):
+        # math.exp overflows past log(max double) = 709.782712893384
+        feats = np.array([[1.0, 0.0], [1.0, 0.0]])
+        near = raw_adjacency(feats, np.array([[0.0, 0.0], [709.78, 0.0]]))
+        assert near[0, 1] == 1.0 / math.exp(709.78) > 0.0
+        far = raw_adjacency(feats, np.array([[0.0, 0.0], [1e3, 0.0]]))
+        assert np.array_equal(far, np.zeros((2, 2)))
+
+    def test_far_and_huge_landmarks_match_oracle(self):
+        rng = np.random.default_rng(19)
+        features = rng.normal(size=(5, 3))
+        points = np.array([[0.0, 0.0], [0.5, 0.5], [1e3, 0.0], [1e300, 5.0],
+                           [1.0, -1e300]])
+        normalized, raw, _, _ = naive_graph(points, features, 0.5)
+        assert np.array_equal(raw_adjacency(normalized, points), raw)
 
 
 class TestThresholdStats:
