@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ from .errors import (
     DatasetError,
     InvalidInputError,
     NumericError,
+    UsageError,
 )
 from .features import EncoderConfig
 from .gcn import (
@@ -51,30 +53,35 @@ from .metrics import format_report, report_row
 TAU_GRID = ["0.20", "0.25", "0.30", "0.35", "0.40", "0.45", "0.50", "0.70", "0.90"]
 PATCH_GRID = ["10", "20", "30", "50", "70", "90"]
 
+# config key -> the library field it sets, which also declares its default
+_LIBRARY = {
+    "seed": (TrainConfig, "seed"),
+    "encoder_dim": (EncoderConfig, "out_dim"),
+    "encoder_seed": (EncoderConfig, "projection_seed"),
+    "hidden": (GcnConfig, "hidden_dim"),
+    "layers": (GcnConfig, "num_layers"),
+    "activation": (GcnConfig, "activation"),
+    "dropout": (GcnConfig, "dropout_rate"),
+    "lr": (TrainConfig, "lr_init"),
+    "lr_min": (TrainConfig, "lr_min"),
+    "weight_decay": (TrainConfig, "weight_decay"),
+    "batch_size": (TrainConfig, "batch_size"),
+    "classes": (SyntheticSpec, "num_classes"),
+    "per_class": (SyntheticSpec, "samples_per_class"),
+    "landmarks": (SyntheticSpec, "landmark_count"),
+    "feature_dim": (SyntheticSpec, "feature_dim"),
+    "displacement": (SyntheticSpec, "geometry_displacement_scale"),
+    "feature_noise": (SyntheticSpec, "feature_noise_scale"),
+}
 DEFAULTS = {
-    "seed": 1000,
     "tau": 0.5,
     "patch": "30x30",
-    "encoder_dim": 64,
-    "encoder_seed": 1000,
-    "hidden": 256,
-    "layers": 2,
-    "activation": "relu",
-    "dropout": 0.2,
-    "lr": 1e-3,
-    "lr_min": 1e-4,
-    "weight_decay": 5e-4,
     "epochs": 100,
-    "batch_size": 16,
     "test_fraction": 0.25,
     "split": "random",
-    "classes": 6,
-    "per_class": 40,
-    "landmarks": 12,
-    "feature_dim": 16,
-    "displacement": 12.0,
-    "feature_noise": 0.25,
     "with_images": False,
+    **{key: {f.name: f.default for f in dataclasses.fields(cls)}[name]
+       for key, (cls, name) in _LIBRARY.items()},
 }
 _PATH_KEYS = ("dataset", "checkpoint", "param", "grid", "sample_id")
 CHOICES = {
@@ -88,10 +95,6 @@ _HELP = {"grid": "comma separated values; defaults per parameter"}
 _GRAPH = ("dataset", "tau", "patch", "encoder_dim", "encoder_seed")
 _MODEL = ("hidden", "layers", "activation", "dropout", "lr", "lr_min",
           "weight_decay", "epochs", "batch_size", "test_fraction", "split")
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,6 +153,29 @@ def _type_ok(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _check_types(values: dict) -> None:
+    """Each value has its default's type and, for a key in CHOICES, is a choice."""
+    for key, value in values.items():
+        default = DEFAULTS.get(key, "")  # path keys hold strings
+        if not _type_ok(value, default):
+            raise UsageError(f"config key {key!r} must be a "
+                             f"{type(default).__name__}, got {value!r}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise UsageError(f"config key {key!r} must be one of "
+                             f"{CHOICES[key]}, got {value!r}")
+
+
+def _check_values(values: dict) -> None:
+    """Seeds are >= 0 and float settings finite, for whichever of them are given."""
+    for key in ("seed", "encoder_seed"):
+        if values.get(key, 0) < 0:
+            raise UsageError(f"{key} must be >= 0, got {values[key]}")
+    for key, value in values.items():
+        # false for nan, +-inf and ints beyond the float range
+        if isinstance(DEFAULTS.get(key), float) and not abs(value) <= sys.float_info.max:
+            raise UsageError(f"{key} must be a finite number, got {value!r}")
+
+
 def _effective_config(args) -> dict:
     """Merge defaults, config file and flags (flags win).
 
@@ -172,11 +198,7 @@ def _effective_config(args) -> dict:
         unknown = set(loaded) - set(DEFAULTS) - set(_PATH_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            default = DEFAULTS.get(key, "")  # path keys hold strings
-            if not _type_ok(value, default):
-                raise UsageError(f"config key {key!r} must be a "
-                                 f"{type(default).__name__}, got {value!r}")
+        _check_types(loaded)
         config.update(loaded)
         explicit |= set(loaded)
     for key in (*DEFAULTS, *_PATH_KEYS):
@@ -184,21 +206,11 @@ def _effective_config(args) -> dict:
         if value is not None:
             config[key] = value
             explicit.add(key)
-    for key in ("seed", "encoder_seed"):
-        if config[key] < 0:
-            raise UsageError(f"{key} must be >= 0, got {config[key]}")
-    _check_finite(config)
+    _check_values(config)
     config["command"] = args.command
     config["out_dir"] = str(args.out_dir)
     config["_explicit"] = explicit
     return config
-
-
-def _check_finite(config: dict) -> None:
-    for key, default in DEFAULTS.items():
-        # false for nan, +-inf and ints beyond the float range
-        if isinstance(default, float) and not abs(config[key]) <= sys.float_info.max:
-            raise UsageError(f"{key} must be a finite number, got {config[key]!r}")
 
 
 def _require(config: dict, key: str) -> None:
@@ -213,28 +225,16 @@ def _echo_config(config: dict, out_dir: Path) -> None:
         handle.write("\n")
 
 
-def _encoder(config: dict) -> EncoderConfig:
-    return EncoderConfig(out_dim=config["encoder_dim"],
-                         projection_seed=config["encoder_seed"])
-
-
-def _synth_spec(config: dict) -> SyntheticSpec:
-    try:
-        return SyntheticSpec(
-            num_classes=config["classes"],
-            samples_per_class=config["per_class"],
-            landmark_count=config["landmarks"],
-            feature_dim=config["feature_dim"],
-            geometry_displacement_scale=config["displacement"],
-            feature_noise_scale=config["feature_noise"],
-            seed=config["seed"],
-        )
-    except InvalidInputError as exc:
-        raise UsageError(str(exc)) from exc
+def _build(cls, config: dict, **given):
+    """A ``cls`` from the config keys _LIBRARY maps to its fields, plus ``given``."""
+    for key, (owner, name) in _LIBRARY.items():
+        if owner is cls:
+            given[name] = config[key]
+    return cls(**given)
 
 
 def cmd_synth(config: dict, out_dir: Path) -> int:
-    spec = _synth_spec(config)
+    spec = _build(SyntheticSpec, config, seed=config["seed"])
     if config["with_images"]:
         dataset, images = generate_synthetic_imageset(spec)
     else:
@@ -250,23 +250,36 @@ def _load_graphs(config: dict):
     dataset = load_dataset(config["dataset"])
     patch = _parse_patch(config["patch"])
     pairs = dataset_graphs(dataset, config["tau"], patch_size=patch,
-                           encoder=_encoder(config))
+                           encoder=_build(EncoderConfig, config))
     return dataset, pairs
 
 
-def _merge_preprocess(config: dict, preprocess: dict | None) -> dict:
-    """Checkpoint graph-construction settings apply unless the user set them."""
-    merged = dict(config)
-    pre = preprocess or {}
-    explicit = config.get("_explicit", set())
-    if "tau" in pre and "tau" not in explicit:
-        merged["tau"] = pre["tau"]
-    if "patch_h" in pre and "patch" not in explicit:
-        merged["patch"] = f"{pre['patch_h']}x{pre['patch_w']}"
-    for key in ("encoder_dim", "encoder_seed"):
-        if key in pre and key not in explicit:
-            merged[key] = pre[key]
-    return merged
+def _merge_preprocess(config: dict, preprocess) -> dict:
+    """Checkpoint graph-construction settings apply unless the user set them.
+
+    The stored block passes the config-file checks; a block that fails them
+    is a bad checkpoint, not a usage error.
+    """
+    if preprocess is None:
+        return config
+    try:
+        if not isinstance(preprocess, dict):
+            raise UsageError("must be a JSON object")
+        pre = {k: preprocess[k] for k in ("tau", "encoder_dim", "encoder_seed")
+               if k in preprocess}
+        if "patch_h" in preprocess or "patch_w" in preprocess:
+            h, w = preprocess.get("patch_h"), preprocess.get("patch_w")
+            if not (_type_ok(h, 1) and _type_ok(w, 1)):
+                raise UsageError(f"needs int patch_h and patch_w, got {h!r}, {w!r}")
+            pre["patch"] = f"{h}x{w}"
+            _parse_patch(pre["patch"])
+        _check_types(pre)
+        _check_values(pre)
+        _build(EncoderConfig, {**DEFAULTS, **pre})
+    except UsageError as exc:
+        raise CheckpointError(f"{config['checkpoint']}: preprocess {exc}") from exc
+    explicit = config["_explicit"]
+    return {**config, **{k: v for k, v in pre.items() if k not in explicit}}
 
 
 def cmd_build_graph(config: dict, out_dir: Path) -> int:
@@ -280,23 +293,6 @@ def cmd_build_graph(config: dict, out_dir: Path) -> int:
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(pairs)} graphs to {graph_dir}")
     return 0
-
-
-def _model_and_train_config(config: dict, in_dim: int, num_classes: int):
-    try:
-        model_config = GcnConfig(
-            in_dim=in_dim, num_classes=num_classes, hidden_dim=config["hidden"],
-            num_layers=config["layers"], activation=config["activation"],
-            dropout_rate=config["dropout"],
-        )
-        train_config = TrainConfig(
-            epochs=config["epochs"], batch_size=config["batch_size"],
-            lr_init=config["lr"], lr_min=config["lr_min"],
-            weight_decay=config["weight_decay"], seed=config["seed"],
-        )
-    except InvalidInputError as exc:
-        raise UsageError(str(exc)) from exc
-    return model_config, train_config
 
 
 def _write_history(history, path) -> None:
@@ -329,8 +325,9 @@ def _train_and_eval(config: dict, out_dir: Path):
                                         config["seed"], config["split"])
     train_set = [graphs[i] for i in train_idx]
     test_set = [graphs[i] for i in test_idx] or train_set
-    model_config, train_config = _model_and_train_config(
-        config, graphs[0].features.shape[1], dataset.num_classes)
+    model_config = _build(GcnConfig, config, in_dim=graphs[0].features.shape[1],
+                          num_classes=dataset.num_classes)
+    train_config = _build(TrainConfig, config, epochs=config["epochs"])
     model, history = train(train_set, model_config, train_config)
     patch = _parse_patch(config["patch"])
     preprocess = {"tau": config["tau"], "patch_h": patch[0], "patch_w": patch[1],
@@ -360,20 +357,16 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _sweep_point(config: dict, out_dir: Path, param: str, token: str):
-    point_config = dict(config)
+def _point_config(config: dict, param: str, token: str) -> dict:
+    """The config of one sweep point; a token that fails to parse or check raises."""
     if param == "tau":
-        point_config["tau"] = float(token)
-        _check_finite(point_config)
+        point = {**config, "tau": float(token)}
+        _check_values(point)
     else:
         size = int(token)
-        point_config["patch"] = f"{size}x{size}"
-    point_dir = out_dir / f"point_{param}_{token}"
-    point_dir.mkdir(parents=True, exist_ok=True)
-    report, mean_edges, _ = _train_and_eval(point_config, point_dir)
-    row = {param: token, **report_row(report),
-           "mean_edges": repr(mean_edges), "status": "ok"}
-    return row
+        point = {**config, "patch": f"{size}x{size}"}
+        _parse_patch(point["patch"])
+    return point
 
 
 def cmd_sweep(config: dict, out_dir: Path) -> int:
@@ -389,9 +382,17 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
     columns = [param, "Acc", "F1-Score", "WAR", "UAR", "loss", "mean_edges", "status"]
     rows = []
     for token in tokens:
+        point_config = None
         try:
-            rows.append(_sweep_point(config, out_dir, param, token))
-        except Exception as exc:  # failures are table rows, not aborts
+            point_config = _point_config(config, param, token)
+            point_dir = out_dir / f"point_{param}_{token}"
+            point_dir.mkdir(parents=True, exist_ok=True)
+            report, mean_edges, _ = _train_and_eval(point_config, point_dir)
+            rows.append({param: token, **report_row(report),
+                         "mean_edges": repr(mean_edges), "status": "ok"})
+        except Exception as exc:  # failures are table rows, not aborts,
+            if isinstance(exc, UsageError) and point_config is not None:
+                raise  # unless a setting every point shares is bad
             rows.append({param: token, "status": f"error: {exc}"})
 
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as handle:

@@ -27,6 +27,7 @@ from .errors import (
     InvalidInputError,
     ManifestParseError,
     MissingFileError,
+    UsageError,
 )
 from .features import EncoderConfig, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, build_graph, edge_count
@@ -103,9 +104,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if min(self.num_classes, self.samples_per_class, self.landmark_count,
                self.feature_dim) < 1:
-            raise InvalidInputError("all synthetic counts must be positive")
+            raise UsageError("all synthetic counts must be positive")
         if self.geometry_displacement_scale < 0 or self.feature_noise_scale < 0:
-            raise InvalidInputError("synthetic noise scales must be >= 0")
+            raise UsageError("synthetic noise scales must be >= 0")
 
 
 def write_feature_blob(path, features: np.ndarray) -> None:
@@ -426,9 +427,9 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
     (the sample_id prefix before the first underscore) on one side.
     """
     if not 0.0 <= test_fraction < 1.0:
-        raise InvalidInputError("test_fraction must lie in [0, 1)")
+        raise UsageError("test_fraction must lie in [0, 1)")
     if mode not in ("random", "subject"):
-        raise InvalidInputError(f"unknown split mode {mode!r}")
+        raise UsageError(f"unknown split mode {mode!r}")
     n = len(dataset.samples)
     rng = np.random.default_rng(seed)
     test: list[int] = []

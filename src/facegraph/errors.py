@@ -5,6 +5,10 @@ class InvalidInputError(ValueError):
     """An operation received arguments outside its documented domain."""
 
 
+class UsageError(InvalidInputError):
+    """A setting lies outside its documented range; the CLI exits 1 on it."""
+
+
 class DatasetError(ValueError):
     """Base class for dataset loading and validation failures."""
 

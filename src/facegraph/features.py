@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, InvalidInputError
+from .errors import DatasetError, InvalidInputError, UsageError
 
 __all__ = [
     "EncoderConfig",
@@ -48,7 +48,7 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.out_dim < 1:
-            raise InvalidInputError("encoder output dimension must be >= 1")
+            raise UsageError("encoder output dimension must be >= 1")
 
 
 def read_pgm(path) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     CheckpointError,
     InvalidInputError,
     NumericError,
+    UsageError,
 )
 from .graphs import GraphSample
 from .metrics import MetricsReport, compute_metrics, confusion
@@ -149,15 +150,15 @@ class GcnConfig:
 
     def __post_init__(self):
         if self.in_dim < 1 or self.num_classes < 1:
-            raise InvalidInputError("in_dim and num_classes must be >= 1")
+            raise UsageError("in_dim and num_classes must be >= 1")
         if self.hidden_dim < 1 or self.num_layers < 1:
-            raise InvalidInputError("hidden_dim and num_layers must be >= 1")
+            raise UsageError("hidden_dim and num_layers must be >= 1")
         if self.activation not in ACTIVATIONS:
-            raise InvalidInputError(
+            raise UsageError(
                 f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
             )
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise InvalidInputError("dropout_rate must lie in [0, 1)")
+            raise UsageError("dropout_rate must lie in [0, 1)")
 
     def layer_dims(self) -> list[int]:
         return [self.in_dim] + [self.hidden_dim] * self.num_layers
@@ -196,13 +197,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise InvalidInputError("epochs must be >= 0")
+            raise UsageError("epochs must be >= 0")
         if self.batch_size < 1:
-            raise InvalidInputError("batch_size must be >= 1")
+            raise UsageError("batch_size must be >= 1")
         if self.lr_init <= 0.0 or self.lr_min <= 0.0 or self.lr_min > self.lr_init:
-            raise InvalidInputError("need 0 < lr_min <= lr_init")
+            raise UsageError("need 0 < lr_min <= lr_init")
         if self.weight_decay < 0.0:
-            raise InvalidInputError("weight_decay must be >= 0")
+            raise UsageError("weight_decay must be >= 0")
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
@@ -526,11 +527,13 @@ def _matrix_doc(array: np.ndarray) -> dict:
 def _matrix_from_doc(doc, name: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
         array = np.asarray(doc["data"], dtype=float).reshape(doc["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed matrix entry {name!r}") from exc
     if array.shape != shape:
         raise CheckpointError(f"matrix entry {name!r} has shape {list(array.shape)}, "
                               f"the config needs {list(shape)}")
+    if not np.isfinite(array).all():  # null reads as nan, 1e400 as inf
+        raise CheckpointError(f"matrix entry {name!r} holds a non-finite value")
     return array
 
 
@@ -572,32 +575,13 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
         handle.write("\n")
 
 
-def _check_preprocess(pre, path) -> None:
-    """Check the graph settings a checkpoint records; each key is optional."""
-    if not isinstance(pre, dict):
-        raise CheckpointError(f"{path}: 'preprocess' must be a JSON object")
-    checks = {
-        "tau": ("a finite number",
-                lambda v: type(v) is int or (type(v) is float and math.isfinite(v))),
-        "patch_h": ("an int >= 1", lambda v: type(v) is int and v >= 1),
-        "patch_w": ("an int >= 1", lambda v: type(v) is int and v >= 1),
-        "encoder_dim": ("an int >= 1", lambda v: type(v) is int and v >= 1),
-        "encoder_seed": ("an int >= 0", lambda v: type(v) is int and v >= 0),
-    }
-    for key, (wanted, ok) in checks.items():
-        if key in pre and not ok(pre[key]):
-            raise CheckpointError(f"{path}: preprocess {key!r} must be {wanted}, "
-                                  f"got {pre[key]!r}")
-    if ("patch_h" in pre) != ("patch_w" in pre):
-        raise CheckpointError(f"{path}: preprocess needs patch_h and patch_w together")
-
-
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, preprocess), preprocess None if absent.
 
-    Every parameter must have the shape :func:`param_shapes` gives for the
-    stored config, and a 'preprocess' block must hold usable graph settings.
-    An 'optimizer' block, which older versions could write, is ignored.
+    Every parameter must be finite and have the shape :func:`param_shapes`
+    gives for the stored config. The 'preprocess' block is returned as stored,
+    for its user to check. An 'optimizer' block, which older versions could
+    write, is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -610,14 +594,15 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unsupported version {doc.get('version')}")
     try:
         config = GcnConfig(**doc["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InvalidInputError) as exc:
         raise CheckpointError(f"{path}: malformed config section") from exc
+    dims = (config.in_dim, config.num_classes, config.hidden_dim, config.num_layers)
+    if any(type(d) is not int for d in dims):
+        raise CheckpointError(f"{path}: config dimensions must be ints, got {list(dims)}")
     *layer_shapes, weight_shape, bias_shape = param_shapes(config)
     model = GcnModel(config=config, params=[
         *_matrix_list_from_doc(doc.get("layer_weights"), "layer_weights", layer_shapes),
         _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape),
         _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape),
     ])
-    if "preprocess" in doc:
-        _check_preprocess(doc["preprocess"], path)
     return model, doc.get("preprocess")

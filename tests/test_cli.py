@@ -251,17 +251,24 @@ class TestBadCheckpoint:
         lambda d: d["preprocess"].update(encoder_dim=2.5),
         lambda d: d["preprocess"].update(encoder_seed="7"),
         lambda d: d.update(preprocess=5),
+        lambda d: d["layer_weights"][0]["data"].__setitem__(0, None),
+        # written unquoted below: 1e400 parses to inf
+        lambda d: d["readout_bias"]["data"].__setitem__(0, "1e400"),
+        lambda d: d["readout_bias"]["data"].__setitem__(0, 10 ** 400),
+        lambda d: d["config"].update(num_layers=2.0),
+        lambda d: d["config"].update(hidden_dim=8.0),
     ], ids=["layer_shape", "bias_length", "layer_count",
             "tau_text", "tau_null", "tau_bool", "tau_inf", "patch_h_alone",
             "patch_w_zero", "encoder_dim_float", "encoder_seed_text",
-            "preprocess_not_object"])
+            "preprocess_not_object", "weight_null", "bias_overflow",
+            "bias_huge_int", "num_layers_float", "hidden_dim_float"])
     def test_edited_checkpoint(self, tmp_path, edit):
         dataset = synth(tmp_path)
         run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
         doc = json.loads((run / "checkpoint.json").read_text())
         edit(doc)
         checkpoint = tmp_path / "edited.json"
-        checkpoint.write_text(json.dumps(doc))
+        checkpoint.write_text(json.dumps(doc).replace('"1e400"', "1e400"))
         code = main(["eval", "--out-dir", str(tmp_path / "ev"),
                      "--dataset", str(dataset), "--checkpoint", str(checkpoint)])
         assert code == 2
@@ -419,6 +426,36 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
 
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestReadBack:
+    def test_every_json_written_is_strict(self, tmp_path):
+        """Every JSON file the commands write parses without NaN or Infinity."""
+        small = ["--epochs", "2", "--batch-size", "4", "--hidden", "8",
+                 "--encoder-dim", "16"]
+        for name, extra, param, grid in (("feat", [], "tau", "0.3,0.6"),
+                                         ("img", ["--with-images"], "patch", "10,20")):
+            dataset = synth(tmp_path, name, extra=extra)
+            data = ["--dataset", str(dataset)]
+            run = tmp_path / f"{name}_train"
+            checkpoint = ["--checkpoint", str(run / "checkpoint.json")]
+            for command, flags in (
+                    ("build-graph", data),
+                    ("train", data + small),
+                    ("eval", data + checkpoint),
+                    ("sweep", data + small + ["--param", param, "--grid", grid]),
+                    ("export-graph", data),
+                    ("export-embeddings", data + checkpoint)):
+                out = run if command == "train" else tmp_path / f"{name}_{command}"
+                assert main([command, "--out-dir", str(out), *flags]) == 0, command
+        written = sorted(tmp_path.rglob("*.json"))
+        assert len(written) > 50
+        for path in written:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+
+
 def usage_args(tmp_path, command, flags, config):
     """Arguments for ``command`` with ``flags``, plus ``config`` as a config file."""
     args = [command, "--out-dir", str(tmp_path / "o")]
@@ -474,13 +511,21 @@ class TestUsage:
         ("train", ["--batch-size", "0"], None),
         ("train", ["--dropout", "1.0"], None),
         ("train", ["--lr", "1e-3", "--lr-min", "1e-2"], None),
+        ("train", ["--test-fraction", "2"], None),
+        ("train", ["--encoder-dim", "0"], None),
+        ("sweep", ["--param", "tau", "--grid", "0.5", "--hidden", "0"], None),
+        ("train", [], {"split": "bogus"}),
+        ("sweep", ["--grid", "0.5"], {"param": "bogus"}),
     ], ids=["tau_nan", "lr_nan", "weight_decay_inf", "test_fraction_nan_config",
             "lr_huge_int_config", "synth_noise_inf", "hidden_zero",
-            "batch_size_zero", "dropout_one", "lr_min_above_lr"])
+            "batch_size_zero", "dropout_one", "lr_min_above_lr",
+            "test_fraction_two", "encoder_dim_zero", "sweep_hidden_zero",
+            "split_config_choice", "param_config_choice"])
     def test_bad_setting_is_usage_error(self, tmp_path, command, flags, config):
         assert main(usage_args(tmp_path, command, flags, config)) == 1
         assert not (tmp_path / "o" / "checkpoint.json").exists()
         assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     def test_missing_subcommand(self):
         assert main([]) == 1
