@@ -2,9 +2,9 @@
 evaluation, threshold / patch-size sweeps and exports.
 
 Config precedence is flags > config file (JSON mirroring the flag names with
-underscores) > built-in defaults; the effective configuration is echoed to
-``<out-dir>/config.json``. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numeric failure.
+underscores) > built-in defaults; the settings that ran are echoed to
+``<out-dir>/config.json``, a valid config file. Exit codes: 0 success,
+1 usage error, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -207,8 +207,6 @@ def _effective_config(args) -> dict:
             config[key] = value
             explicit.add(key)
     _check_values(config)
-    config["command"] = args.command
-    config["out_dir"] = str(args.out_dir)
     config["_explicit"] = explicit
     return config
 
@@ -235,11 +233,9 @@ def _build(cls, config: dict, **given):
 
 def cmd_synth(config: dict, out_dir: Path) -> int:
     spec = _build(SyntheticSpec, config, seed=config["seed"])
-    if config["with_images"]:
-        dataset, images = generate_synthetic_imageset(spec)
-    else:
-        dataset, images = generate_synthetic(spec), None
-    save_dataset(dataset, out_dir, images=images)
+    generate = generate_synthetic_imageset if config["with_images"] else generate_synthetic
+    dataset = generate(spec)
+    save_dataset(dataset, out_dir)
     print(f"wrote {len(dataset.samples)} samples "
           f"({dataset.num_classes} classes) to {out_dir}")
     return 0
@@ -248,6 +244,8 @@ def cmd_synth(config: dict, out_dir: Path) -> int:
 def _load_graphs(config: dict):
     _require(config, "dataset")
     dataset = load_dataset(config["dataset"])
+    if not dataset.samples:
+        raise DatasetError(f"{config['dataset']}: no samples in the dataset")
     patch = _parse_patch(config["patch"])
     pairs = dataset_graphs(dataset, config["tau"], patch_size=patch,
                            encoder=_build(EncoderConfig, config))
@@ -280,6 +278,19 @@ def _merge_preprocess(config: dict, preprocess) -> dict:
         raise CheckpointError(f"{config['checkpoint']}: preprocess {exc}") from exc
     explicit = config["_explicit"]
     return {**config, **{k: v for k, v in pre.items() if k not in explicit}}
+
+
+def _checkpoint_graphs(config: dict, out_dir: Path):
+    """The checkpoint's model and graphs; config.json is echoed with its settings."""
+    _require(config, "checkpoint")
+    model, preprocess = load_checkpoint(config["checkpoint"])
+    config = _merge_preprocess(config, preprocess)
+    _echo_config(config, out_dir)
+    dataset, pairs = _load_graphs(config)
+    if dataset.num_classes != model.config.num_classes:
+        raise DatasetError(f"{config['checkpoint']}: {model.config.num_classes} "
+                           f"classes, the dataset {dataset.num_classes}")
+    return model, dataset, pairs
 
 
 def cmd_build_graph(config: dict, out_dir: Path) -> int:
@@ -348,9 +359,7 @@ def cmd_train(config: dict, out_dir: Path) -> int:
 
 
 def cmd_eval(config: dict, out_dir: Path) -> int:
-    _require(config, "checkpoint")
-    model, preprocess = load_checkpoint(config["checkpoint"])
-    dataset, pairs = _load_graphs(_merge_preprocess(config, preprocess))
+    model, dataset, pairs = _checkpoint_graphs(config, out_dir)
     report = evaluate(model, [g for _, g in pairs])
     _report_json(report, out_dir / "metrics.json")
     print(format_report(report, dataset.class_names))
@@ -404,9 +413,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
 
 
 def cmd_export_embeddings(config: dict, out_dir: Path) -> int:
-    _require(config, "checkpoint")
-    model, preprocess = load_checkpoint(config["checkpoint"])
-    _, pairs = _load_graphs(_merge_preprocess(config, preprocess))
+    model, _, pairs = _checkpoint_graphs(config, out_dir)
     target = out_dir / "embeddings.csv"
     export_embeddings(model, pairs, target)
     print(f"wrote {len(pairs)} embeddings to {target}")

@@ -74,7 +74,7 @@ class SampleRecord:
     label: int
     landmarks: np.ndarray            # N x 2 float64
     features: np.ndarray | None      # N x d float32, or None when image-backed
-    image_path: str | None = None
+    image: np.ndarray | None = None  # H x W uint8
 
 
 @dataclass
@@ -150,22 +150,27 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.maximum(norms, 1e-12)
 
 
-def _synthetic_landmarks(spec: SyntheticSpec, rng: np.random.Generator,
-                         class_geometry: np.ndarray):
-    """Yield (sample_id, label, landmarks) class by class.
+def _synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator,
+                       class_geometry: np.ndarray, payload) -> Dataset:
+    """The samples of ``spec`` class by class; ``payload(label, landmarks)``
+    gives each sample's (features, image).
 
     Each class displaces the circular template by its geometry row; each
     sample adds jitter of a tenth of the displacement scale, so zero scales
-    mean identical samples. The jitter is drawn lazily, so whatever the
-    caller draws per sample follows it in the random stream.
+    mean identical samples. Whatever ``payload`` draws from ``rng`` follows
+    the sample's jitter in the random stream.
     """
     template = _circle_template(spec.landmark_count)
     jitter_scale = 0.1 * spec.geometry_displacement_scale
+    samples = []
     for label in range(spec.num_classes):
         base = template + spec.geometry_displacement_scale * class_geometry[label]
         for k in range(spec.samples_per_class):
-            jitter = rng.normal(size=(spec.landmark_count, 2)) * jitter_scale
-            yield f"s{k:03d}_c{label}", label, base + jitter
+            landmarks = base + rng.normal(size=(spec.landmark_count, 2)) * jitter_scale
+            samples.append(SampleRecord(f"s{k:03d}_c{label}", label, landmarks,
+                                        *payload(label, landmarks)))
+    return Dataset(_class_names(spec.num_classes), spec.feature_dim,
+                   spec.landmark_count, samples)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -184,16 +189,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         for _ in range(spec.num_classes)
     ])
 
-    samples = []
-    for sample_id, label, landmarks in _synthetic_landmarks(spec, rng, class_geometry):
+    def features(label, landmarks):
         noise = rng.normal(size=(spec.landmark_count, spec.feature_dim))
         feats = _unit_rows(class_prototypes[label] + spec.feature_noise_scale * noise)
-        samples.append(SampleRecord(sample_id=sample_id, label=label, landmarks=landmarks,
-                                    features=feats.astype(np.float32)))
-    return Dataset(class_names=_class_names(spec.num_classes),
-                   feature_dim=spec.feature_dim,
-                   landmark_count=spec.landmark_count,
-                   samples=samples)
+        return feats.astype(np.float32), None
+
+    return _synthetic_dataset(spec, rng, class_geometry, features)
 
 
 def _render_image(landmarks: np.ndarray, amplitudes: np.ndarray,
@@ -213,34 +214,24 @@ def _render_image(landmarks: np.ndarray, amplitudes: np.ndarray,
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
-def generate_synthetic_imageset(spec: SyntheticSpec):
+def generate_synthetic_imageset(spec: SyntheticSpec) -> Dataset:
     """Image-backed variant for patch-size experiments.
 
-    Returns (dataset, images) where images maps sample_id to a rendered PGM
-    array; the dataset carries no precomputed features, so downstream code
-    encodes patches. The class signal is the per-landmark blob brightness.
+    Each sample holds a rendered image and no precomputed features, so
+    downstream code encodes patches. The class signal is the per-landmark
+    blob brightness.
     """
     rng = np.random.default_rng(spec.seed)
     class_geometry = rng.normal(size=(spec.num_classes, spec.landmark_count, 2))
     amplitudes = rng.uniform(60.0, 220.0, size=(spec.num_classes, spec.landmark_count))
 
-    samples = []
-    images = {}
-    for sample_id, label, landmarks in _synthetic_landmarks(spec, rng, class_geometry):
-        samples.append(SampleRecord(
-            sample_id=sample_id, label=label, landmarks=landmarks,
-            features=None, image_path=f"images/{sample_id}.pgm",
-        ))
-        images[sample_id] = _render_image(landmarks, amplitudes[label])
-    dataset = Dataset(class_names=_class_names(spec.num_classes),
-                      feature_dim=spec.feature_dim,
-                      landmark_count=spec.landmark_count,
-                      samples=samples)
-    return dataset, images
+    return _synthetic_dataset(
+        spec, rng, class_geometry,
+        lambda label, landmarks: (None, _render_image(landmarks, amplitudes[label])))
 
 
-def save_dataset(dataset: Dataset, out_dir, images: dict | None = None) -> Path:
-    """Write manifest.json plus feature blobs / PGM images; returns the manifest path."""
+def save_dataset(dataset: Dataset, out_dir) -> Path:
+    """Write manifest.json plus feature blobs and PGM images; returns the manifest path."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     sample_docs = []
@@ -257,12 +248,10 @@ def save_dataset(dataset: Dataset, out_dir, images: dict | None = None) -> Path:
             (root / "features").mkdir(exist_ok=True)
             write_feature_blob(root / rel, sample.features)
             doc["features"] = rel
-        if sample.image_path is not None:
-            rel = sample.image_path
-            if images is not None and sample.sample_id in images:
-                target = root / rel
-                target.parent.mkdir(parents=True, exist_ok=True)
-                write_pgm(target, images[sample.sample_id])
+        if sample.image is not None:
+            rel = f"images/{sample.sample_id}.pgm"
+            (root / "images").mkdir(exist_ok=True)
+            write_pgm(root / rel, sample.image)
             doc["image"] = rel
         sample_docs.append(doc)
     manifest = {
@@ -304,6 +293,7 @@ def load_dataset(path) -> Dataset:
     distinct exception type. Sample ids must match :data:`SAMPLE_ID_PATTERN`
     and be unique, and feature and image paths must be relative with no
     ``..`` component (checked on the text, so symlinked directories load).
+    Every listed image is read, also for a sample that has features.
     """
     manifest_path = _manifest_path(path)
     if not manifest_path.exists():
@@ -383,15 +373,15 @@ def load_dataset(path) -> Dataset:
                     f"expected ({landmark_count}, {feature_dim})"
                 )
 
-        image_path = None
+        image = None
         if image_entry is not None:
             image_file = root / _contained(sid, image_entry)
             if not image_file.exists():
                 raise MissingFileError(f"sample {sid!r}: missing image file {image_file}")
-            image_path = str(image_file)
+            image = read_pgm(image_file)
 
         samples.append(SampleRecord(sample_id=sid, label=label, landmarks=landmarks,
-                                    features=features, image_path=image_path))
+                                    features=features, image=image))
     return Dataset(class_names=class_names, feature_dim=feature_dim,
                    landmark_count=landmark_count, samples=samples)
 
@@ -408,9 +398,8 @@ def dataset_graphs(dataset: Dataset, tau: float, patch_size=(30, 30),
     for sample in dataset.samples:
         if sample.features is not None:
             feats = np.asarray(sample.features, dtype=float)
-        elif sample.image_path is not None:
-            image = read_pgm(sample.image_path)
-            feats = features_for_sample(image, sample.landmarks,
+        elif sample.image is not None:
+            feats = features_for_sample(sample.image, sample.landmarks,
                                         patch_size[0], patch_size[1], encoder)
         else:
             raise DatasetError(f"sample {sample.sample_id!r}: no features and no image")

@@ -83,6 +83,8 @@ def format_report(report: MetricsReport, class_names=None) -> str:
     """Human-readable rendering of a metrics report."""
     num_classes = report.confusion.shape[0]
     names = list(class_names) if class_names else [f"class_{c}" for c in range(num_classes)]
+    if len(names) != num_classes:
+        raise InvalidInputError(f"{len(names)} class names for {num_classes} classes")
     lines = [
         f"loss      {report.loss:.6f}",
         f"Acc       {100.0 * report.accuracy:.2f}%",

@@ -284,6 +284,53 @@ class TestBadCheckpoint:
         assert code == 2
 
 
+def empty_dataset(tmp_path):
+    """A dataset with no samples, and a checkpoint trained before it was emptied."""
+    dataset = synth(tmp_path)
+    run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
+    manifest = dataset / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "samples": []}))
+    return dataset, run / "checkpoint.json"
+
+
+class TestUnusableDataset:
+    @pytest.mark.parametrize("command", ["build-graph", "train", "eval", "export-graph",
+                                         "export-embeddings"])
+    def test_empty_dataset_is_data_error(self, tmp_path, capsys, command):
+        dataset, checkpoint = empty_dataset(tmp_path)
+        argv = [command, "--out-dir", str(tmp_path / "o"), "--dataset", str(dataset)]
+        if command in ("eval", "export-embeddings"):
+            argv += ["--checkpoint", str(checkpoint)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{dataset}: no samples" in capsys.readouterr().err
+
+    def test_empty_dataset_is_sweep_error_row(self, tmp_path):
+        dataset, _ = empty_dataset(tmp_path)
+        out = tmp_path / "esweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "tau", "--grid", "0.3,0.5", "--epochs", "1"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:]] == ["0.3", "0.5"]
+        assert all(row[-1].startswith("error: ") and "no samples" in row[-1]
+                   for row in rows[1:])
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_class_count_mismatch_is_data_error(self, tmp_path, capsys, command):
+        three = synth(tmp_path, "three", extra=["--classes", "3"])
+        run = quick_train(tmp_path, three, epochs="1", extra=["--hidden", "8"])
+        two = synth(tmp_path)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, "--out-dir", str(out), "--dataset", str(two),
+                     "--checkpoint", str(run / "checkpoint.json")]) == 2
+        captured = capsys.readouterr()
+        assert "3 classes, the dataset 2" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+
 class TestBuildGraphAndExports:
     def test_build_graph_outputs(self, tmp_path):
         dataset = synth(tmp_path)
@@ -430,30 +477,66 @@ def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+def run_every_command(tmp_path):
+    """Run every command on a feature and an image dataset; returns (command, out_dir)."""
+    small = ["--epochs", "2", "--batch-size", "4", "--hidden", "8",
+             "--encoder-dim", "16"]
+    runs = []
+    for name, extra, param, grid in (("feat", [], "tau", "0.3,0.6"),
+                                     ("img", ["--with-images"], "patch", "10,20")):
+        dataset = synth(tmp_path, name, extra=extra)
+        runs.append(("synth", dataset))
+        data = ["--dataset", str(dataset)]
+        run = tmp_path / f"{name}_train"
+        checkpoint = ["--checkpoint", str(run / "checkpoint.json")]
+        for command, flags in (
+                ("build-graph", data),
+                ("train", data + small + ["--tau", "0.3", "--patch", "20"]),
+                ("eval", data + checkpoint),
+                ("sweep", data + small + ["--param", param, "--grid", grid]),
+                ("export-graph", data),
+                ("export-embeddings", data + checkpoint)):
+            out = run if command == "train" else tmp_path / f"{name}_{command}"
+            assert main([command, "--out-dir", str(out), *flags]) == 0, command
+            runs.append((command, out))
+    return runs
+
+
+def file_tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestReadBack:
     def test_every_json_written_is_strict(self, tmp_path):
         """Every JSON file the commands write parses without NaN or Infinity."""
-        small = ["--epochs", "2", "--batch-size", "4", "--hidden", "8",
-                 "--encoder-dim", "16"]
-        for name, extra, param, grid in (("feat", [], "tau", "0.3,0.6"),
-                                         ("img", ["--with-images"], "patch", "10,20")):
-            dataset = synth(tmp_path, name, extra=extra)
-            data = ["--dataset", str(dataset)]
-            run = tmp_path / f"{name}_train"
-            checkpoint = ["--checkpoint", str(run / "checkpoint.json")]
-            for command, flags in (
-                    ("build-graph", data),
-                    ("train", data + small),
-                    ("eval", data + checkpoint),
-                    ("sweep", data + small + ["--param", param, "--grid", grid]),
-                    ("export-graph", data),
-                    ("export-embeddings", data + checkpoint)):
-                out = run if command == "train" else tmp_path / f"{name}_{command}"
-                assert main([command, "--out-dir", str(out), *flags]) == 0, command
+        run_every_command(tmp_path)
         written = sorted(tmp_path.rglob("*.json"))
         assert len(written) > 50
         for path in written:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+
+    def test_echoed_config_reruns_the_command(self, tmp_path):
+        """A command rerun from its config.json alone writes the same files."""
+        for command, out in run_every_command(tmp_path / "first"):
+            again = tmp_path / "again" / out.name
+            assert main([command, "--config", str(out / "config.json"),
+                         "--out-dir", str(again)]) == 0, command
+            first = file_tree(out)
+            assert "config.json" in {str(p) for p in first}
+            assert file_tree(again) == first, command
+
+    def test_config_holds_checkpoint_settings(self, tmp_path):
+        dataset = synth(tmp_path, "imgds", extra=["--with-images"])
+        run = quick_train(tmp_path, dataset, epochs="1",
+                          extra=["--tau", "0.3", "--patch", "20", "--encoder-dim", "16"])
+        for command in ("eval", "export-embeddings"):
+            out = tmp_path / command
+            assert main([command, "--out-dir", str(out), "--dataset", str(dataset),
+                         "--checkpoint", str(run / "checkpoint.json")]) == 0
+            echoed = json.loads((out / "config.json").read_text())
+            assert (echoed["tau"], echoed["patch"], echoed["encoder_dim"]) == \
+                (0.3, "20x20", 16), command
+            assert not {"command", "out_dir"} & set(echoed)
 
 
 def usage_args(tmp_path, command, flags, config):

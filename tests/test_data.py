@@ -26,6 +26,7 @@ from facegraph import (
     write_feature_blob,
     write_graph_dot,
     write_graph_json,
+    write_pgm,
 )
 from facegraph.gcn import GcnConfig
 
@@ -33,6 +34,8 @@ from oracles import nearest_prototype_accuracy
 
 SMALL = SyntheticSpec(num_classes=3, samples_per_class=5, landmark_count=6,
                       feature_dim=8, seed=77)
+IMAGES = SyntheticSpec(num_classes=2, samples_per_class=2, landmark_count=5,
+                       feature_dim=8, seed=5)
 
 
 def prototypes_for(spec):
@@ -124,12 +127,13 @@ class TestSynthetic:
     def test_imageset_renders_per_sample(self):
         spec = SyntheticSpec(num_classes=2, samples_per_class=3, landmark_count=5,
                              feature_dim=8, seed=5)
-        dataset, images = generate_synthetic_imageset(spec)
-        assert len(images) == 6
+        dataset = generate_synthetic_imageset(spec)
+        assert len(dataset.samples) == 6
         for sample in dataset.samples:
             assert sample.features is None
-            assert sample.image_path == f"images/{sample.sample_id}.pgm"
-            assert images[sample.sample_id].shape == (224, 224)
+            assert sample.image.shape == (224, 224)
+            assert sample.image.dtype == np.uint8
+        assert not np.array_equal(dataset.samples[0].image, dataset.samples[1].image)
 
 
 class TestSaveLoad:
@@ -156,14 +160,42 @@ class TestSaveLoad:
             assert np.array_equal(a.features, b.features)
 
     def test_round_trip_images(self, tmp_path):
-        spec = SyntheticSpec(num_classes=2, samples_per_class=2, landmark_count=5,
-                             feature_dim=8, seed=5)
-        dataset, images = generate_synthetic_imageset(spec)
-        manifest = save_dataset(dataset, tmp_path / "ds", images=images)
+        dataset = generate_synthetic_imageset(IMAGES)
+        manifest = save_dataset(dataset, tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
         loaded = load_dataset(manifest)
-        for sample in loaded.samples:
-            assert sample.features is None
-            assert sample.image_path is not None
+        for a, b, sample_doc in zip(dataset.samples, loaded.samples, doc["samples"]):
+            assert b.features is None
+            assert sample_doc["image"] == f"images/{a.sample_id}.pgm"
+            assert b.image.dtype == np.uint8
+            assert np.array_equal(a.image, b.image)
+
+    def test_resaved_image_dataset_loads(self, tmp_path):
+        first = load_dataset(save_dataset(generate_synthetic_imageset(IMAGES),
+                                          tmp_path / "ds"))
+        second = load_dataset(save_dataset(first, tmp_path / "copy"))
+        for a, b in zip(first.samples, second.samples):
+            assert a.sample_id == b.sample_id
+            assert np.array_equal(a.image, b.image)
+        graphs = [dataset_graphs(d, 0.5, patch_size=(15, 15)) for d in (first, second)]
+        for (sid_a, a), (sid_b, b) in zip(*graphs):
+            assert sid_a == sid_b
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.adjacency, b.adjacency)
+
+    def test_images_load_beside_features(self, tmp_path):
+        dataset = generate_synthetic(SMALL)
+        manifest = save_dataset(dataset, tmp_path / "ds")
+        image = np.arange(12, dtype=np.uint8).reshape(3, 4)
+        (tmp_path / "ds" / "images").mkdir()
+        write_pgm(tmp_path / "ds" / "images" / "s000_c0.pgm", image)
+        doc = json.loads(manifest.read_text())
+        doc["samples"][0]["image"] = "images/s000_c0.pgm"
+        manifest.write_text(json.dumps(doc))
+        loaded = load_dataset(manifest)
+        assert np.array_equal(loaded.samples[0].image, image)
+        assert np.array_equal(loaded.samples[0].features, dataset.samples[0].features)
+        assert loaded.samples[1].image is None
 
     def test_empty_dataset_ok(self, tmp_path):
         from facegraph import Dataset
@@ -188,6 +220,12 @@ class TestSaveLoad:
         manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
         (tmp_path / "ds" / "features" / "s000_c0.fgf").unlink()
         with pytest.raises(MissingFileError, match="s000_c0"):
+            load_dataset(manifest)
+
+    def test_missing_image_file(self, tmp_path):
+        manifest = save_dataset(generate_synthetic_imageset(IMAGES), tmp_path / "ds")
+        (tmp_path / "ds" / "images" / "s001_c1.pgm").unlink()
+        with pytest.raises(MissingFileError, match="s001_c1"):
             load_dataset(manifest)
 
     def test_landmark_shape_mismatch(self, tmp_path):
@@ -252,19 +290,28 @@ class TestDatasetGraphs:
 
     def test_features_take_precedence_over_image(self):
         dataset = generate_synthetic(SMALL)
-        # a bogus image path must never be touched when features exist
-        dataset.samples[0].image_path = "/nonexistent/file.pgm"
+        plain = dataset_graphs(dataset, 0.3)
+        # an image beside stored features is never encoded
+        dataset.samples[0].image = np.full((224, 224), 200, dtype=np.uint8)
         pairs = dataset_graphs(dataset, 0.3)
         assert pairs[0][0] == "s000_c0"
+        assert np.array_equal(pairs[0][1].features, plain[0][1].features)
 
     def test_image_backed_encoding(self, tmp_path):
-        spec = SyntheticSpec(num_classes=2, samples_per_class=2, landmark_count=5,
-                             feature_dim=8, seed=5)
-        dataset, images = generate_synthetic_imageset(spec)
-        manifest = save_dataset(dataset, tmp_path / "ds", images=images)
+        manifest = save_dataset(generate_synthetic_imageset(IMAGES), tmp_path / "ds")
         loaded = load_dataset(manifest)
         pairs = dataset_graphs(loaded, 0.3, patch_size=(15, 15))
         assert all(g.features.shape == (5, 64) for _, g in pairs)
+
+    def test_unsaved_imageset_matches_saved(self, tmp_path):
+        dataset = generate_synthetic_imageset(IMAGES)
+        loaded = load_dataset(save_dataset(dataset, tmp_path / "ds"))
+        fresh = dataset_graphs(dataset, 0.5, patch_size=(15, 15))
+        saved = dataset_graphs(loaded, 0.5, patch_size=(15, 15))
+        for (sid_a, a), (sid_b, b) in zip(fresh, saved, strict=True):
+            assert sid_a == sid_b
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.adjacency, b.adjacency)
 
 
 class TestSplits:

@@ -115,6 +115,12 @@ class TestRendering:
         for token in ("Acc", "F1-Score", "WAR", "UAR", "happy", "sad"):
             assert token in text
 
+    @pytest.mark.parametrize("names", [["happy", "sad"], ["a", "b", "c", "d"]])
+    def test_format_report_name_count_must_match(self, names):
+        report = compute_metrics(np.diag([1, 2, 3]), loss=0.25)
+        with pytest.raises(InvalidInputError, match="3"):
+            format_report(report, class_names=names)
+
     def test_report_row_percentages(self):
         report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
         row = report_row(report)
