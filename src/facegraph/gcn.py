@@ -10,6 +10,20 @@ Everything runs in double precision and is deterministic given the seed: the
 same generator drives initialization, epoch shuffling and dropout masks in a
 fixed order, so identical configs and data reproduce identical parameter
 trajectories bit for bit.
+
+ELU is branch-free: elu(x) = max(expm1(min(0, x)), x) and its derivative is
+exp(min(0, x)). On a contiguous preactivation these give the bits of the
+rejected branching forms where(x > 0, x, expm1(x)) and where(x > 0, 1, exp(x)),
+-0.0 included (numpy's minimum and maximum return the second operand on
+ties), at a third of the cost or less: np.where's select alone costs more
+than the extra minimum and maximum passes. They never evaluate expm1 or exp
+above 0, so a large finite input does not overflow. (numpy rounds expm1
+and exp in libm rather than SIMD on reversed strides, so on such input the
+branching forms can differ in the last bit; these forms always feed them
+minimum's fresh output.) Adam computes the same expressions as one array
+per operation, but into reused buffers, and the checkpoint writer formats a
+fixed number of weights at a time; both give the bits of the plain forms
+kept in the tests' oracles.
 """
 
 from __future__ import annotations
@@ -56,6 +70,8 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "facegraph-checkpoint"
 CHECKPOINT_VERSION = 1
+_JSON_SEPARATORS = (",", ":")
+_CHECKPOINT_CHUNK = 256  # weights formatted per piece of checkpoint text
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -117,16 +133,17 @@ def _gelu(x):
 
 def _gelu_grad(x):
     cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    with np.errstate(over="ignore"):  # past |x| ~ 1.9e154, 0.5 * x * x is inf: pdf 0
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 
 
 def _elu(x):
-    return np.where(x > 0.0, x, np.expm1(x))
+    return np.maximum(np.expm1(np.minimum(0.0, x)), x)
 
 
 def _elu_grad(x):
-    return np.where(x > 0.0, 1.0, np.exp(x))
+    return np.exp(np.minimum(0.0, x))
 
 
 # name -> (function, derivative w.r.t. the pre-activation)
@@ -406,12 +423,26 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     new_m = []
     new_v = []
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+        # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g^2,
+        # rounded as in that form; besides m and v, only temp and update
+        # are allocated, and update becomes the new parameter
+        m = np.multiply(m, ADAM_BETA1)
+        temp = np.multiply(g, 1.0 - ADAM_BETA1)
+        m += temp
+        v = np.multiply(v, ADAM_BETA2)
+        np.multiply(g, g, out=temp)
+        temp *= 1.0 - ADAM_BETA2
+        v += temp
+        # p' = p * (1 - lr * weight_decay) - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=temp)
+        np.sqrt(temp, out=temp)
+        temp += ADAM_EPS
+        update = np.divide(m, bias1)
+        update /= temp
+        update *= lr
         if weight_decay != 0.0:
-            p = p * (1.0 - lr * weight_decay)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        new_params.append(p - lr * update)
+            p = np.multiply(p, 1.0 - lr * weight_decay, out=temp)
+        new_params.append(np.subtract(p, update, out=update))
         new_m.append(m)
         new_v.append(v)
     return new_params, AdamState(step=t, first_moment=new_m, second_moment=new_v)
@@ -520,8 +551,19 @@ def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
     return compute_metrics(matrix, loss)
 
 
-def _matrix_doc(array: np.ndarray) -> dict:
-    return {"shape": list(array.shape), "data": array.ravel().tolist()}
+def _matrix_text(array: np.ndarray):
+    """Yield the JSON text of {"data": [row-major values], "shape": [...]} in pieces.
+
+    Formats ``_CHECKPOINT_CHUNK`` values at a time with ``float.__repr__``, as
+    ``json`` does for finite floats, so it never holds the whole matrix as
+    Python floats.
+    """
+    flat = array.ravel()
+    yield '{"data":['
+    for start in range(0, flat.size, _CHECKPOINT_CHUNK):
+        chunk = flat[start:start + _CHECKPOINT_CHUNK].tolist()
+        yield ("," if start else "") + ",".join(map(float.__repr__, chunk))
+    yield '],"shape":' + json.dumps(list(array.shape), separators=_JSON_SEPARATORS) + "}"
 
 
 def _matrix_from_doc(doc, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -549,10 +591,25 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
 
     Matrices are stored row-major with declared shapes. JSON float text
     round-trips doubles exactly, so save then load reproduces every weight
-    bit for bit, and the byte stream is deterministic for identical weights.
+    bit for bit, and the byte stream is deterministic for identical weights:
+    it is ``json.dump(doc, sort_keys=True, separators=(",", ":"))`` plus a
+    newline. A non-finite weight raises :class:`NumericError` naming its
+    matrix before the file is opened, since :func:`load_checkpoint` would
+    refuse the file.
     """
-    config = model.config
     *layer_weights, readout_weight, readout_bias = model.params
+    names = [f"layer_weights[{i}]" for i in range(len(layer_weights))]
+    for name, array in zip([*names, "readout_weight", "readout_bias"], model.params):
+        if not np.isfinite(array).all():
+            raise NumericError(f"cannot save matrix {name!r}: it holds a non-finite value")
+
+    def layer_list():
+        for i, weight in enumerate(layer_weights):
+            yield "," if i else "["
+            yield from _matrix_text(weight)
+        yield "]"
+
+    config = model.config
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -564,15 +621,23 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
             "activation": config.activation,
             "dropout_rate": config.dropout_rate,
         },
-        "layer_weights": [_matrix_doc(w) for w in layer_weights],
-        "readout_weight": _matrix_doc(readout_weight),
-        "readout_bias": _matrix_doc(readout_bias),
     }
     if preprocess is not None:
         doc["preprocess"] = preprocess
+    matrix_text = {
+        "layer_weights": layer_list(),
+        "readout_weight": _matrix_text(readout_weight),
+        "readout_bias": _matrix_text(readout_bias),
+    }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        for k, key in enumerate(sorted([*doc, *matrix_text])):
+            handle.write(("," if k else "{") + json.dumps(key) + ":")
+            if key in matrix_text:
+                handle.writelines(matrix_text[key])
+            else:
+                handle.write(json.dumps(doc[key], sort_keys=True,
+                                        separators=_JSON_SEPARATORS))
+        handle.write("}\n")
 
 
 def load_checkpoint(path):

@@ -7,6 +7,7 @@ for scalars) so that agreement can be asserted bit for bit where the package
 promises it.
 """
 
+import json
 import math
 import sys
 
@@ -145,3 +146,65 @@ def nearest_prototype_accuracy(dataset, prototypes):
                   for c in range(prototypes.shape[0])]
         correct += int(np.argmax(scores)) == sample.label
     return correct / len(dataset.samples)
+
+
+def where_elu(x):
+    """ELU by an explicit branch: x where x > 0, expm1(x) elsewhere."""
+    return np.where(x > 0.0, x, np.expm1(x))
+
+
+def where_elu_grad(x):
+    """ELU derivative by an explicit branch: 1 where x > 0, exp(x) elsewhere."""
+    return np.where(x > 0.0, 1.0, np.exp(x))
+
+
+def naive_adam_step(params, grads, first, second, step, lr, weight_decay,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam with decoupled decay, one fresh array per expression.
+
+    Returns (params, first moments, second moments) after step ``step + 1``.
+    """
+    t = step + 1
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    new_params, new_first, new_second = [], [], []
+    for p, g, m, v in zip(params, grads, first, second):
+        if weight_decay != 0.0:
+            p = p * (1.0 - lr * weight_decay)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        new_params.append(p - lr * update)
+        new_first.append(m)
+        new_second.append(v)
+    return new_params, new_first, new_second
+
+
+def json_dump_checkpoint(path, model, preprocess=None):
+    """The checkpoint document built from Python lists and streamed by json.dump."""
+    config = model.config
+    *layer_weights, readout_weight, readout_bias = model.params
+
+    def matrix(array):
+        return {"shape": list(array.shape), "data": array.ravel().tolist()}
+
+    doc = {
+        "format": "facegraph-checkpoint",
+        "version": 1,
+        "config": {
+            "in_dim": config.in_dim,
+            "num_classes": config.num_classes,
+            "hidden_dim": config.hidden_dim,
+            "num_layers": config.num_layers,
+            "activation": config.activation,
+            "dropout_rate": config.dropout_rate,
+        },
+        "layer_weights": [matrix(w) for w in layer_weights],
+        "readout_weight": matrix(readout_weight),
+        "readout_bias": matrix(readout_bias),
+    }
+    if preprocess is not None:
+        doc["preprocess"] = preprocess
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
+        handle.write("\n")

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from a clean working directory."""
+"""Every demo script runs to completion from a clean working directory, with
+RuntimeWarning raised as an error, as in the rest of the suite."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PYTHONWARNINGS": "error::RuntimeWarning",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)

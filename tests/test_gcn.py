@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from facegraph import (
     save_checkpoint,
     train,
 )
+from oracles import json_dump_checkpoint, naive_adam_step, where_elu, where_elu_grad
 
 
 def toy_sample(rng, n=4, d=3, num_classes=2, label=0):
@@ -103,6 +106,14 @@ def analytic_grads(model, sample, mode="eval", rng_seed=None):
     return backward(model, cache, probs - onehot)
 
 
+def same_bits(a, b):
+    """Equal shapes, NaN at the same places and identical bits everywhere else."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a.view(np.int64)[~nan], b.view(np.int64)[~nan]))
+
+
 def max_relative_error(analytic, numeric):
     worst = 0.0
     for a, n in zip(analytic, numeric):
@@ -158,6 +169,48 @@ class TestErf:
     def test_infinities_and_nan(self):
         assert np.array_equal(gcn._erf(np.array([np.inf, -np.inf])), [1.0, -1.0])
         assert np.isnan(gcn._erf(np.nan))
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.1e-308,
+                           np.inf, -np.inf, np.nan, 1e300, -1e300, 709.0, 710.0,
+                           -745.0, 1e-20, -1e-20])
+
+
+def activation_inputs(count=120):
+    """Random arrays with special values mixed in, in C, F, strided and 1-D layouts."""
+    rng = np.random.default_rng(17)
+    for k in range(count):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+        hits = rng.random(shape) < 0.2
+        values[hits] = rng.choice(SPECIAL_VALUES, size=int(hits.sum()))
+        yield [values, np.asfortranarray(values), values[::2, ::-1], values.ravel(),
+               values.ravel()[::-1]][k % 5]
+
+
+class TestActivations:
+    def test_elu_matches_branching_form_bit_for_bit(self):
+        # numpy's expm1 and exp run a SIMD loop on forward-strided input and libm
+        # on reversed input, which can differ in the last bit. The branch-free
+        # forms always feed them minimum's fresh output, so they match the
+        # branching forms on a contiguous copy: the layout of a preactivation.
+        for x in activation_inputs():
+            contiguous = np.ascontiguousarray(x)
+            with np.errstate(over="ignore"):  # the branching form overflows past 709.78
+                want, want_grad = where_elu(contiguous), where_elu_grad(contiguous)
+            assert same_bits(gcn._elu(x), want)
+            assert same_bits(gcn._elu_grad(x), want_grad)
+
+    @pytest.mark.parametrize("derivative", [0, 1], ids=["function", "gradient"])
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_finite_extremes_do_not_warn(self, name, derivative):
+        x = np.array([800.0, 2e154, -2e154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ACTIVATIONS[name][derivative](x)
+        negative = {"relu": 0.0, "gelu": 0.0, "elu": -1.0}[name]
+        want = [1.0, 1.0, 0.0] if derivative else [800.0, 2e154, negative]
+        assert np.array_equal(out, want)
 
 
 class TestGcnLayer:
@@ -360,6 +413,29 @@ class TestAdam:
         assert np.array_equal(params[0], np.ones(3))
 
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_matches_oracle_over_steps(self, weight_decay):
+        rng = np.random.default_rng(31)
+        params = [rng.normal(size=(5, 7)), rng.normal(size=(7, 3)).T, rng.normal(size=4)]
+        state = init_adam(params)
+        want, first, second = params, state.first_moment, state.second_moment
+        for step in range(6):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
+            lr = 1e-3 * (step + 1)
+            before = [p.copy() for p in [*params, *state.first_moment, *state.second_moment]]
+            new_params, new_state = adam_step(params, grads, state, lr, weight_decay)
+            for old, kept in zip([*params, *state.first_moment, *state.second_moment], before):
+                assert same_bits(old, kept)
+            assert all(new is not old for new, old in zip(new_params, params))
+            params, state = new_params, new_state
+            want, first, second = naive_adam_step(want, grads, first, second, step, lr,
+                                                  weight_decay)
+            assert state.step == step + 1
+            for got, expected in zip([*params, *state.first_moment, *state.second_moment],
+                                     [*want, *first, *second]):
+                assert same_bits(got, expected)
+
+
 class TestLrSchedule:
     def setup_method(self):
         self.config = TrainConfig(epochs=11)
@@ -522,6 +598,44 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden", [1, gcn._CHECKPOINT_CHUNK,
+                                        2 * gcn._CHECKPOINT_CHUNK, 257])
+    @pytest.mark.parametrize("with_preprocess", [False, True],
+                             ids=["no_preprocess", "preprocess"])
+    def test_bytes_match_json_dump(self, tmp_path, hidden, with_preprocess):
+        rng = np.random.default_rng(hidden + 1000 * with_preprocess)
+        config = GcnConfig(in_dim=int(rng.integers(1, 6)),
+                           num_classes=int(rng.integers(1, 8)), hidden_dim=hidden,
+                           num_layers=int(rng.integers(1, 4)),
+                           activation=str(rng.choice(sorted(ACTIVATIONS))),
+                           dropout_rate=float(rng.choice([0.0, 0.2, 0.5])))
+        model = init_model(config, rng)
+        for p in model.params:
+            p += rng.normal(size=p.shape)
+            p *= 10.0 ** rng.integers(-300, 300, size=p.shape)
+            p.ravel()[rng.integers(0, p.size, size=3)] = rng.choice(
+                [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5], size=3)
+        preprocess = ({"tau": 0.3, "patch_h": 20, "patch_w": 20, "encoder_dim": 32,
+                       "encoder_seed": 7} if with_preprocess else None)
+        save_checkpoint(tmp_path / "written.json", model, preprocess=preprocess)
+        json_dump_checkpoint(tmp_path / "dumped.json", model, preprocess=preprocess)
+        assert ((tmp_path / "written.json").read_bytes()
+                == (tmp_path / "dumped.json").read_bytes())
+
+    @pytest.mark.parametrize("index, name, value", [
+        (0, "layer_weights[0]", np.nan),
+        (1, "layer_weights[1]", np.inf),
+        (2, "readout_weight", -np.inf),
+        (3, "readout_bias", np.nan),
+    ], ids=["layer0_nan", "layer1_inf", "weight_neg_inf", "bias_nan"])
+    def test_non_finite_weight_refused(self, tmp_path, index, name, value):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        model.params[index].ravel()[-1] = value
+        path = tmp_path / "model.json"
+        with pytest.raises(NumericError, match=re.escape(repr(name))):
+            save_checkpoint(path, model)
+        assert not path.exists()
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
