@@ -10,7 +10,6 @@ underscores) > built-in defaults; the settings that ran are echoed to
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -27,8 +26,10 @@ from .data import (
     load_dataset,
     save_dataset,
     split_indices,
+    write_csv,
     write_graph_dot,
     write_graph_json,
+    write_json,
 )
 from .errors import (
     CheckpointError,
@@ -217,10 +218,8 @@ def _require(config: dict, key: str) -> None:
 
 
 def _echo_config(config: dict, out_dir: Path) -> None:
-    echoed = {k: v for k, v in config.items() if k != "_explicit"}
-    with open(out_dir / "config.json", "w", encoding="utf-8") as handle:
-        json.dump(echoed, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(out_dir / "config.json",
+               {k: v for k, v in config.items() if k != "_explicit"})
 
 
 def _build(cls, config: dict, **given):
@@ -297,24 +296,16 @@ def cmd_build_graph(config: dict, out_dir: Path) -> int:
     dataset, pairs = _load_graphs(config)
     graph_dir = out_dir / "graphs"
     graph_dir.mkdir(exist_ok=True)
-    lines = ["sample_id,nodes,edges"]
     for sid, graph in pairs:
         write_graph_json(graph, graph_dir / f"{sid}.json")
-        lines.append(f"{sid},{graph.num_nodes},{edge_count(graph.adjacency)}")
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out_dir / "summary.csv", ["sample_id", "nodes", "edges"],
+              ([sid, graph.num_nodes, edge_count(graph.adjacency)] for sid, graph in pairs))
     print(f"wrote {len(pairs)} graphs to {graph_dir}")
     return 0
 
 
-def _write_history(history, path) -> None:
-    lines = ["epoch,lr,loss,accuracy"]
-    for row in history:
-        lines.append(f"{row['epoch']},{row['lr']!r},{row['loss']!r},{row['accuracy']!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _report_json(report, path) -> None:
-    doc = {
+    write_json(path, {
         "loss": report.loss,
         "accuracy": report.accuracy,
         "macro_f1": report.macro_f1,
@@ -322,10 +313,7 @@ def _report_json(report, path) -> None:
         "uar": report.uar,
         "per_class_recall": [float(r) for r in report.per_class_recall],
         "confusion": report.confusion.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    })
 
 
 def _train_and_eval(config: dict, out_dir: Path):
@@ -345,7 +333,8 @@ def _train_and_eval(config: dict, out_dir: Path):
                   "encoder_dim": config["encoder_dim"],
                   "encoder_seed": config["encoder_seed"]}
     save_checkpoint(out_dir / "checkpoint.json", model, preprocess=preprocess)
-    _write_history(history, out_dir / "history.csv")
+    columns = ["epoch", "lr", "loss", "accuracy"]
+    write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))
     report = evaluate(model, test_set)
     _report_json(report, out_dir / "metrics.json")
     mean_edges = float(np.mean([edge_count(g.adjacency) for g in graphs]))
@@ -404,10 +393,8 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
                 raise  # unless a setting every point shares is bad
             rows.append({param: token, "status": f"error: {exc}"})
 
-    with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([str(row.get(c, "")) for c in columns] for row in rows)
+    write_csv(out_dir / "sweep.csv", columns,
+              ([row.get(c, "") for c in columns] for row in rows))
     print(f"wrote {len(tokens)} sweep rows to {out_dir / 'sweep.csv'}")
     return 0
 

@@ -13,6 +13,7 @@ row-major order.
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import struct
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .features import EncoderConfig, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, build_graph, edge_count
-from .gcn import GcnModel, forward
+from .gcn import GcnModel, predict
 
 __all__ = [
     "Dataset",
@@ -107,6 +108,22 @@ class SyntheticSpec:
             raise UsageError("all synthetic counts must be positive")
         if self.geometry_displacement_scale < 0 or self.feature_noise_scale < 0:
             raise UsageError("synthetic noise scales must be >= 0")
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with sorted keys, a one-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, sort_keys=True, indent=1)
+        handle.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` as CSV with "\n" line ends: each value is
+    ``str(value)`` (a float's ``repr``), quoted where it holds a comma or quote."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_feature_blob(path, features: np.ndarray) -> None:
@@ -263,9 +280,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         "samples": sample_docs,
     }
     manifest_path = root / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -288,6 +303,8 @@ def _contained(sid: str, entry) -> PurePath:
 def load_dataset(path) -> Dataset:
     """Parse and fully validate a dataset manifest.
 
+    ``class_names`` must be a list of strings, and ``feature_dim``,
+    ``landmark_count`` and every label JSON ints; nothing is coerced.
     Errors name the offending sample: label out of range, wrong landmark
     count, wrong feature dimension, or a missing side file each raise a
     distinct exception type. Sample ids must match :data:`SAMPLE_ID_PATTERN`
@@ -307,13 +324,17 @@ def load_dataset(path) -> Dataset:
         raise ManifestParseError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest")
     if doc.get("version") != MANIFEST_VERSION:
         raise ManifestParseError(f"{manifest_path}: unsupported version {doc.get('version')}")
-    try:
-        class_names = [str(n) for n in doc["class_names"]]
-        feature_dim = int(doc["feature_dim"])
-        landmark_count = int(doc["landmark_count"])
-        sample_docs = doc["samples"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestParseError(f"{manifest_path}: missing or malformed field ({exc})") from exc
+    missing = {"class_names", "feature_dim", "landmark_count", "samples"} - set(doc)
+    if missing:
+        raise ManifestParseError(f"{manifest_path}: missing fields {sorted(missing)}")
+    class_names = doc["class_names"]
+    if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)):
+        raise ManifestParseError(f"{manifest_path}: class_names must be a list of strings")
+    for key in ("feature_dim", "landmark_count"):
+        if type(doc[key]) is not int:
+            raise ManifestParseError(f"{manifest_path}: {key} must be an int, got {doc[key]!r}")
+    feature_dim, landmark_count = doc["feature_dim"], doc["landmark_count"]
+    sample_docs = doc["samples"]
     if not isinstance(sample_docs, list):
         raise ManifestParseError(f"{manifest_path}: samples must be a list")
 
@@ -329,10 +350,9 @@ def load_dataset(path) -> Dataset:
         if sid in seen:
             raise DatasetError(f"sample {index}: duplicate sample_id {sid!r}")
         seen.add(sid)
-        try:
-            label = int(entry["label"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestParseError(f"sample {sid!r}: missing or bad label") from exc
+        label = entry.get("label")
+        if type(label) is not int:
+            raise ManifestParseError(f"sample {sid!r}: label must be an int, got {label!r}")
         if not 0 <= label < num_classes:
             raise DatasetError(
                 f"sample {sid!r}: label {label} outside [0, {num_classes})"
@@ -453,15 +473,11 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
 
 def export_embeddings(model: GcnModel, graph_pairs, path) -> None:
     """CSV with sample_id, true and predicted label, then the readout embedding."""
-    dim = model.config.hidden_dim
-    header = ["sample_id", "label", "prediction"] + [f"dim_{k}" for k in range(dim)]
-    lines = [",".join(header)]
-    for sid, sample in graph_pairs:
-        probs, cache = forward(model, sample, mode="eval")
-        values = [sid, str(sample.label), str(int(probs.argmax()))]
-        lines.append(",".join(values + [repr(float(v)) for v in cache.embedding]))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    predictions, _, embeddings = predict(model, [g for _, g in graph_pairs])
+    dims = [f"dim_{k}" for k in range(embeddings.shape[1])]
+    write_csv(path, ["sample_id", "label", "prediction", *dims],
+              ([sid, g.label, p, *e] for (sid, g), p, e
+               in zip(graph_pairs, predictions.tolist(), embeddings.tolist())))
 
 
 def _edge_list(sample: GraphSample):
@@ -482,9 +498,7 @@ def write_graph_json(sample: GraphSample, path) -> None:
                   for i, (x, y) in enumerate(np.asarray(sample.landmarks, dtype=float))],
         "edges": [[i, j] for i, j in _edge_list(sample)],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 def write_graph_dot(sample: GraphSample, path) -> None:

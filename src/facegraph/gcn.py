@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -282,26 +282,22 @@ class ForwardCache:
     embedding: np.ndarray
 
 
-def forward(model: GcnModel, sample: GraphSample, mode: str = "eval",
+def forward(model: GcnModel, sample: GraphSample,
             rng: np.random.Generator | None = None,
             norm_adj: np.ndarray | None = None):
     """Class probabilities for one graph, plus the cache for backprop.
 
-    In train mode, inverted dropout is applied to every hidden activation
-    except the final layer's, drawing masks from ``rng``; eval mode is fully
-    deterministic. Pass ``norm_adj`` to reuse a precomputed normalization.
+    With an ``rng``, inverted dropout is applied to every hidden activation
+    except the final layer's, drawing masks from it; without one the pass is
+    fully deterministic. Pass ``norm_adj`` to reuse a precomputed normalization.
     """
-    if mode not in ("train", "eval"):
-        raise InvalidInputError(f"mode must be 'train' or 'eval', got {mode!r}")
     config = model.config
     h = np.asarray(sample.features, dtype=float)
     if h.ndim != 2 or h.shape[1] != config.in_dim:
         raise InvalidInputError(
             f"sample features have shape {h.shape}, model expects N x {config.in_dim}"
         )
-    use_dropout = mode == "train" and config.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise InvalidInputError("train-mode forward with dropout needs an rng")
+    use_dropout = rng is not None and config.dropout_rate > 0.0
     a_hat = normalize_adjacency(sample.adjacency) if norm_adj is None else norm_adj
 
     *layer_weights, readout_weight, readout_bias = model.params
@@ -502,7 +498,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
             scale = 1.0 / len(batch)
             grad_total = [np.zeros_like(p) for p in model.params]
             for idx in batch:
-                probs, cache = forward(model, dataset[idx], mode="train", rng=rng,
+                probs, cache = forward(model, dataset[idx], rng=rng,
                                        norm_adj=norm_adjs[idx])
                 label = dataset[idx].label
                 loss_sum += -math.log(max(float(probs[label]), 1e-12))
@@ -524,14 +520,17 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
 
 
 def predict(model: GcnModel, samples: list[GraphSample]):
-    """Predicted class indices and the full probability matrix (eval mode).
+    """Predicted class indices, the probability matrix and the readout
+    embeddings, one row per sample, without dropout.
 
     Ties in the probabilities resolve to the lowest class index.
     """
     probs = np.empty((len(samples), model.config.num_classes))
+    embeddings = np.empty((len(samples), model.config.hidden_dim))
     for k, sample in enumerate(samples):
-        probs[k], _ = forward(model, sample, mode="eval")
-    return probs.argmax(axis=1), probs
+        probs[k], cache = forward(model, sample)
+        embeddings[k] = cache.embedding
+    return probs.argmax(axis=1), probs, embeddings
 
 
 def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
@@ -545,7 +544,7 @@ def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
                 f"sample {k} has label {sample.label}, outside [0, {num_classes})"
             )
     labels = np.array([s.label for s in samples])
-    predictions, probs = predict(model, samples)
+    predictions, probs, _ = predict(model, samples)
     loss = cross_entropy(np.eye(model.config.num_classes)[labels], probs)
     matrix = confusion(labels, predictions, model.config.num_classes)
     return compute_metrics(matrix, loss)
@@ -593,8 +592,9 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
     round-trips doubles exactly, so save then load reproduces every weight
     bit for bit, and the byte stream is deterministic for identical weights:
     it is ``json.dump(doc, sort_keys=True, separators=(",", ":"))`` plus a
-    newline. A non-finite weight raises :class:`NumericError` naming its
-    matrix before the file is opened, since :func:`load_checkpoint` would
+    newline. A non-finite weight or ``preprocess`` value raises
+    :class:`NumericError` naming its matrix or key before the file is
+    opened, since :func:`load_checkpoint` or a strict JSON reader would
     refuse the file.
     """
     *layer_weights, readout_weight, readout_bias = model.params
@@ -609,34 +609,28 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
             yield from _matrix_text(weight)
         yield "]"
 
-    config = model.config
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "in_dim": config.in_dim,
-            "num_classes": config.num_classes,
-            "hidden_dim": config.hidden_dim,
-            "num_layers": config.num_layers,
-            "activation": config.activation,
-            "dropout_rate": config.dropout_rate,
-        },
+        "config": asdict(model.config),
     }
     if preprocess is not None:
+        for key, value in preprocess.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise NumericError(f"cannot save preprocess {key!r}: "
+                                   f"it holds a non-finite value") from None
         doc["preprocess"] = preprocess
-    matrix_text = {
-        "layer_weights": layer_list(),
-        "readout_weight": _matrix_text(readout_weight),
-        "readout_bias": _matrix_text(readout_bias),
-    }
+    pieces = {key: [json.dumps(value, sort_keys=True, separators=_JSON_SEPARATORS)]
+              for key, value in doc.items()}
+    pieces.update(layer_weights=layer_list(),
+                  readout_weight=_matrix_text(readout_weight),
+                  readout_bias=_matrix_text(readout_bias))
     with open(path, "w", encoding="utf-8") as handle:
-        for k, key in enumerate(sorted([*doc, *matrix_text])):
+        for k, key in enumerate(sorted(pieces)):
             handle.write(("," if k else "{") + json.dumps(key) + ":")
-            if key in matrix_text:
-                handle.writelines(matrix_text[key])
-            else:
-                handle.write(json.dumps(doc[key], sort_keys=True,
-                                        separators=_JSON_SEPARATORS))
+            handle.writelines(pieces[key])
         handle.write("}\n")
 
 

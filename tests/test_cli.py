@@ -102,6 +102,16 @@ class TestTrain:
                      "--dataset", str(tmp_path / "absent"), "--epochs", "1"])
         assert code == 2
 
+    def test_fractional_label_is_data_error(self, tmp_path, capsys):
+        dataset = synth(tmp_path)
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["samples"][0]["label"] = 1.9
+        (dataset / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", "--out-dir", str(tmp_path / "o"),
+                     "--dataset", str(dataset), "--epochs", "1"]) == 2
+        assert "s000_c0" in capsys.readouterr().err
+
     def test_huge_lr_is_numeric_failure(self, tmp_path):
         dataset = synth(tmp_path)
         with np.errstate(all="ignore"):
@@ -514,6 +524,18 @@ class TestReadBack:
         assert len(written) > 50
         for path in written:
             json.loads(path.read_text(encoding="utf-8"), parse_constant=reject_constant)
+
+    def test_every_csv_written_is_rectangular(self, tmp_path):
+        """Every CSV file the commands write parses into rows as wide as its header."""
+        run_every_command(tmp_path)
+        written = sorted(tmp_path.rglob("*.csv"))
+        assert {p.name for p in written} == {"summary.csv", "history.csv",
+                                             "sweep.csv", "embeddings.csv"}
+        for path in written:
+            with open(path, newline="", encoding="utf-8") as handle:
+                header, *rows = csv.reader(handle)
+            assert rows, path
+            assert all(len(row) == len(header) for row in rows), path
 
     def test_echoed_config_reruns_the_command(self, tmp_path):
         """A command rerun from its config.json alone writes the same files."""

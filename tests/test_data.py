@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shutil
@@ -20,6 +21,7 @@ from facegraph import (
     generate_synthetic_imageset,
     init_model,
     load_dataset,
+    predict,
     read_feature_blob,
     save_dataset,
     split_indices,
@@ -264,6 +266,26 @@ class TestSaveLoad:
         with pytest.raises(ManifestParseError, match="samples"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.update(class_names=",".join(d["class_names"])), "class_names"),
+        (lambda d: d.update(class_names=[0, 1, 2]), "class_names"),
+        (lambda d: d.update(feature_dim=8.9), "feature_dim"),
+        (lambda d: d.update(feature_dim=True), "feature_dim"),
+        (lambda d: d.update(landmark_count="6"), "landmark_count"),
+        (lambda d: d["samples"][2].update(label=1.9), "s002_c0"),
+        (lambda d: d["samples"][2].update(label=True), "s002_c0"),
+        (lambda d: d["samples"][2].update(label="0"), "s002_c0"),
+    ], ids=["class_names_text", "class_names_ints", "feature_dim_float",
+            "feature_dim_bool", "landmark_count_text", "label_float", "label_bool",
+            "label_text"])
+    def test_fields_are_not_coerced(self, tmp_path, edit, named):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestParseError, match=named):
+            load_dataset(manifest)
+
     def test_symlinked_side_directory_loads(self, tmp_path):
         save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
         (tmp_path / "ds" / "features").rename(tmp_path / "elsewhere")
@@ -365,6 +387,19 @@ class TestExports:
         export_embeddings(model, pairs, tmp_path / "a.csv")
         export_embeddings(model, pairs, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_embeddings_rows_are_predict_outputs(self, tmp_path):
+        dataset = generate_synthetic(SMALL)
+        pairs = dataset_graphs(dataset, 0.3)
+        model = init_model(GcnConfig(in_dim=8, num_classes=3, hidden_dim=10), 0)
+        export_embeddings(model, pairs, tmp_path / "emb.csv")
+        predictions, _, embeddings = predict(model, [g for _, g in pairs])
+        with open(tmp_path / "emb.csv", newline="", encoding="utf-8") as handle:
+            _, *rows = csv.reader(handle)
+        assert [(r[0], int(r[1])) for r in rows] == [(sid, g.label) for sid, g in pairs]
+        assert [int(r[2]) for r in rows] == predictions.tolist()
+        written = np.array([[float(v) for v in r[3:]] for r in rows])
+        assert np.array_equal(written.view(np.int64), embeddings.view(np.int64))
 
     def test_graph_json_empty_adjacency(self, tmp_path):
         graph = build_graph(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]),

@@ -71,15 +71,15 @@ def layer_output(norm_adj, node_feats, weight, activation):
     return act(cache.preactivations[0])
 
 
-def finite_difference_grads(model, sample, step=1e-5, mode="eval", rng_seed=None):
+def finite_difference_grads(model, sample, step=1e-5, rng_seed=None):
     """Central finite differences of the single-sample loss w.r.t. every parameter.
 
-    With ``rng_seed`` set, every loss evaluation re-seeds its own generator so
-    the dropout masks are identical across perturbations.
+    With ``rng_seed`` set, dropout is on and every loss evaluation re-seeds
+    its own generator, so the dropout masks are identical across perturbations.
     """
     def loss():
         rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-        probs, _ = forward(model, sample, mode=mode, rng=rng)
+        probs, _ = forward(model, sample, rng=rng)
         return -math.log(max(float(probs[sample.label]), 1e-12))
 
     grads = []
@@ -98,9 +98,9 @@ def finite_difference_grads(model, sample, step=1e-5, mode="eval", rng_seed=None
     return grads
 
 
-def analytic_grads(model, sample, mode="eval", rng_seed=None):
+def analytic_grads(model, sample, rng_seed=None):
     rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-    probs, cache = forward(model, sample, mode=mode, rng=rng)
+    probs, cache = forward(model, sample, rng=rng)
     onehot = np.zeros(model.config.num_classes)
     onehot[sample.label] = 1.0
     return backward(model, cache, probs - onehot)
@@ -286,25 +286,16 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             forward(self.model, bad)
 
-    def test_train_mode_requires_rng(self):
-        with pytest.raises(InvalidInputError):
-            forward(self.model, self.sample, mode="train")
-
     def test_train_mode_differs_and_masks_recorded(self):
         config = GcnConfig(in_dim=4, num_classes=3, hidden_dim=32, num_layers=2,
                            dropout_rate=0.5)
         model = init_model(config, 7)
         eval_probs, _ = forward(model, self.sample)
-        train_probs, cache = forward(model, self.sample, mode="train",
-                                     rng=np.random.default_rng(0))
+        train_probs, cache = forward(model, self.sample, rng=np.random.default_rng(0))
         assert not np.array_equal(eval_probs, train_probs)
         assert cache.dropout_masks[0] is not None
         assert cache.dropout_masks[-1] is None  # final layer keeps everything
         assert set(np.unique(cache.dropout_masks[0])) <= {0.0, 2.0}
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidInputError):
-            forward(self.model, self.sample, mode="test")
 
 
 class TestCrossEntropy:
@@ -365,9 +356,8 @@ class TestBackward:
 
     def test_gradients_with_frozen_dropout_mask(self):
         model = self.model_for("relu", dropout=0.3)
-        analytic = analytic_grads(model, self.sample, mode="train", rng_seed=99)
-        numeric = finite_difference_grads(model, self.sample, mode="train",
-                                          rng_seed=99)
+        analytic = analytic_grads(model, self.sample, rng_seed=99)
+        numeric = finite_difference_grads(model, self.sample, rng_seed=99)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_stale_cache_detected(self):
@@ -524,7 +514,7 @@ class TestPredict:
         rng = np.random.default_rng(3)
         samples = [toy_sample(rng, num_classes=1) for _ in range(4)]
         model = init_model(GcnConfig(in_dim=3, num_classes=1, hidden_dim=4), 0)
-        labels, probs = predict(model, samples)
+        labels, probs, _ = predict(model, samples)
         assert np.array_equal(labels, np.zeros(4, dtype=int))
         assert np.allclose(probs, 1.0)
 
@@ -534,7 +524,7 @@ class TestPredict:
         config = GcnConfig(in_dim=3, num_classes=3, hidden_dim=4)
         model = init_model(config, 0)
         model.params[-2:] = [np.zeros_like(p) for p in model.params[-2:]]
-        labels, probs = predict(model, [sample])
+        labels, probs, _ = predict(model, [sample])
         assert np.allclose(probs, 1.0 / 3.0)
         assert labels[0] == 0
 
@@ -542,10 +532,10 @@ class TestPredict:
         rng = np.random.default_rng(6)
         sample = toy_sample(rng, n=6, d=4, num_classes=3)
         model = init_model(GcnConfig(in_dim=4, num_classes=3, hidden_dim=8), 2)
-        base, _ = predict(model, [sample])
+        base, _, _ = predict(model, [sample])
         for _ in range(5):
             perm = rng.permutation(6)
-            permuted, _ = predict(model, [permute_sample(sample, perm)])
+            permuted, _, _ = predict(model, [permute_sample(sample, perm)])
             assert permuted[0] == base[0]
 
 
@@ -635,6 +625,18 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         with pytest.raises(NumericError, match=re.escape(repr(name))):
             save_checkpoint(path, model)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", float("nan")),
+        ("encoder_dim", float("inf")),
+        ("patch_h", [20, -float("inf")]),
+    ], ids=["tau_nan", "encoder_dim_inf", "nested_neg_inf"])
+    def test_non_finite_preprocess_refused(self, tmp_path, key, value):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        path = tmp_path / "model.json"
+        with pytest.raises(NumericError, match=re.escape(repr(key))):
+            save_checkpoint(path, model, preprocess={"tau": 0.5, key: value})
         assert not path.exists()
 
     def test_wrong_format_rejected(self, tmp_path):
