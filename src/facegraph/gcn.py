@@ -20,10 +20,10 @@ than the extra minimum and maximum passes. They never evaluate expm1 or exp
 above 0, so a large finite input does not overflow. (numpy rounds expm1
 and exp in libm rather than SIMD on reversed strides, so on such input the
 branching forms can differ in the last bit; these forms always feed them
-minimum's fresh output.) Adam computes the same expressions as one array
-per operation, but into reused buffers, and the checkpoint writer formats a
-fixed number of weights at a time; both give the bits of the plain forms
-kept in the tests' oracles.
+minimum's fresh output.) Adam updates the parameters and its moments in
+place, one operation at a time in the order of the plain expressions, and the
+checkpoint writer formats a fixed number of weights at a time; both give the
+bits of the plain forms kept in the tests' oracles.
 """
 
 from __future__ import annotations
@@ -195,10 +195,12 @@ def param_shapes(config: GcnConfig) -> list[tuple[int, ...]]:
 @dataclass
 class GcnModel:
     """A config plus its parameters as one list laid out by :func:`param_shapes`:
-    the layer weights, the readout weight, then the readout bias."""
+    the layer weights, the readout weight, then the readout bias. ``updates``
+    counts the :func:`adam_step` calls; checkpoints do not store it."""
 
     config: GcnConfig
     params: list[np.ndarray]
+    updates: int = 0
 
 
 @dataclass
@@ -268,13 +270,11 @@ def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values one backward pass needs, tied to the exact parameters.
+    """Intermediate values one backward pass needs, the logits, and the
+    model's :attr:`GcnModel.updates` count when the pass ran."""
 
-    ``params`` holds the very arrays of :attr:`GcnModel.params` the pass used,
-    in the same order.
-    """
-
-    params: tuple[np.ndarray, ...]
+    updates: int
+    logits: np.ndarray
     norm_adj: np.ndarray
     aggregated: list[np.ndarray]     # A_hat @ H per layer
     preactivations: list[np.ndarray]
@@ -320,16 +320,16 @@ def forward(model: GcnModel, sample: GraphSample,
         masks.append(mask)
 
     embedding = readout(h)
-    probabilities = _softmax(readout_weight @ embedding + readout_bias)
     cache = ForwardCache(
-        params=tuple(model.params),
+        updates=model.updates,
+        logits=readout_weight @ embedding + readout_bias,
         norm_adj=a_hat,
         aggregated=aggregated,
         preactivations=preactivations,
         dropout_masks=masks,
         embedding=embedding,
     )
-    return probabilities, cache
+    return _softmax(cache.logits), cache
 
 
 def cross_entropy(labels_onehot: np.ndarray, probabilities: np.ndarray) -> float:
@@ -354,14 +354,11 @@ def backward(model: GcnModel, cache: ForwardCache,
     For softmax plus cross-entropy that upstream gradient is simply
     probabilities minus the one-hot label (scaled by the batch weighting).
     Dropout masks recorded in the cache are reused exactly. The cache must
-    come from a forward pass against the very same parameter arrays;
-    :func:`adam_step` replaces arrays, so a stale cache is detected.
+    come from a forward pass since the last :func:`adam_step`, which updates
+    the parameters in place; a stale cache is detected by the update count.
     """
-    if not (len(cache.params) == len(model.params)
-            and all(c is p for c, p in zip(cache.params, model.params))):
-        raise CacheMismatchError(
-            "forward cache does not match the model's current parameters"
-        )
+    if cache.updates != model.updates:
+        raise CacheMismatchError("forward cache predates the model's last parameter update")
     *layer_weights, readout_weight, _ = model.params
     dlogits = np.asarray(logit_grad, dtype=float)
     grad_readout_weight = np.outer(dlogits, cache.embedding)
@@ -394,38 +391,37 @@ class AdamState:
     step: int
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]  # two work arrays per parameter
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
     return AdamState(step=0,
                      first_moment=[np.zeros_like(p) for p in params],
-                     second_moment=[np.zeros_like(p) for p in params])
+                     second_moment=[np.zeros_like(p) for p in params],
+                     scratch=[(np.empty_like(p), np.empty_like(p)) for p in params])
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
-              lr: float, weight_decay: float):
-    """One bias-corrected Adam update with decoupled weight decay.
+def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState,
+              lr: float, weight_decay: float) -> None:
+    """One bias-corrected Adam update with decoupled weight decay, in place.
 
     Decay shrinks the parameters by lr * weight_decay before the moment-based
-    update, so it never enters the Adam moments. Returns fresh arrays; the
-    inputs are left untouched.
+    update, so it never enters the Adam moments. Updates the parameters and the
+    moments in place through the state's scratch arrays, and advances both counts.
     """
-    if len(params) != len(grads):
+    if len(model.params) != len(grads):
         raise InvalidInputError("params and grads must be parallel lists")
-    t = state.step + 1
-    bias1 = 1.0 - ADAM_BETA1 ** t
-    bias2 = 1.0 - ADAM_BETA2 ** t
-    new_params = []
-    new_m = []
-    new_v = []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    state.step += 1
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
+    for p, g, m, v, (temp, update) in zip(model.params, grads, state.first_moment,
+                                          state.second_moment, state.scratch):
         # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g^2,
-        # rounded as in that form; besides m and v, only temp and update
-        # are allocated, and update becomes the new parameter
-        m = np.multiply(m, ADAM_BETA1)
-        temp = np.multiply(g, 1.0 - ADAM_BETA1)
+        # rounded as in that form
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=temp)
         m += temp
-        v = np.multiply(v, ADAM_BETA2)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=temp)
         temp *= 1.0 - ADAM_BETA2
         v += temp
@@ -433,15 +429,13 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         np.divide(v, bias2, out=temp)
         np.sqrt(temp, out=temp)
         temp += ADAM_EPS
-        update = np.divide(m, bias1)
+        np.divide(m, bias1, out=update)
         update /= temp
         update *= lr
         if weight_decay != 0.0:
-            p = np.multiply(p, 1.0 - lr * weight_decay, out=temp)
-        new_params.append(np.subtract(p, update, out=update))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(step=t, first_moment=new_m, second_moment=new_v)
+            p *= 1.0 - lr * weight_decay
+        p -= update
+    model.updates += 1
 
 
 def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
@@ -487,6 +481,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     state = init_adam(model.params)
 
     n = len(dataset)
+    grad_total = [np.zeros_like(p) for p in model.params]
     history = []
     for epoch in range(train_config.epochs):
         lr = lr_schedule(epoch, train_config.epochs, train_config)
@@ -496,7 +491,8 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
         for start in range(0, n, train_config.batch_size):
             batch = order[start:start + train_config.batch_size]
             scale = 1.0 / len(batch)
-            grad_total = [np.zeros_like(p) for p in model.params]
+            for total in grad_total:
+                total.fill(0.0)
             for idx in batch:
                 probs, cache = forward(model, dataset[idx], rng=rng,
                                        norm_adj=norm_adjs[idx])
@@ -506,8 +502,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
                 sample_grads = backward(model, cache, (probs - onehots[idx]) * scale)
                 for total, g in zip(grad_total, sample_grads):
                     total += g
-            model.params, state = adam_step(model.params, grad_total, state,
-                                            lr, train_config.weight_decay)
+            adam_step(model, grad_total, state, lr, train_config.weight_decay)
             if not all(np.isfinite(p).all() for p in model.params):
                 raise NumericError(f"non-finite parameters at epoch {epoch}, "
                                    f"batch {start // train_config.batch_size}")
@@ -523,13 +518,17 @@ def predict(model: GcnModel, samples: list[GraphSample]):
     """Predicted class indices, the probability matrix and the readout
     embeddings, one row per sample, without dropout.
 
-    Ties in the probabilities resolve to the lowest class index.
+    Ties in the probabilities resolve to the lowest class index. The first
+    sample whose logits overflow (or are NaN) raises :class:`NumericError`.
     """
     probs = np.empty((len(samples), model.config.num_classes))
     embeddings = np.empty((len(samples), model.config.hidden_dim))
-    for k, sample in enumerate(samples):
-        probs[k], cache = forward(model, sample)
-        embeddings[k] = cache.embedding
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, sample in enumerate(samples):
+            probs[k], cache = forward(model, sample)
+            if not np.isfinite(cache.logits).all():
+                raise NumericError(f"sample {k}: non-finite logits {cache.logits.tolist()}")
+            embeddings[k] = cache.embedding
     return probs.argmax(axis=1), probs, embeddings
 
 

@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +217,28 @@ class TestEval:
         assert (run / "metrics.json").read_text() == plain_doc
         # an explicit tau is honored instead of the checkpoint's
         assert json.loads((overridden / "config.json").read_text())["tau"] == 0.9
+
+    def test_overflowing_logits_are_numeric_failure(self, tmp_path, capsys):
+        dataset = tmp_path / "ds"
+        assert main(["synth", "--out-dir", str(dataset)]) == 0  # 6 classes
+        run = tmp_path / "run"
+        assert main(["train", "--out-dir", str(run), "--dataset", str(dataset),
+                     "--epochs", "1"]) == 0
+        doc = json.loads((run / "checkpoint.json").read_text())
+        for entry in (doc["readout_weight"], doc["readout_bias"]):
+            entry["data"] = [1e308] * len(entry["data"])
+        checkpoint = tmp_path / "huge.json"
+        checkpoint.write_text(json.dumps(doc))
+        out = tmp_path / "ev"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                         "--checkpoint", str(checkpoint)])
+        assert code == 3
+        assert re.search(r"numeric failure: sample \d+: non-finite logits",
+                         capsys.readouterr().err)
+        assert not (out / "metrics.json").exists()
 
 
 def with_optimizer_block(doc):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -363,20 +364,27 @@ class TestBackward:
     def test_stale_cache_detected(self):
         model = self.model_for("relu")
         probs, cache = forward(model, self.sample)
-        params = model.params
-        grads = [np.ones_like(p) for p in params]
-        model.params, _ = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
+        grads = [np.ones_like(p) for p in model.params]
+        adam_step(model, grads, init_adam(model.params), 1e-3, 0.0)
         with pytest.raises(CacheMismatchError):
             backward(model, cache, probs)
+        probs, cache = forward(model, self.sample)  # a cache taken after the step
+        assert len(backward(model, cache, probs)) == len(model.params)
+
+
+def adam_model(params):
+    """A model holding ``params``; :func:`adam_step` reads only the arrays."""
+    return GcnModel(config=GcnConfig(in_dim=1, num_classes=1), params=params)
 
 
 class TestAdam:
     def test_zero_gradient_zero_decay_is_identity(self):
         rng = np.random.default_rng(2)
         params = [rng.normal(size=(3, 4)), rng.normal(size=5)]
-        grads = [np.zeros_like(p) for p in params]
-        new_params, state = adam_step(params, grads, init_adam(params), 1e-3, 0.0)
-        for old, new in zip(params, new_params):
+        before = [p.copy() for p in params]
+        state = init_adam(params)
+        adam_step(adam_model(params), [np.zeros_like(p) for p in params], state, 1e-3, 0.0)
+        for old, new in zip(before, params):
             assert np.array_equal(old, new)
         assert state.step == 1
 
@@ -384,45 +392,50 @@ class TestAdam:
         params = [np.zeros(4)]
         grads = [np.array([0.5, -0.5, 2.0, -2.0])]
         lr = 1e-3
-        new_params, _ = adam_step(params, grads, init_adam(params), lr, 0.0)
+        adam_step(adam_model(params), grads, init_adam(params), lr, 0.0)
         # bias-corrected first step is lr * g / (|g| + eps') per coordinate
-        assert np.all(np.abs(np.abs(new_params[0]) - lr) < 1e-6)
-        assert np.array_equal(np.sign(new_params[0]), -np.sign(grads[0]))
+        assert np.all(np.abs(np.abs(params[0]) - lr) < 1e-6)
+        assert np.array_equal(np.sign(params[0]), -np.sign(grads[0]))
 
     def test_decay_in_isolation(self):
         params = [np.array([2.0, -4.0])]
-        grads = [np.zeros(2)]
         lr, decay = 0.01, 0.5
-        new_params, _ = adam_step(params, grads, init_adam(params), lr, decay)
-        assert np.array_equal(new_params[0], params[0] * (1.0 - lr * decay))
+        adam_step(adam_model(params), [np.zeros(2)], init_adam(params), lr, decay)
+        assert np.array_equal(params[0], np.array([2.0, -4.0]) * (1.0 - lr * decay))
 
-    def test_inputs_left_untouched(self):
-        params = [np.ones(3)]
+    def test_updates_in_place(self):
+        weight = np.ones(3)
         grads = [np.ones(3)]
-        adam_step(params, grads, init_adam(params), 1e-2, 1e-2)
-        assert np.array_equal(params[0], np.ones(3))
-
+        model = adam_model([weight])
+        state = init_adam(model.params)
+        first, second = state.first_moment[0], state.second_moment[0]
+        assert adam_step(model, grads, state, 1e-2, 1e-2) is None
+        assert model.params[0] is weight and not np.array_equal(weight, np.ones(3))
+        assert state.first_moment[0] is first and state.second_moment[0] is second
+        assert np.all(first > 0.0) and np.all(second > 0.0)
+        assert np.array_equal(grads[0], np.ones(3))
+        assert state.step == 1 and model.updates == 1
 
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_matches_oracle_over_steps(self, weight_decay):
         rng = np.random.default_rng(31)
         params = [rng.normal(size=(5, 7)), rng.normal(size=(7, 3)).T, rng.normal(size=4)]
+        model = adam_model(list(params))
         state = init_adam(params)
-        want, first, second = params, state.first_moment, state.second_moment
+        arrays = [*params, *state.first_moment, *state.second_moment]
+        want = [p.copy() for p in params]
+        first = [m.copy() for m in state.first_moment]
+        second = [v.copy() for v in state.second_moment]
         for step in range(6):
             grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
             lr = 1e-3 * (step + 1)
-            before = [p.copy() for p in [*params, *state.first_moment, *state.second_moment]]
-            new_params, new_state = adam_step(params, grads, state, lr, weight_decay)
-            for old, kept in zip([*params, *state.first_moment, *state.second_moment], before):
-                assert same_bits(old, kept)
-            assert all(new is not old for new, old in zip(new_params, params))
-            params, state = new_params, new_state
+            adam_step(model, grads, state, lr, weight_decay)
+            updated = [*model.params, *state.first_moment, *state.second_moment]
+            assert all(got is kept for got, kept in zip(updated, arrays))
             want, first, second = naive_adam_step(want, grads, first, second, step, lr,
                                                   weight_decay)
             assert state.step == step + 1
-            for got, expected in zip([*params, *state.first_moment, *state.second_moment],
-                                     [*want, *first, *second]):
+            for got, expected in zip(arrays, [*want, *first, *second]):
                 assert same_bits(got, expected)
 
 
@@ -538,6 +551,24 @@ class TestPredict:
             permuted, _, _ = predict(model, [permute_sample(sample, perm)])
             assert permuted[0] == base[0]
 
+    def test_overflowing_logits_name_the_sample(self):
+        # finite weights: sample 0's zero features give zero logits, while
+        # sample 1's positive embedding times 1e308 overflows every logit
+        rng = np.random.default_rng(5)
+        quiet, loud = toy_sample(rng), toy_sample(rng)
+        quiet.features[:] = 0.0
+        loud.features[:] = np.abs(loud.features)
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 0)
+        for weight in model.params[:-2]:
+            weight[:] = 1.0
+        model.params[-2][:] = 1e308
+        model.params[-1][:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (predict, evaluate):
+                with pytest.raises(NumericError, match=r"^sample 1: non-finite logits"):
+                    run(model, [quiet, loud])
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -574,6 +605,19 @@ class TestCheckpoint:
         assert preprocess == {"tau": 0.5}
         for a, b in zip(model.params, loaded.params):
             assert np.array_equal(a, b)
+
+    def test_update_count_stays_out_of_the_file(self, tmp_path):
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        model, _ = train(graphs, config, TrainConfig(epochs=2, batch_size=4))
+        assert model.updates == 2 * math.ceil(len(graphs) / 4)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(first, model, preprocess={"tau": 0.3})
+        loaded, preprocess = load_checkpoint(first)
+        assert loaded.updates == 0
+        save_checkpoint(second, loaded, preprocess=preprocess)
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text())["config"] == asdict(config)
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["readout_weight"].update(shape=[4, 2]),
