@@ -21,13 +21,13 @@ above 0, so a large finite input does not overflow. (numpy rounds expm1
 and exp in libm rather than SIMD on reversed strides, so on such input the
 branching forms can differ in the last bit; these forms always feed them
 minimum's fresh output.) Adam updates the parameters and its moments in
-place, one operation at a time in the order of the plain expressions, and the
-checkpoint writer formats a fixed number of weights at a time; both give the
-bits of the plain forms kept in the tests' oracles.
+place, one operation at a time in the order of the plain expressions, which
+gives the bits of the plain form kept in the tests' oracles.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -69,9 +69,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "facegraph-checkpoint"
-CHECKPOINT_VERSION = 1
-_JSON_SEPARATORS = (",", ":")
-_CHECKPOINT_CHUNK = 256  # weights formatted per piece of checkpoint text
+CHECKPOINT_VERSION = 2  # version 1 stored weights as JSON numbers; it still loads
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -448,6 +446,7 @@ def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
     return config.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / (total_epochs - 1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a divergence ends in NumericError alone
 def train(dataset: list[GraphSample], model_config: GcnConfig,
           train_config: TrainConfig):
     """Mini-batch training loop; returns the model and the per-epoch history.
@@ -458,7 +457,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     cross-entropy over the batch. History rows report the mean loss and
     accuracy over the samples as seen during the epoch (dropout active).
     A non-finite parameter after any step raises :class:`NumericError`
-    naming the epoch and the batch index.
+    naming the epoch and the batch index, with no numpy overflow warning.
     """
     if not dataset:
         raise InvalidInputError("training dataset is empty")
@@ -549,48 +548,49 @@ def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
     return compute_metrics(matrix, loss)
 
 
-def _matrix_text(array: np.ndarray):
-    """Yield the JSON text of {"data": [row-major values], "shape": [...]} in pieces.
-
-    Formats ``_CHECKPOINT_CHUNK`` values at a time with ``float.__repr__``, as
-    ``json`` does for finite floats, so it never holds the whole matrix as
-    Python floats.
-    """
-    flat = array.ravel()
-    yield '{"data":['
-    for start in range(0, flat.size, _CHECKPOINT_CHUNK):
-        chunk = flat[start:start + _CHECKPOINT_CHUNK].tolist()
-        yield ("," if start else "") + ",".join(map(float.__repr__, chunk))
-    yield '],"shape":' + json.dumps(list(array.shape), separators=_JSON_SEPARATORS) + "}"
+def _matrix_doc(array: np.ndarray) -> dict:
+    values = np.ascontiguousarray(array, dtype="<f8")  # b64encode reads its buffer
+    return {"data": base64.b64encode(values).decode("ascii"), "shape": list(array.shape)}
 
 
-def _matrix_from_doc(doc, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _matrix_from_doc(doc, name: str, shape: tuple[int, ...], version: int) -> np.ndarray:
     try:
-        array = np.asarray(doc["data"], dtype=float).reshape(doc["shape"])
+        data, stored = doc["data"], doc["shape"]
+        if version == 1:  # row-major values as JSON numbers
+            if not isinstance(data, list):
+                raise TypeError("version 1 stores a list of numbers")
+            values = np.asarray(data, dtype=float)
+        else:  # base64 of the row-major little-endian float64 bytes
+            raw = base64.b64decode(data, validate=True)  # TypeError unless a string
+            if len(raw) != 8 * math.prod(stored):
+                raise ValueError(f"{len(raw)} bytes do not fill shape {stored}")
+            values = np.frombuffer(raw, dtype="<f8").astype(float)  # writable native copy
+        array = values.reshape(stored)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed matrix entry {name!r}") from exc
     if array.shape != shape:
         raise CheckpointError(f"matrix entry {name!r} has shape {list(array.shape)}, "
                               f"the config needs {list(shape)}")
-    if not np.isfinite(array).all():  # null reads as nan, 1e400 as inf
+    if not np.isfinite(array).all():  # NaN or inf bytes; in v1 null and 1e400 too
         raise CheckpointError(f"matrix entry {name!r} holds a non-finite value")
     return array
 
 
-def _matrix_list_from_doc(docs, name: str, shapes) -> list[np.ndarray]:
+def _matrix_list_from_doc(docs, name: str, shapes, version: int) -> list[np.ndarray]:
     if not isinstance(docs, list) or len(docs) != len(shapes):
         raise CheckpointError(f"{name!r} must list {len(shapes)} matrices")
-    return [_matrix_from_doc(d, f"{name}[{i}]", shape)
+    return [_matrix_from_doc(d, f"{name}[{i}]", shape, version)
             for i, (d, shape) in enumerate(zip(docs, shapes))]
 
 
 def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> None:
     """Write model weights (and optionally graph settings) as versioned JSON.
 
-    Matrices are stored row-major with declared shapes. JSON float text
-    round-trips doubles exactly, so save then load reproduces every weight
-    bit for bit, and the byte stream is deterministic for identical weights:
-    it is ``json.dump(doc, sort_keys=True, separators=(",", ":"))`` plus a
+    Each matrix is ``{"data": ..., "shape": [...]}``, where ``data`` is the
+    base64 (RFC 4648, padded, one line) of its row-major little-endian
+    float64 bytes, so save then load reproduces every weight bit for bit. The
+    byte stream is deterministic for identical weights: it is
+    ``json.dump(doc, sort_keys=True, separators=(",", ":"))`` plus a
     newline. A non-finite weight or ``preprocess`` value raises
     :class:`NumericError` naming its matrix or key before the file is
     opened, since :func:`load_checkpoint` or a strict JSON reader would
@@ -602,16 +602,13 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
         if not np.isfinite(array).all():
             raise NumericError(f"cannot save matrix {name!r}: it holds a non-finite value")
 
-    def layer_list():
-        for i, weight in enumerate(layer_weights):
-            yield "," if i else "["
-            yield from _matrix_text(weight)
-        yield "]"
-
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
+        "layer_weights": [_matrix_doc(w) for w in layer_weights],
+        "readout_weight": _matrix_doc(readout_weight),
+        "readout_bias": _matrix_doc(readout_bias),
     }
     if preprocess is not None:
         for key, value in preprocess.items():
@@ -621,25 +618,19 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
                 raise NumericError(f"cannot save preprocess {key!r}: "
                                    f"it holds a non-finite value") from None
         doc["preprocess"] = preprocess
-    pieces = {key: [json.dumps(value, sort_keys=True, separators=_JSON_SEPARATORS)]
-              for key, value in doc.items()}
-    pieces.update(layer_weights=layer_list(),
-                  readout_weight=_matrix_text(readout_weight),
-                  readout_bias=_matrix_text(readout_bias))
     with open(path, "w", encoding="utf-8") as handle:
-        for k, key in enumerate(sorted(pieces)):
-            handle.write(("," if k else "{") + json.dumps(key) + ":")
-            handle.writelines(pieces[key])
-        handle.write("}\n")
+        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
+        handle.write("\n")
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, preprocess), preprocess None if absent.
 
-    Every parameter must be finite and have the shape :func:`param_shapes`
-    gives for the stored config. The 'preprocess' block is returned as stored,
-    for its user to check. An 'optimizer' block, which older versions could
-    write, is ignored.
+    Version-1 files, which stored the weights as JSON numbers, still load.
+    Every parameter comes back as a writable, C-contiguous float64 array; it
+    must be finite and have the shape :func:`param_shapes` gives for the
+    stored config. The 'preprocess' block is returned as stored, for its user
+    to check. An 'optimizer' block, which older versions could write, is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -648,8 +639,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: not valid JSON") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"{path}: unsupported version {version!r}")
     try:
         config = GcnConfig(**doc["config"])
     except (KeyError, TypeError, InvalidInputError) as exc:
@@ -659,8 +651,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: config dimensions must be ints, got {list(dims)}")
     *layer_shapes, weight_shape, bias_shape = param_shapes(config)
     model = GcnModel(config=config, params=[
-        *_matrix_list_from_doc(doc.get("layer_weights"), "layer_weights", layer_shapes),
-        _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape),
-        _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape),
+        *_matrix_list_from_doc(doc.get("layer_weights"), "layer_weights", layer_shapes,
+                               version),
+        _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape, version),
+        _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape, version),
     ])
     return model, doc.get("preprocess")

@@ -7,8 +7,10 @@ for scalars) so that agreement can be asserted bit for bit where the package
 promises it.
 """
 
+import base64
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -180,17 +182,26 @@ def naive_adam_step(params, grads, first, second, step, lr, weight_decay,
     return new_params, new_first, new_second
 
 
-def json_dump_checkpoint(path, model, preprocess=None):
-    """The checkpoint document built from Python lists and streamed by json.dump."""
+def json_dump_checkpoint(path, model, preprocess=None, *, version):
+    """The checkpoint document built from Python lists and streamed by json.dump.
+
+    Version 1, the earlier format, stores each matrix's row-major values as
+    JSON numbers. Version 2, the one ``save_checkpoint`` writes, stores the
+    base64 of those values packed by ``struct`` as little-endian doubles.
+    """
     config = model.config
     *layer_weights, readout_weight, readout_bias = model.params
 
     def matrix(array):
-        return {"shape": list(array.shape), "data": array.ravel().tolist()}
+        values = array.ravel().tolist()  # row-major for any memory layout
+        if version == 2:
+            packed = struct.pack(f"<{len(values)}d", *values)
+            values = base64.b64encode(packed).decode("ascii")
+        return {"shape": list(array.shape), "data": values}
 
     doc = {
         "format": "facegraph-checkpoint",
-        "version": 1,
+        "version": version,
         "config": {
             "in_dim": config.in_dim,
             "num_classes": config.num_classes,

@@ -1,7 +1,10 @@
+import base64
 import csv
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -31,6 +34,21 @@ def quick_train(tmp_path, dataset, name="run", epochs="4", extra=()):
                  *extra])
     assert code == 0
     return out
+
+
+def base64_doubles(values):
+    """A version-2 checkpoint's ``data``: base64 of little-endian doubles."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def version_1(doc):
+    """A version-2 checkpoint document turned into version 1, in place: each
+    matrix's data becomes its values as JSON numbers."""
+    for entry in (*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]):
+        raw = base64.b64decode(entry["data"], validate=True)
+        entry["data"] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    doc["version"] = 1
+    return doc
 
 
 def test_cli_import_needs_numpy_only():
@@ -116,12 +134,23 @@ class TestTrain:
 
     def test_huge_lr_is_numeric_failure(self, tmp_path):
         dataset = synth(tmp_path)
-        with np.errstate(all="ignore"):
-            code = main(["train", "--out-dir", str(tmp_path / "o"),
-                         "--dataset", str(dataset), "--epochs", "3",
-                         "--hidden", "8", "--lr", "1e200",
-                         "--lr-min", "1e199"])
+        code = main(["train", "--out-dir", str(tmp_path / "o"),
+                     "--dataset", str(dataset), "--epochs", "3",
+                     "--hidden", "8", "--lr", "1e200", "--lr-min", "1e199"])
         assert code == 3
+
+    def test_diverging_train_prints_only_the_failure(self, tmp_path, capsys):
+        dataset = tmp_path / "ds"
+        assert main(["synth", "--out-dir", str(dataset)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--out-dir", str(tmp_path / "o"),
+                         "--dataset", str(dataset), "--hidden", "8",
+                         "--lr", "1e200", "--lr-min", "1e199"])
+        assert code == 3
+        assert (capsys.readouterr().err
+                == "numeric failure: non-finite parameters at epoch 0, batch 1\n")
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         dataset = synth(tmp_path)
@@ -226,7 +255,7 @@ class TestEval:
                      "--epochs", "1"]) == 0
         doc = json.loads((run / "checkpoint.json").read_text())
         for entry in (doc["readout_weight"], doc["readout_bias"]):
-            entry["data"] = [1e308] * len(entry["data"])
+            entry["data"] = base64_doubles([1e308] * math.prod(entry["shape"]))
         checkpoint = tmp_path / "huge.json"
         checkpoint.write_text(json.dumps(doc))
         out = tmp_path / "ev"
@@ -252,20 +281,23 @@ def with_optimizer_block(doc):
 
 class TestOlderCheckpoint:
     def test_optimizer_block_is_ignored(self, tmp_path):
+        # a version-1 file with and without the optimizer block, and its
+        # version-2 twin, give the same metrics.json
         dataset = synth(tmp_path)
         run = quick_train(tmp_path, dataset, epochs="2", extra=["--hidden", "8"])
-        doc = json.loads((run / "checkpoint.json").read_text())
-        older = tmp_path / "older.json"
-        with open(older, "w", encoding="utf-8") as handle:
-            json.dump(with_optimizer_block(doc), handle, sort_keys=True,
-                      separators=(",", ":"))
+        doc = version_1(json.loads((run / "checkpoint.json").read_text()))
+        plain, older = tmp_path / "v1.json", tmp_path / "older.json"
+        for path, content in ((plain, doc), (older, with_optimizer_block(doc))):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(content, handle, sort_keys=True, separators=(",", ":"))
         outputs = []
-        for name, checkpoint in (("now", run / "checkpoint.json"), ("older", older)):
+        for name, checkpoint in (("now", run / "checkpoint.json"), ("v1", plain),
+                                 ("older", older)):
             out = tmp_path / name
             assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
                          "--checkpoint", str(checkpoint)]) == 0
             outputs.append((out / "metrics.json").read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestBadCheckpoint:
@@ -274,7 +306,7 @@ class TestBadCheckpoint:
     @pytest.mark.parametrize("edit", [
         # hidden 8: layer 1 is 8x8; 4x16 holds the same 64 numbers
         lambda d: d["layer_weights"][1].update(shape=[4, 16]),
-        lambda d: d["readout_bias"].update(shape=[3], data=[0.0, 0.0, 0.0]),
+        lambda d: d["readout_bias"].update(shape=[3], data=base64_doubles([0.0] * 3)),
         lambda d: d["layer_weights"].pop(),
         lambda d: d["preprocess"].update(tau="abc"),
         lambda d: d["preprocess"].update(tau=None),
@@ -285,17 +317,29 @@ class TestBadCheckpoint:
         lambda d: d["preprocess"].update(encoder_dim=2.5),
         lambda d: d["preprocess"].update(encoder_seed="7"),
         lambda d: d.update(preprocess=5),
-        lambda d: d["layer_weights"][0]["data"].__setitem__(0, None),
+        lambda d: version_1(d)["layer_weights"][0]["data"].__setitem__(0, None),
         # written unquoted below: 1e400 parses to inf
-        lambda d: d["readout_bias"]["data"].__setitem__(0, "1e400"),
-        lambda d: d["readout_bias"]["data"].__setitem__(0, 10 ** 400),
+        lambda d: version_1(d)["readout_bias"]["data"].__setitem__(0, "1e400"),
+        lambda d: version_1(d)["readout_bias"]["data"].__setitem__(0, 10 ** 400),
         lambda d: d["config"].update(num_layers=2.0),
         lambda d: d["config"].update(hidden_dim=8.0),
+        # two classes: the readout bias holds 2 doubles
+        lambda d: d["readout_bias"].update(data=base64_doubles([0.0, math.nan])),
+        lambda d: d["readout_bias"].update(data=base64_doubles([math.inf, 0.0])),
+        # 16 bytes once the "*" outside the alphabet is dropped
+        lambda d: d["readout_bias"].update(data="AAAAAAAAAAA*AAAAAAAAAAA=="),
+        lambda d: d["readout_bias"].update(data=base64.b64encode(bytes(12)).decode()),
+        lambda d: d["readout_bias"].update(shape=[-1]),  # reshape alone would accept it
+        lambda d: d["readout_bias"].update(data=[0.0, 0.0]),
+        lambda d: d.update(version=1),
+        lambda d: d.update(version=3),
     ], ids=["layer_shape", "bias_length", "layer_count",
             "tau_text", "tau_null", "tau_bool", "tau_inf", "patch_h_alone",
             "patch_w_zero", "encoder_dim_float", "encoder_seed_text",
             "preprocess_not_object", "weight_null", "bias_overflow",
-            "bias_huge_int", "num_layers_float", "hidden_dim_float"])
+            "bias_huge_int", "num_layers_float", "hidden_dim_float",
+            "v2_nan_bytes", "v2_inf_bytes", "v2_not_base64", "v2_bytes_off_shape",
+            "v2_shape_wildcard", "v2_list", "v1_string", "version_3"])
     def test_edited_checkpoint(self, tmp_path, edit):
         dataset = synth(tmp_path)
         run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
@@ -455,6 +499,21 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 3
         assert (out / "point_patch_10" / "checkpoint.json").exists()
+
+    def test_diverging_point_is_an_error_row_without_warnings(self, tmp_path):
+        dataset = tmp_path / "ds"
+        assert main(["synth", "--out-dir", str(dataset)]) == 0
+        out = tmp_path / "dsweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                         "--param", "tau", "--grid", "0.3,0.5", "--hidden", "8",
+                         "--lr", "1e200", "--lr-min", "1e199"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [(row[0], row[-1]) for row in rows[1:]] == [
+            (tau, "error: non-finite parameters at epoch 0, batch 1")
+            for tau in ("0.3", "0.5")]
 
     def test_failed_point_recorded_and_run_continues(self, tmp_path):
         dataset = synth(tmp_path, "imgds", extra=["--with-images"])

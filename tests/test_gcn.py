@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 import re
+import struct
 import warnings
 from dataclasses import asdict
 
@@ -506,10 +508,24 @@ class TestTrain:
         # second step's forward overflows them, in epoch 0's second batch
         graphs = separable_graphs()
         config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
-        with np.errstate(all="ignore"), pytest.raises(NumericError,
-                                                      match=r"epoch 0, batch 1\b"):
+        with pytest.raises(NumericError, match=r"epoch 0, batch 1\b"):
             train(graphs, config, TrainConfig(epochs=2, batch_size=4,
                                               lr_init=1e200, lr_min=1e199))
+
+    def test_diverging_run_fails_without_warnings(self):
+        # the lr-1e200 run overflows in the forward pass and the decay: those
+        # steps are refused by the NumericError alone, not also by numpy
+        # warnings, and the caller's floating-point error state is kept
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match=r"epoch 0, batch 1\b"):
+                train(graphs, config, TrainConfig(epochs=2, batch_size=4,
+                                                  lr_init=1e200, lr_min=1e199))
+        assert [str(w.message) for w in caught] == []
+        assert np.geterr() == before
 
     def test_dim_mismatch_rejected(self):
         graphs = separable_graphs()
@@ -570,6 +586,26 @@ class TestPredict:
                     run(model, [quiet, loud])
 
 
+def extreme_model(hidden, with_preprocess):
+    """A random-shape model whose weights span exponents +-300 and hold -0.0,
+    +-5e-324 and +-1e308, with or without a ``preprocess`` block."""
+    rng = np.random.default_rng(hidden + 1000 * with_preprocess)
+    config = GcnConfig(in_dim=int(rng.integers(1, 6)),
+                       num_classes=int(rng.integers(1, 8)), hidden_dim=hidden,
+                       num_layers=int(rng.integers(1, 4)),
+                       activation=str(rng.choice(sorted(ACTIVATIONS))),
+                       dropout_rate=float(rng.choice([0.0, 0.2, 0.5])))
+    model = init_model(config, rng)
+    for p in model.params:
+        p += rng.normal(size=p.shape)
+        p *= 10.0 ** rng.integers(-300, 300, size=p.shape)
+        p.ravel()[rng.integers(0, p.size, size=3)] = rng.choice(
+            [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5], size=3)
+    preprocess = ({"tau": 0.3, "patch_h": 20, "patch_w": 20, "encoder_dim": 32,
+                   "encoder_seed": 7} if with_preprocess else None)
+    return model, preprocess
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = init_model(GcnConfig(in_dim=4, num_classes=3, hidden_dim=8), 1)
@@ -594,7 +630,7 @@ class TestCheckpoint:
     def test_optimizer_block_of_older_files_ignored(self, tmp_path):
         model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, preprocess={"tau": 0.5})
+        json_dump_checkpoint(path, model, preprocess={"tau": 0.5}, version=1)
         doc = json.loads(path.read_text())
         moments = [{"shape": list(p.shape), "data": np.full(p.size, 0.5).tolist()}
                    for p in model.params]
@@ -633,29 +669,91 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("hidden", [1, gcn._CHECKPOINT_CHUNK,
-                                        2 * gcn._CHECKPOINT_CHUNK, 257])
+    @pytest.mark.parametrize("hidden", [1, 256, 512, 257])
     @pytest.mark.parametrize("with_preprocess", [False, True],
                              ids=["no_preprocess", "preprocess"])
     def test_bytes_match_json_dump(self, tmp_path, hidden, with_preprocess):
-        rng = np.random.default_rng(hidden + 1000 * with_preprocess)
-        config = GcnConfig(in_dim=int(rng.integers(1, 6)),
-                           num_classes=int(rng.integers(1, 8)), hidden_dim=hidden,
-                           num_layers=int(rng.integers(1, 4)),
-                           activation=str(rng.choice(sorted(ACTIVATIONS))),
-                           dropout_rate=float(rng.choice([0.0, 0.2, 0.5])))
-        model = init_model(config, rng)
-        for p in model.params:
-            p += rng.normal(size=p.shape)
-            p *= 10.0 ** rng.integers(-300, 300, size=p.shape)
-            p.ravel()[rng.integers(0, p.size, size=3)] = rng.choice(
-                [-0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5], size=3)
-        preprocess = ({"tau": 0.3, "patch_h": 20, "patch_w": 20, "encoder_dim": 32,
-                       "encoder_seed": 7} if with_preprocess else None)
+        model, preprocess = extreme_model(hidden, with_preprocess)
         save_checkpoint(tmp_path / "written.json", model, preprocess=preprocess)
-        json_dump_checkpoint(tmp_path / "dumped.json", model, preprocess=preprocess)
+        json_dump_checkpoint(tmp_path / "dumped.json", model, preprocess=preprocess,
+                             version=2)
         assert ((tmp_path / "written.json").read_bytes()
                 == (tmp_path / "dumped.json").read_bytes())
+
+    @pytest.mark.parametrize("hidden", [1, 256, 512, 257])
+    @pytest.mark.parametrize("with_preprocess", [False, True],
+                             ids=["no_preprocess", "preprocess"])
+    def test_version_1_files_load_bit_for_bit(self, tmp_path, hidden, with_preprocess):
+        model, preprocess = extreme_model(hidden, with_preprocess)
+        path = tmp_path / "v1.json"
+        json_dump_checkpoint(path, model, preprocess=preprocess, version=1)
+        loaded, loaded_preprocess = load_checkpoint(path)
+        assert loaded.config == model.config and loaded_preprocess == preprocess
+        for a, b in zip(model.params, loaded.params):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_data_unpacks_to_the_weights_bit_for_bit(self, tmp_path):
+        model, _ = extreme_model(7, False)
+        save_checkpoint(tmp_path / "model.json", model)
+        doc = json.loads((tmp_path / "model.json").read_text())
+        entries = [*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]]
+        for entry, p in zip(entries, model.params):
+            assert entry["shape"] == list(p.shape)
+            raw = base64.b64decode(entry["data"], validate=True)
+            values = struct.unpack(f"<{p.size}d", raw)
+            assert np.array_equal(np.array(values).view(np.int64),
+                                  p.ravel().view(np.int64))
+
+    def test_transposed_parameter_round_trips_row_major(self, tmp_path):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=5), 1)
+        row_major = model.params[0]
+        transposed = np.ascontiguousarray(row_major.T).T  # same values, column-major
+        assert not transposed.flags.c_contiguous
+        save_checkpoint(tmp_path / "c.json", model)
+        model.params[0] = transposed
+        save_checkpoint(tmp_path / "f.json", model)
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "f.json").read_bytes()
+        loaded, _ = load_checkpoint(tmp_path / "f.json")
+        assert same_bits(loaded.params[0], row_major)
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_loaded_params_update_in_place(self, tmp_path, version):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        json_dump_checkpoint(tmp_path / "model.json", model, version=version)
+        loaded, _ = load_checkpoint(tmp_path / "model.json")
+        for p in loaded.params:
+            assert p.dtype == np.float64 and p.dtype.isnative
+            assert p.flags.writeable and p.flags.c_contiguous
+        grads = [np.random.default_rng(k).normal(size=p.shape)
+                 for k, p in enumerate(model.params)]
+        zeros = [np.zeros_like(p) for p in model.params]
+        want, _, _ = naive_adam_step(model.params, grads, zeros, zeros, 0, 0.01, 5e-4)
+        arrays = list(loaded.params)
+        adam_step(loaded, grads, init_adam(loaded.params), 0.01, 5e-4)
+        for array, p, expected in zip(arrays, loaded.params, want):
+            assert p is array and same_bits(p, expected)
+
+    def test_version_1_data_must_be_a_list(self, tmp_path):
+        # numpy would read the text "0.5" as the one bias value
+        model = init_model(GcnConfig(in_dim=3, num_classes=1, hidden_dim=4), 1)
+        path = tmp_path / "model.json"
+        json_dump_checkpoint(path, model, version=1)
+        doc = json.loads(path.read_text())
+        doc["readout_bias"]["data"] = "0.5"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="'readout_bias'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 3, True, 2.0, "2", None],
+                             ids=["zero", "three", "true", "float", "text", "null"])
+    def test_unsupported_version_rejected(self, tmp_path, version):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": version}))
+        with pytest.raises(CheckpointError, match="unsupported version"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("index, name, value", [
         (0, "layer_weights[0]", np.nan),
