@@ -7,13 +7,17 @@ random projection. Precomputed feature files can be used instead, see
 :mod:`facegraph.data`.
 
 A sample's patches are encoded together, bit-for-bit equal to a reference
-that takes ``np.mean`` of each cell and ``P @ grid`` per patch (the tests rely
-on it). Two ``np.add.reduceat`` passes sum every cell of the N x h x w stack
-in float64. Sums of whole numbers below 2**53 are exact in any order, so for
-integer pixels ``sum / count / 255.0`` equals ``mean() / 255.0`` (fractional
-pixels agree only to rounding). The projection is one gemv per contiguous
-grid: a batched ``pooled @ P.T`` GEMM differed on 129,528 of 156,672 entries
-of a 36-sample N=68 set, and a strided grid also rounds differently.
+that clamps every pixel index, takes ``np.mean`` of each cell and ``P @ grid``
+per patch (the tests rely on it). The image is edge-padded once, and all N
+windows are taken with one index into its ``sliding_window_view``. Each
+window is pooled by two products with 0/1 cell matrices, ``cells_h @ patch @
+cells_w.T``, in float64; the counts are the matrices' row sums. Sums of whole
+numbers below 2**53 are exact in any order, so for integer pixels
+``sum / count / 255.0`` equals ``mean() / 255.0`` (fractional pixels agree
+only to rounding). The projection is one gemv per contiguous grid, which
+``np.matmul`` issues for a stack of column vectors: a batched ``pooled @ P.T``
+GEMM differed on 129,528 of 156,672 entries of a 36-sample N=68 set, and a
+strided grid also rounds differently.
 
 Also provides binary PGM (P5, 8-bit) image reading and writing.
 """
@@ -108,23 +112,36 @@ def write_pgm(path, image: np.ndarray) -> None:
         handle.write(pixels.tobytes())
 
 
-def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Cut one h x w window per (x, y) center into an N x h x w stack."""
+def _pixels(image) -> np.ndarray:
+    """Check that an image or patch is a non-empty 2-D grid of finite pixels."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise InvalidInputError("image must be a 2-D intensity grid")
+    if img.size == 0:
+        raise InvalidInputError(f"image must have pixels, got shape {img.shape}")
+    if img.dtype.kind in "fc" and not np.isfinite(img).all():
+        raise InvalidInputError("image pixels must be finite")
+    return img
+
+
+def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Cut one h x w window per (x, y) center into an N x h x w stack."""
+    img = _pixels(image)
     if h < 1 or w < 1:
         raise InvalidInputError(f"patch size must be positive, got {h}x{w}")
     if not np.all(np.isfinite(centers)):
         raise InvalidInputError("patch center must be finite")
     height, width = img.shape
-    # Every center a patch or more beyond a border cuts the same edge window,
-    # so clamping there first keeps huge coordinates from overflowing int64.
-    cx = np.rint(np.clip(centers[:, 0], -w, width + w)).astype(np.int64)
-    cy = np.rint(np.clip(centers[:, 1], -h, height + h)).astype(np.int64)
-    rows = np.clip(cy[:, None] - h // 2 + np.arange(h), 0, height - 1)
-    cols = np.clip(cx[:, None] - w // 2 + np.arange(w), 0, width - 1)
-    return img[rows[:, :, None], cols[:, None, :]]
+    # A window that starts a whole patch or more beyond a border reads only
+    # that border's pixels, so clipping the centers to where the window starts
+    # at most one patch out changes no window and keeps huge coordinates from
+    # overflowing int64. Edge padding by one patch then reads what clamping
+    # each pixel index to the image would.
+    cx = np.rint(np.clip(centers[:, 0], w // 2 - w, width + w // 2)).astype(np.int64)
+    cy = np.rint(np.clip(centers[:, 1], h // 2 - h, height + h // 2)).astype(np.int64)
+    padded = np.pad(img, ((h, h), (w, w)), mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w))
+    return windows[cy - h // 2 + h, cx - w // 2 + w]
 
 
 def extract_patch(image: np.ndarray, center, h: int, w: int) -> np.ndarray:
@@ -147,28 +164,33 @@ def _projection_matrix(seed: int, out_dim: int) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=None)
+def _pool_cells(size: int) -> np.ndarray:
+    """8 x size 0/1 matrix: row i marks cell i's pixels, [r0, max(r0 + 1, r1))."""
+    starts = np.arange(POOL_GRID) * size // POOL_GRID
+    stops = np.maximum(starts + 1, np.arange(1, POOL_GRID + 1) * size // POOL_GRID)
+    index = np.arange(size)
+    cells = ((index >= starts[:, None]) & (index < stops[:, None])).astype(np.float64)
+    cells.setflags(write=False)
+    return cells
+
+
 def _encode(patches: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Pool each patch of an N x h x w stack to the 8x8 grid and project it."""
     n, h, w = patches.shape
-    # reduceat sums [start, next start), or the one pixel at start when the next
-    # start is no greater: the cells [r0, max(r0 + 1, r1)) of the reference.
-    rows, cols = (np.arange(POOL_GRID) * size // POOL_GRID for size in (h, w))
-    sums = np.add.reduceat(np.add.reduceat(patches, rows, axis=1, dtype=np.float64),
-                           cols, axis=2)
-    counts = np.outer(np.add.reduceat(np.ones(h, dtype=np.int64), rows),
-                      np.add.reduceat(np.ones(w, dtype=np.int64), cols))
+    cells_h, cells_w = _pool_cells(h), _pool_cells(w)
+    sums = cells_h @ patches.astype(np.float64) @ cells_w.T
+    counts = np.outer(cells_h.sum(axis=1), cells_w.sum(axis=1))
     # C order, so each grid below is a contiguous vector
     grids = (sums / counts / 255.0).reshape(n, POOL_GRID * POOL_GRID)
     matrix = _projection_matrix(config.projection_seed, config.out_dim)
-    out = np.empty((n, config.out_dim))
-    for k in range(n):
-        out[k] = matrix @ grids[k]
-    return out
+    # a stack of column vectors: matmul calls one gemv per grid
+    return np.matmul(matrix, grids[:, :, None])[:, :, 0]
 
 
 def encode_patch_toy(patch: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Deterministic patch embedding: pool to 8x8, flatten, project to out_dim."""
-    return _encode(np.asarray(patch)[None], config)[0]
+    return _encode(_pixels(patch)[None], config)[0]
 
 
 def features_for_sample(image: np.ndarray, landmarks: np.ndarray, h: int, w: int,

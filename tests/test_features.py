@@ -11,6 +11,8 @@ from facegraph import (
     read_pgm,
     write_pgm,
 )
+from facegraph.cli import PATCH_GRID
+from facegraph.features import _pool_cells, _projection_matrix
 
 from oracles import naive_encode, naive_features, naive_patch
 
@@ -146,6 +148,25 @@ class TestFeaturesForSample:
                                     5, 5, EncoderConfig(out_dim=16))
         assert feats.shape == (2, 16)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_image_without_pixels_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="pixels"):
+            features_for_sample(np.zeros(shape, np.uint8), np.array([[1.0, 2.0]]),
+                                3, 3, EncoderConfig())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_pixel_rejected(self, value):
+        image = np.full((20, 20), 10.0)
+        image[13, 4] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            features_for_sample(image, np.array([[1.0, 2.0]]), 3, 3, EncoderConfig())
+
+    @pytest.mark.parametrize("patch", [np.zeros((0, 4)), np.full((4, 4), np.nan)],
+                             ids=["empty", "nan"])
+    def test_bad_patch_rejected(self, patch):
+        with pytest.raises(InvalidInputError):
+            encode_patch_toy(patch, EncoderConfig())
+
     def test_landmark_order_equivariance(self):
         rng = np.random.default_rng(5)
         image = rng.integers(0, 256, size=(50, 50), dtype=np.uint8)
@@ -186,3 +207,59 @@ class TestFeatureOracle:
         expected = bits(naive_encode(patch, out_dim, 11))
         for pixels in (patch, patch.astype(float)):
             assert np.array_equal(bits(encode_patch_toy(pixels, config)), expected)
+
+    @pytest.mark.parametrize("kind", ["transposed", "int16_negative", "uint16_full"])
+    def test_pixel_layouts_and_types(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "transposed":
+            image = rng.integers(0, 256, size=(52, 41), dtype=np.uint8).T
+            assert not image.flags.c_contiguous
+        elif kind == "int16_negative":
+            image = rng.integers(-32768, 32768, size=(41, 52), dtype=np.int16)
+        else:
+            image = rng.integers(60000, 65536, size=(41, 52), dtype=np.uint16)
+            image[0, 0] = 65535
+        landmarks = np.vstack([[(0.0, 0.0), (51.0, 40.0), (-9.0, 45.0)],
+                               rng.uniform(-5.0, 57.0, size=(12, 2))])
+        for h, w in [(5, 7), (30, 30), (64, 64)]:
+            feats = features_for_sample(image, landmarks, h, w, EncoderConfig())
+            expected = naive_features(image, landmarks, h, w, 64, 1000)
+            assert np.array_equal(bits(feats), bits(expected))
+
+    @pytest.mark.parametrize("size", sorted({30} | {int(size) for size in PATCH_GRID}))
+    def test_eval_images_shape(self, size):
+        """A 224x224 face image with 68 landmarks, at every patch sweep size."""
+        rng = np.random.default_rng(size)
+        image = rng.integers(0, 256, size=(224, 224), dtype=np.uint8)
+        landmarks = np.vstack([[(0.0, 0.0), (223.0, 223.0), (-4.5, 100.0)],
+                               rng.uniform(20.0, 204.0, size=(65, 2))])
+        feats = features_for_sample(image, landmarks, size, size, EncoderConfig())
+        expected = naive_features(image, landmarks, size, size, 64, 1000)
+        assert np.array_equal(bits(feats), bits(expected))
+
+    @pytest.mark.parametrize("h, w", PATCH_SIZES)
+    def test_fractional_pixels_agree_to_rounding(self, h, w):
+        # Only whole-number pixel sums are exact in any summation order. A cell
+        # mean's rounding reaches each output through terms as large as the
+        # largest outputs, so an output that cancels to near zero keeps an
+        # absolute error on that scale.
+        rng = np.random.default_rng(100 * h + w + 2)
+        image = rng.uniform(0.0, 255.0, size=(41, 52))
+        landmarks = rng.uniform(-10.0, 62.0, size=(12, 2))
+        feats = features_for_sample(image, landmarks, h, w, EncoderConfig())
+        expected = naive_features(image, landmarks, h, w, 64, 1000)
+        np.testing.assert_allclose(feats, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
+
+
+class TestReadOnlyCaches:
+    """Every per-size cache hands out one shared array that nobody may edit."""
+
+    @pytest.mark.parametrize("cached", [lambda: _projection_matrix(5, 16),
+                                        lambda: _pool_cells(30), lambda: _pool_cells(3)],
+                             ids=["projection", "pool_cells", "pool_cells_small"])
+    def test_write_raises(self, cached):
+        array = cached()
+        assert array is cached()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] += 1.0

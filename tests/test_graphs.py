@@ -14,6 +14,7 @@ from facegraph import (
     threshold_stats,
 )
 from facegraph.cli import TAU_GRID as CLI_TAU_GRID
+from facegraph.graphs import _off_diagonal, _upper_triangle
 
 from oracles import naive_graph
 
@@ -148,6 +149,19 @@ class TestRawAdjacency:
                            [1.0, -1e300]])
         normalized, raw, _, _ = naive_graph(points, features, 0.5)
         assert np.array_equal(raw_adjacency(normalized, points), raw)
+
+
+class TestReadOnlyCaches:
+    """Every per-size cache hands out shared arrays that nobody may edit."""
+
+    @pytest.mark.parametrize("n", [2, 68])
+    def test_write_raises(self, n):
+        rows, cols = _upper_triangle(n)
+        mask = _off_diagonal(n)
+        assert _upper_triangle(n)[0] is rows and _off_diagonal(n) is mask
+        for array in (rows, cols, mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestThresholdStats:
