@@ -48,7 +48,7 @@ from .gcn import (
     save_checkpoint,
     train,
 )
-from .graphs import edge_count
+from .graphs import edge_count, rethreshold
 from .metrics import format_report, report_row
 
 TAU_GRID = ["0.20", "0.25", "0.30", "0.35", "0.40", "0.45", "0.50", "0.70", "0.90"]
@@ -240,15 +240,23 @@ def cmd_synth(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _load_graphs(config: dict):
+def _load(config: dict):
     _require(config, "dataset")
     dataset = load_dataset(config["dataset"])
     if not dataset.samples:
         raise DatasetError(f"{config['dataset']}: no samples in the dataset")
+    return dataset
+
+
+def _graphs(config: dict, dataset):
     patch = _parse_patch(config["patch"])
-    pairs = dataset_graphs(dataset, config["tau"], patch_size=patch,
-                           encoder=_build(EncoderConfig, config))
-    return dataset, pairs
+    return dataset_graphs(dataset, config["tau"], patch_size=patch,
+                          encoder=_build(EncoderConfig, config))
+
+
+def _load_graphs(config: dict):
+    dataset = _load(config)
+    return dataset, _graphs(config, dataset)
 
 
 def _merge_preprocess(config: dict, preprocess) -> dict:
@@ -298,8 +306,13 @@ def cmd_build_graph(config: dict, out_dir: Path) -> int:
     graph_dir.mkdir(exist_ok=True)
     for sid, graph in pairs:
         write_graph_json(graph, graph_dir / f"{sid}.json")
-    write_csv(out_dir / "summary.csv", ["sample_id", "nodes", "edges"],
-              ([sid, graph.num_nodes, edge_count(graph.adjacency)] for sid, graph in pairs))
+    write_csv(out_dir / "summary.csv",
+              ["sample_id", "nodes", "edges", "threshold_mean", "threshold_std",
+               "threshold", "isolated_nodes"],
+              ([sid, graph.num_nodes, edge_count(graph.adjacency), graph.stats.mean,
+                graph.stats.std, graph.stats.threshold,
+                int(np.count_nonzero(graph.adjacency.sum(axis=1) == 0))]
+               for sid, graph in pairs))
     print(f"wrote {len(pairs)} graphs to {graph_dir}")
     return 0
 
@@ -316,9 +329,8 @@ def _report_json(report, path) -> None:
     })
 
 
-def _train_and_eval(config: dict, out_dir: Path):
+def _train_and_eval(config: dict, out_dir: Path, dataset, pairs):
     """Shared train pipeline; returns (report, mean_edges, class_names)."""
-    dataset, pairs = _load_graphs(config)
     graphs = [g for _, g in pairs]
     train_idx, test_idx = split_indices(dataset, config["test_fraction"],
                                         config["seed"], config["split"])
@@ -342,7 +354,7 @@ def _train_and_eval(config: dict, out_dir: Path):
 
 
 def cmd_train(config: dict, out_dir: Path) -> int:
-    report, _, class_names = _train_and_eval(config, out_dir)
+    report, _, class_names = _train_and_eval(config, out_dir, *_load_graphs(config))
     print(format_report(report, class_names))
     return 0
 
@@ -379,13 +391,28 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
 
     columns = [param, "Acc", "F1-Score", "WAR", "UAR", "loss", "mean_edges", "status"]
     rows = []
+    # Shared by the points. A failure leaves them unset, and the next point retries.
+    dataset = pairs = None
     for token in tokens:
         point_config = None
         try:
             point_config = _point_config(config, param, token)
             point_dir = out_dir / f"point_{param}_{token}"
             point_dir.mkdir(parents=True, exist_ok=True)
-            report, mean_edges, _ = _train_and_eval(point_config, point_dir)
+            if dataset is None:
+                dataset = _load(point_config)
+            if param == "tau" and pairs is not None:
+                # in place, so that one point's adjacencies are alive at a time
+                for i, (sid, graph) in enumerate(pairs):
+                    pairs[i] = (sid, rethreshold(graph, point_config["tau"]))
+            else:
+                pairs = None  # the last patch size's graphs go first
+                pairs = _graphs(point_config, dataset)
+                if param == "tau":  # later points need only the labels and ids
+                    for sample in dataset.samples:
+                        sample.features = sample.image = None
+            report, mean_edges, _ = _train_and_eval(point_config, point_dir,
+                                                    dataset, pairs)
             rows.append({param: token, **report_row(report),
                          "mean_edges": repr(mean_edges), "status": "ok"})
         except Exception as exc:  # failures are table rows, not aborts,

@@ -34,6 +34,7 @@ pairwise, so the statistics do not use them.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import sys
@@ -54,6 +55,7 @@ __all__ = [
     "edge_count",
     "l2_normalize_rows",
     "raw_adjacency",
+    "rethreshold",
     "threshold_from_weights",
     "threshold_stats",
 ]
@@ -71,12 +73,20 @@ class ThresholdStats:
 
 @dataclass
 class GraphSample:
-    """One sample's landmarks, row-normalized features, binary adjacency and label."""
+    """One sample's landmarks, row-normalized features, binary adjacency and label.
+
+    ``build_graph`` also keeps what does not depend on ``tau``: the raw pair
+    weights and their threshold statistics, from which :func:`rethreshold`
+    gives the graph at another ``tau``.
+    """
 
     landmarks: np.ndarray  # N x 2 float64 pixel coordinates
     features: np.ndarray   # N x d float64, rows unit norm (or all-zero)
     adjacency: np.ndarray  # N x N int64 over {0, 1}, symmetric, zero diagonal
     label: int
+    # read-only raw weights of the strict upper triangle, row-major (N(N-1)/2)
+    weights: np.ndarray | None = None
+    stats: ThresholdStats | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -153,7 +163,12 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
     decay = np.fromiter(map(math.exp, np.where(far, 0.0, distances).tolist()),
                         float, len(distances))
     decay[far] = math.inf
-    weights = np.clip(dots, 0.0, 1.0) / decay
+    return _symmetric(np.clip(dots, 0.0, 1.0) / decay, n)
+
+
+def _symmetric(weights: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix with ``weights`` on both triangles and a zero diagonal."""
+    upper = _upper_triangle(n)
     out = np.zeros((n, n))
     out[upper] = weights
     out[upper[::-1]] = weights
@@ -175,13 +190,19 @@ def threshold_from_weights(weights, tau: float) -> ThresholdStats:
         raise InvalidInputError("cannot compute threshold statistics of no weights")
     first = float(values[0])
     if np.all(values == first):
-        return ThresholdStats(tau=float(tau), mean=first, std=0.0, threshold=first)
+        return _at_tau(first, 0.0, tau, equal=True)
     mean = float(np.cumsum(values)[-1]) / count
     deviations = values - mean
     squares = float(np.cumsum(deviations * deviations)[-1])
-    std = math.sqrt(squares / count)
-    return ThresholdStats(tau=float(tau), mean=mean, std=std,
-                          threshold=float(mean + tau * std))
+    return _at_tau(mean, math.sqrt(squares / count), tau, equal=False)
+
+
+def _at_tau(mean: float, std: float, tau: float, equal: bool) -> ThresholdStats:
+    """The statistics with their threshold at ``tau``. Identical weights
+    (``equal``) have their common value as the threshold whatever ``tau`` is,
+    which keeps such a graph edgeless even where ``tau * 0.0`` is NaN."""
+    threshold = mean if equal else float(mean + tau * std)
+    return ThresholdStats(tau=float(tau), mean=mean, std=std, threshold=threshold)
 
 
 def threshold_stats(raw: np.ndarray, tau: float) -> ThresholdStats:
@@ -225,10 +246,30 @@ def build_graph(landmarks: np.ndarray, features: np.ndarray, tau: float,
         raise InvalidInputError(f"label must be a nonnegative class index, got {label}")
     normalized = l2_normalize_rows(features)
     raw = raw_adjacency(normalized, pts)
+    weights = raw[_upper_triangle(pts.shape[0])]
+    weights.setflags(write=False)
     stats = threshold_stats(raw, tau)
-    adjacency = binarize(raw, stats.threshold)
-    return GraphSample(landmarks=pts, features=normalized, adjacency=adjacency,
-                       label=int(label))
+    return GraphSample(landmarks=pts, features=normalized,
+                       adjacency=binarize(raw, stats.threshold), label=int(label),
+                       weights=weights, stats=stats)
+
+
+def rethreshold(graph: GraphSample, tau: float) -> GraphSample:
+    """``graph`` at another ``tau``, equal field for field to ``build_graph``
+    at that ``tau``.
+
+    Only the threshold and the adjacency are computed again: the mean and
+    standard deviation do not depend on ``tau``, and the result shares
+    ``landmarks``, ``features`` and ``weights`` with ``graph``.
+    """
+    weights, stats = graph.weights, graph.stats
+    if weights is None or stats is None:
+        raise InvalidInputError("graph keeps no raw weights to re-threshold")
+    # the off-diagonal entries are all equal exactly when the triangle's are
+    stats = _at_tau(stats.mean, stats.std, tau, bool(np.all(weights == weights[0])))
+    raw = _symmetric(weights, graph.num_nodes)
+    return dataclasses.replace(graph, adjacency=binarize(raw, stats.threshold),
+                               stats=stats)
 
 
 def edge_count(adjacency: np.ndarray) -> int:

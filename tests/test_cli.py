@@ -419,6 +419,28 @@ class TestBuildGraphAndExports:
         assert len(summary) == 13  # header + 12 samples
         assert (out / "graphs" / "s000_c0.json").exists()
 
+    def test_summary_reports_threshold_and_isolated_nodes(self, tmp_path):
+        dataset = synth(tmp_path, extra=["--landmarks", "30"])
+        out = tmp_path / "graphs"
+        assert main(["build-graph", "--out-dir", str(out),
+                     "--dataset", str(dataset), "--tau", "0.3"]) == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        samples = facegraph.load_dataset(dataset).samples
+        assert [row["sample_id"] for row in rows] == [s.sample_id for s in samples]
+        isolated = []
+        for row, sample in zip(rows, samples):
+            raw = facegraph.raw_adjacency(facegraph.l2_normalize_rows(sample.features),
+                                          sample.landmarks)
+            stats = facegraph.threshold_stats(raw, 0.3)
+            adjacency = facegraph.binarize(raw, stats.threshold)
+            assert [row[k] for k in ("threshold_mean", "threshold_std", "threshold")] \
+                == [repr(stats.mean), repr(stats.std), repr(stats.threshold)]
+            assert int(row["edges"]) == adjacency.sum() // 2
+            isolated.append(int(row["isolated_nodes"]))
+            assert isolated[-1] == sum(not r.any() for r in adjacency)
+        assert 0 < min(isolated) < max(isolated) < 30
+
     def test_escaping_sample_id_is_data_error(self, tmp_path):
         dataset = synth(tmp_path)
         doc = json.loads((dataset / "manifest.json").read_text())
@@ -557,6 +579,62 @@ class TestSweep:
         assert all(row[-1].startswith("error: ") for row in rows[1:3])
         assert rows[3][-1] == "ok"
         assert not (out / "point_tau_nan").exists()
+
+    def test_tau_points_match_separate_trains(self, tmp_path, monkeypatch):
+        # one load and one graph build per sample serve every point
+        dataset = synth(tmp_path, extra=["--landmarks", "30"])
+        flags = ["--dataset", str(dataset), "--epochs", "2", "--batch-size", "4",
+                 "--hidden", "8", "--seed", "7"]
+        calls = {"load": 0, "build": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_dataset", counted("load", cli.load_dataset))
+        monkeypatch.setattr(facegraph.data, "build_graph",
+                            counted("build", facegraph.data.build_graph))
+        grid = ["0.3", "0.5", "0.7"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out-dir", str(out), "--param", "tau",
+                     "--grid", ",".join(grid), *flags]) == 0
+        assert calls == {"load": 1, "build": 12}
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            _, *rows = csv.reader(handle)
+        assert len({row[6] for row in rows}) == 3  # the points' graphs differ
+        for tau in grid:
+            single = tmp_path / f"train_{tau}"
+            assert main(["train", "--out-dir", str(single), "--tau", tau, *flags]) == 0
+            for name in ("checkpoint.json", "history.csv", "metrics.json"):
+                assert ((out / f"point_tau_{tau}" / name).read_bytes()
+                        == (single / name).read_bytes()), (tau, name)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda blob: blob.write_bytes(blob.read_bytes()[:40]), "truncated"),
+        (lambda blob: facegraph.write_feature_blob(blob, np.full((6, 8), np.nan)),
+         "non-finite"),
+    ], ids=["truncated_blob", "nan_features"])
+    def test_shared_data_error_is_one_row_per_point(self, tmp_path, corrupt, message):
+        # loading fails for the first case, building the graphs for the second;
+        # either way each point retries and records the same error
+        dataset = synth(tmp_path)
+        corrupt(dataset / "features" / "s002_c1.fgf")
+        out = tmp_path / "dsweep"
+        grid = ["0.3", "0.5", "0.7"]
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "tau", "--grid", ",".join(grid), "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            _, *rows = csv.reader(handle)
+        assert [row[0] for row in rows] == grid
+        assert len({tuple(row[1:]) for row in rows}) == 1
+        assert rows[0][-1].startswith("error: ") and message in rows[0][-1]
+        points = [f"point_tau_{t}" for t in grid]
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", *points,
+                                                          "sweep.csv"]
+        assert not any(p for t in points for p in (out / t).iterdir())
 
     def test_missing_dataset_is_usage_error(self, tmp_path):
         out = tmp_path / "nosweep"
@@ -702,12 +780,15 @@ class TestUsage:
         ("train", ["--test-fraction", "2"], None),
         ("train", ["--encoder-dim", "0"], None),
         ("sweep", ["--param", "tau", "--grid", "0.5", "--hidden", "0"], None),
+        ("sweep", ["--param", "tau", "--grid", "0.3,0.5", "--hidden", "0"], None),
+        ("sweep", ["--param", "tau", "--grid", "0.3,0.5", "--encoder-dim", "0"], None),
         ("train", [], {"split": "bogus"}),
         ("sweep", ["--grid", "0.5"], {"param": "bogus"}),
     ], ids=["tau_nan", "lr_nan", "weight_decay_inf", "test_fraction_nan_config",
             "lr_huge_int_config", "synth_noise_inf", "hidden_zero",
             "batch_size_zero", "dropout_one", "lr_min_above_lr",
             "test_fraction_two", "encoder_dim_zero", "sweep_hidden_zero",
+            "sweep_grid_hidden_zero", "sweep_grid_encoder_dim_zero",
             "split_config_choice", "param_config_choice"])
     def test_bad_setting_is_usage_error(self, tmp_path, command, flags, config):
         assert main(usage_args(tmp_path, command, flags, config)) == 1

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from facegraph import (
+    GraphSample,
     InvalidInputError,
     binarize,
     build_graph,
     edge_count,
     l2_normalize_rows,
     raw_adjacency,
+    rethreshold,
     threshold_from_weights,
     threshold_stats,
 )
@@ -319,3 +322,75 @@ class TestBruteForceEquivalence:
         features = np.tile(np.array([1.0, 0.0]), (3, 1))
         graph = build_graph(points, features, 0.0, 0)
         assert graph.adjacency.sum() == 0
+
+
+def float_bits(*values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def assert_same_graph(actual, expected):
+    """Every field equal, floats compared as bit patterns."""
+    for name in ("landmarks", "features", "weights"):
+        assert np.array_equal(getattr(actual, name).view(np.int64),
+                              getattr(expected, name).view(np.int64)), name
+    assert actual.adjacency.dtype == expected.adjacency.dtype == np.int64
+    assert np.array_equal(actual.adjacency, expected.adjacency)
+    assert actual.label == expected.label
+    a, e = actual.stats, expected.stats
+    assert np.array_equal(float_bits(a.tau, a.mean, a.std, a.threshold),
+                          float_bits(e.tau, e.mean, e.std, e.threshold))
+
+
+class TestRethreshold:
+    TAUS = [-1.0, 0.0, 0.3, 0.7, 1e6, math.inf]
+
+    @pytest.mark.parametrize("kind", ["random", "zero_row", "all_zero"])
+    @pytest.mark.parametrize("n", [2, 12, 68])
+    def test_matches_build_graph_and_oracle(self, n, kind):
+        rng = np.random.default_rng(n)
+        points, features = random_instance(rng, n=n, d=16)
+        if kind == "zero_row":
+            features[n // 2] = 0.0
+        elif kind == "all_zero":  # every weight 0.0: the all-equal case
+            features[:] = 0.0
+        upper = np.triu_indices(n, k=1)
+        bases = [build_graph(points, features, t0, 3) for t0 in self.TAUS]
+        for t1 in self.TAUS:
+            direct = build_graph(points, features, t1, 3)
+            normalized, raw, (mean, std, threshold), adjacency = naive_graph(
+                points, features, t1)
+            assert np.array_equal(direct.weights.view(np.int64),
+                                  raw[upper].view(np.int64))
+            assert np.array_equal(direct.features.view(np.int64),
+                                  normalized.view(np.int64))
+            assert np.array_equal(direct.adjacency, adjacency)
+            assert np.array_equal(float_bits(direct.stats.mean, direct.stats.std),
+                                  float_bits(mean, std))
+            if not math.isnan(threshold):
+                assert float_bits(direct.stats.threshold) == float_bits(threshold)
+            else:  # the oracle's mean + inf * 0.0; the package keeps the mean
+                assert direct.stats.std == 0.0 and direct.stats.threshold == mean
+            if kind == "all_zero" or n == 2:
+                assert direct.stats.std == 0.0
+                assert direct.adjacency.sum() == 0
+            for base in bases:
+                graph = rethreshold(base, t1)
+                assert_same_graph(graph, direct)
+                assert graph.features is base.features
+                assert graph.weights is base.weights
+                assert graph.landmarks is base.landmarks
+
+    def test_weights_are_read_only(self):
+        points, features = random_instance(np.random.default_rng(3), n=5, d=4)
+        graph = build_graph(points, features, 0.5, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            graph.weights[0] = 1.0
+
+    def test_graph_without_weights_rejected(self):
+        points, features = random_instance(np.random.default_rng(5), n=5, d=4)
+        graph = build_graph(points, features, 0.5, 0)
+        bare = GraphSample(graph.landmarks, graph.features, graph.adjacency, 0)
+        for missing in (bare, dataclasses.replace(graph, weights=None),
+                        dataclasses.replace(graph, stats=None)):
+            with pytest.raises(InvalidInputError, match="raw weights"):
+                rethreshold(missing, 0.3)
