@@ -5,8 +5,9 @@ seed. Larger tau admits fewer edges, so the edge-count column is guaranteed
 nonincreasing down the grid. On this small feature-dominated synthetic set
 the accuracy stays flat while the graphs thin out; on harder data the
 threshold choice is where the interesting trade-offs appear. The graphs are
-built once; each point only re-thresholds their stored raw weights, which
-gives the same graphs as building them at that tau. The CLI equivalent is:
+built once, in sample order, so the split's indices pick them at every point;
+each point only re-thresholds their stored raw weights, which gives the same
+graphs as building them at that tau. The CLI equivalent is:
 
     facegraph sweep --param tau --dataset <dir> --out-dir <dir> ...
 """
@@ -32,7 +33,7 @@ spec = SyntheticSpec(num_classes=3, samples_per_class=12, landmark_count=8,
                      feature_dim=12, feature_noise_scale=0.4)
 dataset = generate_synthetic(spec)
 train_idx, test_idx = split_indices(dataset, 0.25, seed=1000)
-built = [g for _, g in dataset_graphs(dataset, TAU_GRID[0])]
+built = dataset_graphs(dataset, TAU_GRID[0])
 
 print(f"{'tau':>5} {'Acc':>7} {'F1-Score':>9} {'WAR':>7} {'UAR':>7} "
       f"{'loss':>8} {'edges':>6}")

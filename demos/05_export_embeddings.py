@@ -1,7 +1,8 @@
 """Export learned graph embeddings for external projection plots.
 
 The CSV holds one row per sample: id, true label, predicted label, then the
-mean-pooled readout vector. Feed the dim_* columns to any projection tool
+mean-pooled readout vector. ``export_embeddings`` takes the ids from the
+dataset, whose samples line up with the graphs ``dataset_graphs`` returns. Feed the dim_* columns to any projection tool
 (t-SNE, UMAP, PCA) to visualize how the classes separate.
 """
 
@@ -22,13 +23,13 @@ from facegraph import (
 spec = SyntheticSpec(num_classes=4, samples_per_class=15, landmark_count=8,
                      feature_dim=12)
 dataset = generate_synthetic(spec)
-pairs = dataset_graphs(dataset, tau=0.3)
+graphs = dataset_graphs(dataset, tau=0.3)
 
-model, _ = train([g for _, g in pairs],
+model, _ = train(graphs,
                  GcnConfig(in_dim=spec.feature_dim, num_classes=4, hidden_dim=64),
                  TrainConfig(epochs=25, batch_size=8))
 
-export_embeddings(model, pairs, "demo_embeddings.csv")
+export_embeddings(model, dataset, graphs, "demo_embeddings.csv")
 
 with open("demo_embeddings.csv", newline="") as handle:
     rows = list(csv.DictReader(handle))

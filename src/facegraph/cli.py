@@ -293,45 +293,37 @@ def _checkpoint_graphs(config: dict, out_dir: Path):
     model, preprocess = load_checkpoint(config["checkpoint"])
     config = _merge_preprocess(config, preprocess)
     _echo_config(config, out_dir)
-    dataset, pairs = _load_graphs(config)
+    dataset, graphs = _load_graphs(config)
     if dataset.num_classes != model.config.num_classes:
         raise DatasetError(f"{config['checkpoint']}: {model.config.num_classes} "
                            f"classes, the dataset {dataset.num_classes}")
-    return model, dataset, pairs
+    return model, dataset, graphs
 
 
 def cmd_build_graph(config: dict, out_dir: Path) -> int:
-    dataset, pairs = _load_graphs(config)
+    dataset, graphs = _load_graphs(config)
     graph_dir = out_dir / "graphs"
     graph_dir.mkdir(exist_ok=True)
-    for sid, graph in pairs:
-        write_graph_json(graph, graph_dir / f"{sid}.json")
+    for sample, graph in zip(dataset.samples, graphs):
+        write_graph_json(graph, graph_dir / f"{sample.sample_id}.json")
     write_csv(out_dir / "summary.csv",
               ["sample_id", "nodes", "edges", "threshold_mean", "threshold_std",
                "threshold", "isolated_nodes"],
-              ([sid, graph.num_nodes, edge_count(graph.adjacency), graph.stats.mean,
-                graph.stats.std, graph.stats.threshold,
+              ([sample.sample_id, graph.num_nodes, edge_count(graph.adjacency),
+                graph.stats.mean, graph.stats.std, graph.stats.threshold,
                 int(np.count_nonzero(graph.adjacency.sum(axis=1) == 0))]
-               for sid, graph in pairs))
-    print(f"wrote {len(pairs)} graphs to {graph_dir}")
+               for sample, graph in zip(dataset.samples, graphs)))
+    print(f"wrote {len(graphs)} graphs to {graph_dir}")
     return 0
 
 
 def _report_json(report, path) -> None:
-    write_json(path, {
-        "loss": report.loss,
-        "accuracy": report.accuracy,
-        "macro_f1": report.macro_f1,
-        "war": report.war,
-        "uar": report.uar,
-        "per_class_recall": [float(r) for r in report.per_class_recall],
-        "confusion": report.confusion.tolist(),
-    })
+    write_json(path, {name: value.tolist() if isinstance(value, np.ndarray) else value
+                      for name, value in dataclasses.asdict(report).items()})
 
 
-def _train_and_eval(config: dict, out_dir: Path, dataset, pairs):
-    """Shared train pipeline; returns (report, mean_edges, class_names)."""
-    graphs = [g for _, g in pairs]
+def _train_and_eval(config: dict, out_dir: Path, dataset, graphs):
+    """Shared train pipeline; returns the test set's report."""
     train_idx, test_idx = split_indices(dataset, config["test_fraction"],
                                         config["seed"], config["split"])
     train_set = [graphs[i] for i in train_idx]
@@ -349,19 +341,19 @@ def _train_and_eval(config: dict, out_dir: Path, dataset, pairs):
     write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))
     report = evaluate(model, test_set)
     _report_json(report, out_dir / "metrics.json")
-    mean_edges = float(np.mean([edge_count(g.adjacency) for g in graphs]))
-    return report, mean_edges, dataset.class_names
+    return report
 
 
 def cmd_train(config: dict, out_dir: Path) -> int:
-    report, _, class_names = _train_and_eval(config, out_dir, *_load_graphs(config))
-    print(format_report(report, class_names))
+    dataset, graphs = _load_graphs(config)
+    report = _train_and_eval(config, out_dir, dataset, graphs)
+    print(format_report(report, dataset.class_names))
     return 0
 
 
 def cmd_eval(config: dict, out_dir: Path) -> int:
-    model, dataset, pairs = _checkpoint_graphs(config, out_dir)
-    report = evaluate(model, [g for _, g in pairs])
+    model, dataset, graphs = _checkpoint_graphs(config, out_dir)
+    report = evaluate(model, graphs)
     _report_json(report, out_dir / "metrics.json")
     print(format_report(report, dataset.class_names))
     return 0
@@ -392,7 +384,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
     columns = [param, "Acc", "F1-Score", "WAR", "UAR", "loss", "mean_edges", "status"]
     rows = []
     # Shared by the points. A failure leaves them unset, and the next point retries.
-    dataset = pairs = None
+    dataset = graphs = None
     for token in tokens:
         point_config = None
         try:
@@ -401,18 +393,18 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
             point_dir.mkdir(parents=True, exist_ok=True)
             if dataset is None:
                 dataset = _load(point_config)
-            if param == "tau" and pairs is not None:
+            if param == "tau" and graphs is not None:
                 # in place, so that one point's adjacencies are alive at a time
-                for i, (sid, graph) in enumerate(pairs):
-                    pairs[i] = (sid, rethreshold(graph, point_config["tau"]))
+                for i, graph in enumerate(graphs):
+                    graphs[i] = rethreshold(graph, point_config["tau"])
             else:
-                pairs = None  # the last patch size's graphs go first
-                pairs = _graphs(point_config, dataset)
+                graphs = None  # the last patch size's graphs go first
+                graphs = _graphs(point_config, dataset)
                 if param == "tau":  # later points need only the labels and ids
                     for sample in dataset.samples:
                         sample.features = sample.image = None
-            report, mean_edges, _ = _train_and_eval(point_config, point_dir,
-                                                    dataset, pairs)
+            report = _train_and_eval(point_config, point_dir, dataset, graphs)
+            mean_edges = float(np.mean([edge_count(g.adjacency) for g in graphs]))
             rows.append({param: token, **report_row(report),
                          "mean_edges": repr(mean_edges), "status": "ok"})
         except Exception as exc:  # failures are table rows, not aborts,
@@ -427,23 +419,22 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
 
 
 def cmd_export_embeddings(config: dict, out_dir: Path) -> int:
-    model, _, pairs = _checkpoint_graphs(config, out_dir)
+    model, dataset, graphs = _checkpoint_graphs(config, out_dir)
     target = out_dir / "embeddings.csv"
-    export_embeddings(model, pairs, target)
-    print(f"wrote {len(pairs)} embeddings to {target}")
+    export_embeddings(model, dataset, graphs, target)
+    print(f"wrote {len(graphs)} embeddings to {target}")
     return 0
 
 
 def cmd_export_graph(config: dict, out_dir: Path) -> int:
-    dataset, pairs = _load_graphs(config)
-    wanted = config.get("sample_id")
-    if wanted is None:
-        sid, graph = pairs[0]
-    else:
-        matches = [(s, g) for s, g in pairs if s == wanted]
-        if not matches:
-            raise DatasetError(f"sample {wanted!r} not found in dataset")
-        sid, graph = matches[0]
+    dataset, graphs = _load_graphs(config)
+    ids = [sample.sample_id for sample in dataset.samples]
+    sid = config.get("sample_id")
+    if sid is None:
+        sid = ids[0]
+    elif sid not in ids:
+        raise DatasetError(f"sample {sid!r} not found in dataset")
+    graph = graphs[ids.index(sid)]
     write_graph_json(graph, out_dir / f"graph_{sid}.json")
     write_graph_dot(graph, out_dir / f"graph_{sid}.dot")
     print(f"wrote graph_{sid}.json and graph_{sid}.dot to {out_dir}")

@@ -407,14 +407,14 @@ def load_dataset(path) -> Dataset:
 
 
 def dataset_graphs(dataset: Dataset, tau: float, patch_size=(30, 30),
-                   encoder: EncoderConfig | None = None):
-    """Build one graph per sample; returns [(sample_id, GraphSample), ...].
+                   encoder: EncoderConfig | None = None) -> list[GraphSample]:
+    """Build one graph per sample; graph k is built from ``dataset.samples[k]``.
 
     Precomputed features take precedence; image-backed samples are encoded
     with the toy patch encoder at the given patch size.
     """
     encoder = encoder or EncoderConfig()
-    pairs = []
+    graphs = []
     for sample in dataset.samples:
         if sample.features is not None:
             feats = np.asarray(sample.features, dtype=float)
@@ -423,9 +423,8 @@ def dataset_graphs(dataset: Dataset, tau: float, patch_size=(30, 30),
                                         patch_size[0], patch_size[1], encoder)
         else:
             raise DatasetError(f"sample {sample.sample_id!r}: no features and no image")
-        pairs.append((sample.sample_id,
-                      build_graph(sample.landmarks, feats, tau, sample.label)))
-    return pairs
+        graphs.append(build_graph(sample.landmarks, feats, tau, sample.label))
+    return graphs
 
 
 def split_indices(dataset: Dataset, test_fraction: float, seed: int,
@@ -471,19 +470,24 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
     return train, sorted(test_set)
 
 
-def export_embeddings(model: GcnModel, graph_pairs, path) -> None:
-    """CSV with sample_id, true and predicted label, then the readout embedding."""
-    predictions, _, embeddings = predict(model, [g for _, g in graph_pairs])
+def export_embeddings(model: GcnModel, dataset: Dataset, graphs, path) -> None:
+    """CSV with sample_id, true and predicted label, then the readout embedding.
+
+    ``graphs[k]`` is the graph of ``dataset.samples[k]``, as ``dataset_graphs``
+    returns them.
+    """
+    if len(graphs) != len(dataset.samples):
+        raise InvalidInputError(f"{len(graphs)} graphs for "
+                                f"{len(dataset.samples)} samples")
+    predictions, _, embeddings = predict(model, graphs)
     dims = [f"dim_{k}" for k in range(embeddings.shape[1])]
     write_csv(path, ["sample_id", "label", "prediction", *dims],
-              ([sid, g.label, p, *e] for (sid, g), p, e
-               in zip(graph_pairs, predictions.tolist(), embeddings.tolist())))
+              ([s.sample_id, g.label, p, *e] for s, g, p, e
+               in zip(dataset.samples, graphs, predictions.tolist(), embeddings.tolist())))
 
 
 def _edge_list(sample: GraphSample):
-    adj = np.asarray(sample.adjacency)
-    n = adj.shape[0]
-    return [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i, j]]
+    return np.argwhere(np.triu(np.asarray(sample.adjacency), 1)).tolist()
 
 
 def write_graph_json(sample: GraphSample, path) -> None:
@@ -496,7 +500,7 @@ def write_graph_json(sample: GraphSample, path) -> None:
         "num_edges": edge_count(sample.adjacency),
         "nodes": [{"id": i, "x": float(x), "y": float(y)}
                   for i, (x, y) in enumerate(np.asarray(sample.landmarks, dtype=float))],
-        "edges": [[i, j] for i, j in _edge_list(sample)],
+        "edges": _edge_list(sample),
     }
     write_json(path, doc)
 

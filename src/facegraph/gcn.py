@@ -259,8 +259,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
     """Glorot-uniform initialized model; biases start at zero."""
-    rng = (rng_or_seed if isinstance(rng_or_seed, np.random.Generator)
-           else np.random.default_rng(rng_or_seed))
+    rng = np.random.default_rng(rng_or_seed)
     *weight_shapes, bias_shape = param_shapes(config)
     params = [_glorot(rng, *shape) for shape in weight_shapes]
     return GcnModel(config=config, params=[*params, np.zeros(bias_shape)])

@@ -169,7 +169,7 @@ def test_end_to_end_learning():
     assert separability >= 0.99
 
     start = time.perf_counter()
-    graphs = [g for _, g in dataset_graphs(dataset, 0.5)]
+    graphs = dataset_graphs(dataset, 0.5)
     train_idx, test_idx = split_indices(dataset, 0.25, 1000)
     epochs = 60  # within the 200-epoch budget
     model, history = train([graphs[i] for i in train_idx],
@@ -195,7 +195,7 @@ def structure_only_accuracy(tau, seed, num_classes):
                                                feature_dim=4, seed=seed))
     shared = dataset.samples[0].features
     dataset.samples = [replace(s, features=shared) for s in dataset.samples]
-    graphs = [g for _, g in dataset_graphs(dataset, tau)]
+    graphs = dataset_graphs(dataset, tau)
     train_idx, test_idx = split_indices(dataset, 0.25, seed)  # stratified
     model, _ = train([graphs[i] for i in train_idx],
                      GcnConfig(in_dim=4, num_classes=num_classes, hidden_dim=64,
@@ -272,7 +272,7 @@ def test_round_trips(tmp_path):
         assert np.array_equal(original.landmarks, loaded.landmarks)
         assert np.array_equal(original.features, loaded.features)
 
-    graphs = [g for _, g in dataset_graphs(dataset, 0.3)]
+    graphs = dataset_graphs(dataset, 0.3)
     model, _ = train(graphs, GcnConfig(in_dim=8, num_classes=3, hidden_dim=16),
                      TrainConfig(epochs=3, batch_size=4))
     path = tmp_path / "checkpoint.json"

@@ -480,9 +480,11 @@ class TestBuildGraphAndExports:
 
     def test_export_graph_unknown_sample(self, tmp_path):
         dataset = synth(tmp_path)
-        code = main(["export-graph", "--out-dir", str(tmp_path / "g"),
-                     "--dataset", str(dataset), "--sample-id", "nope"])
-        assert code == 2
+        for sample_id in ("nope", ""):  # "" is given, so it does not mean the first
+            code = main(["export-graph", "--out-dir", str(tmp_path / "g"),
+                         "--dataset", str(dataset), "--sample-id", sample_id])
+            assert code == 2
+        assert not list((tmp_path / "g").glob("graph_*"))
 
     def test_export_embeddings_row_count(self, tmp_path):
         dataset = synth(tmp_path)

@@ -180,8 +180,7 @@ class TestSaveLoad:
             assert a.sample_id == b.sample_id
             assert np.array_equal(a.image, b.image)
         graphs = [dataset_graphs(d, 0.5, patch_size=(15, 15)) for d in (first, second)]
-        for (sid_a, a), (sid_b, b) in zip(*graphs):
-            assert sid_a == sid_b
+        for a, b in zip(*graphs):
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.adjacency, b.adjacency)
 
@@ -306,32 +305,43 @@ class TestSaveLoad:
 class TestDatasetGraphs:
     def test_feature_backed(self):
         dataset = generate_synthetic(SMALL)
-        pairs = dataset_graphs(dataset, 0.3)
-        assert len(pairs) == 15
-        assert all(g.num_nodes == 6 for _, g in pairs)
+        graphs = dataset_graphs(dataset, 0.3)
+        assert len(graphs) == 15
+        assert all(g.num_nodes == 6 for g in graphs)
+
+    @pytest.mark.parametrize("with_images", [False, True])
+    def test_graph_k_is_built_from_sample_k(self, with_images):
+        dataset = (generate_synthetic_imageset(IMAGES) if with_images
+                   else generate_synthetic(SMALL))
+        assert all((s.features is None) == with_images for s in dataset.samples)
+        graphs = dataset_graphs(dataset, 0.3, patch_size=(15, 15))
+        assert len(graphs) == len(dataset.samples)
+        for sample, graph in zip(dataset.samples, graphs):
+            assert graph.label == sample.label
+            assert np.array_equal(graph.landmarks, sample.landmarks)
 
     def test_features_take_precedence_over_image(self):
         dataset = generate_synthetic(SMALL)
         plain = dataset_graphs(dataset, 0.3)
         # an image beside stored features is never encoded
         dataset.samples[0].image = np.full((224, 224), 200, dtype=np.uint8)
-        pairs = dataset_graphs(dataset, 0.3)
-        assert pairs[0][0] == "s000_c0"
-        assert np.array_equal(pairs[0][1].features, plain[0][1].features)
+        graphs = dataset_graphs(dataset, 0.3)
+        assert np.array_equal(graphs[0].features, plain[0].features)
 
     def test_image_backed_encoding(self, tmp_path):
         manifest = save_dataset(generate_synthetic_imageset(IMAGES), tmp_path / "ds")
         loaded = load_dataset(manifest)
-        pairs = dataset_graphs(loaded, 0.3, patch_size=(15, 15))
-        assert all(g.features.shape == (5, 64) for _, g in pairs)
+        graphs = dataset_graphs(loaded, 0.3, patch_size=(15, 15))
+        assert all(g.features.shape == (5, 64) for g in graphs)
 
     def test_unsaved_imageset_matches_saved(self, tmp_path):
         dataset = generate_synthetic_imageset(IMAGES)
         loaded = load_dataset(save_dataset(dataset, tmp_path / "ds"))
         fresh = dataset_graphs(dataset, 0.5, patch_size=(15, 15))
         saved = dataset_graphs(loaded, 0.5, patch_size=(15, 15))
-        for (sid_a, a), (sid_b, b) in zip(fresh, saved, strict=True):
-            assert sid_a == sid_b
+        assert ([s.sample_id for s in dataset.samples]
+                == [s.sample_id for s in loaded.samples])
+        for a, b in zip(fresh, saved, strict=True):
             assert np.array_equal(a.features, b.features)
             assert np.array_equal(a.adjacency, b.adjacency)
 
@@ -371,10 +381,10 @@ class TestSplits:
 class TestExports:
     def test_embeddings_rows_and_dims(self, tmp_path):
         dataset = generate_synthetic(SMALL)
-        pairs = dataset_graphs(dataset, 0.3)
+        graphs = dataset_graphs(dataset, 0.3)
         model = init_model(GcnConfig(in_dim=8, num_classes=3, hidden_dim=10), 0)
         path = tmp_path / "emb.csv"
-        export_embeddings(model, pairs, path)
+        export_embeddings(model, dataset, graphs, path)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 16  # header + 15 samples
         assert lines[0].split(",")[:3] == ["sample_id", "label", "prediction"]
@@ -382,24 +392,34 @@ class TestExports:
 
     def test_embeddings_deterministic_bytes(self, tmp_path):
         dataset = generate_synthetic(SMALL)
-        pairs = dataset_graphs(dataset, 0.3)
+        graphs = dataset_graphs(dataset, 0.3)
         model = init_model(GcnConfig(in_dim=8, num_classes=3, hidden_dim=10), 0)
-        export_embeddings(model, pairs, tmp_path / "a.csv")
-        export_embeddings(model, pairs, tmp_path / "b.csv")
+        export_embeddings(model, dataset, graphs, tmp_path / "a.csv")
+        export_embeddings(model, dataset, graphs, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_embeddings_rows_are_predict_outputs(self, tmp_path):
         dataset = generate_synthetic(SMALL)
-        pairs = dataset_graphs(dataset, 0.3)
+        graphs = dataset_graphs(dataset, 0.3)
         model = init_model(GcnConfig(in_dim=8, num_classes=3, hidden_dim=10), 0)
-        export_embeddings(model, pairs, tmp_path / "emb.csv")
-        predictions, _, embeddings = predict(model, [g for _, g in pairs])
+        export_embeddings(model, dataset, graphs, tmp_path / "emb.csv")
+        predictions, _, embeddings = predict(model, graphs)
         with open(tmp_path / "emb.csv", newline="", encoding="utf-8") as handle:
             _, *rows = csv.reader(handle)
-        assert [(r[0], int(r[1])) for r in rows] == [(sid, g.label) for sid, g in pairs]
+        assert ([(r[0], int(r[1])) for r in rows]
+                == [(s.sample_id, g.label) for s, g in zip(dataset.samples, graphs)])
         assert [int(r[2]) for r in rows] == predictions.tolist()
         written = np.array([[float(v) for v in r[3:]] for r in rows])
         assert np.array_equal(written.view(np.int64), embeddings.view(np.int64))
+
+    def test_embeddings_need_one_graph_per_sample(self, tmp_path, monkeypatch):
+        dataset = generate_synthetic(SMALL)
+        graphs = dataset_graphs(dataset, 0.3)
+        model = init_model(GcnConfig(in_dim=8, num_classes=3, hidden_dim=10), 0)
+        monkeypatch.setattr("facegraph.data.predict", None)  # must not be reached
+        with pytest.raises(InvalidInputError, match="14 graphs for 15 samples"):
+            export_embeddings(model, dataset, graphs[:-1], tmp_path / "emb.csv")
+        assert not (tmp_path / "emb.csv").exists()
 
     def test_graph_json_empty_adjacency(self, tmp_path):
         graph = build_graph(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]),

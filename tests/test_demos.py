@@ -1,5 +1,6 @@
-"""Every demo script runs to completion from a clean working directory, with
-RuntimeWarning raised as an error, as in the rest of the suite."""
+"""Every demo script, and the README's library quick start, runs to completion
+from a clean working directory, with RuntimeWarning raised as an error, as in
+the rest of the suite."""
 
 import os
 import subprocess
@@ -12,11 +13,24 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(tmp_path, demo):
+def _run(args, cwd):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "PYTHONWARNINGS": "error::RuntimeWarning",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    result = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    return result
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = _run(["-c", code], tmp_path)
+    assert result.stdout.startswith("loss")

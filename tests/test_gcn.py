@@ -471,7 +471,7 @@ def separable_graphs(num_classes=2, per_class=8, seed=5):
                          landmark_count=6, feature_dim=8,
                          feature_noise_scale=0.05, seed=seed)
     dataset = generate_synthetic(spec)
-    return [g for _, g in dataset_graphs(dataset, 0.3)]
+    return dataset_graphs(dataset, 0.3)
 
 
 class TestTrain:
