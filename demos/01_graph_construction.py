@@ -41,7 +41,7 @@ for tau in (0.0, 0.5, 1.5):
     adjacency = binarize(weights, stats.threshold)
     print(f"\ntau={tau}: mean={stats.mean:.5f} std={stats.std:.5f} "
           f"threshold={stats.threshold:.5f} -> {edge_count(adjacency)} edges")
-    print(adjacency)
+    print(adjacency.astype(int))
 
 # the one-call version, plus plot-ready exports
 graph = build_graph(landmarks, features, tau=0.5, label=0)

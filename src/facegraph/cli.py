@@ -51,6 +51,10 @@ from .gcn import (
 from .graphs import edge_count, rethreshold
 from .metrics import format_report, report_row
 
+# what main maps to exit code 2 and 3; UsageError (exit 1) is an InvalidInputError
+_DATA_ERRORS = (DatasetError, InvalidInputError, CheckpointError, OSError)
+_NUMERIC_ERRORS = (NumericError, FloatingPointError)
+
 TAU_GRID = ["0.20", "0.25", "0.30", "0.35", "0.40", "0.45", "0.50", "0.70", "0.90"]
 PATCH_GRID = ["10", "20", "30", "50", "70", "90"]
 
@@ -360,13 +364,17 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
 
 
 def _point_config(config: dict, param: str, token: str) -> dict:
-    """The config of one sweep point; a token that fails to parse or check raises."""
+    """The config of one sweep point; a token that fails to parse or check
+    raises :class:`UsageError`."""
+    try:
+        value = float(token) if param == "tau" else int(token)
+    except ValueError as exc:
+        raise UsageError(f"grid token {token!r}: {exc}") from exc
     if param == "tau":
-        point = {**config, "tau": float(token)}
+        point = {**config, "tau": value}
         _check_values(point)
     else:
-        size = int(token)
-        point = {**config, "patch": f"{size}x{size}"}
+        point = {**config, "patch": f"{value}x{value}"}
         _parse_patch(point["patch"])
     return point
 
@@ -407,7 +415,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
             mean_edges = float(np.mean([edge_count(g.adjacency) for g in graphs]))
             rows.append({param: token, **report_row(report),
                          "mean_edges": repr(mean_edges), "status": "ok"})
-        except Exception as exc:  # failures are table rows, not aborts,
+        except (*_DATA_ERRORS, *_NUMERIC_ERRORS) as exc:  # rows, not aborts,
             if isinstance(exc, UsageError) and point_config is not None:
                 raise  # unless a setting every point shares is bad
             rows.append({param: token, "status": f"error: {exc}"})
@@ -472,10 +480,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DatasetError, InvalidInputError, CheckpointError, OSError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, FloatingPointError) as exc:
+    except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

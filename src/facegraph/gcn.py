@@ -238,6 +238,39 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
 
 
+def _linked_block(norm_adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes a normalized adjacency links, and its block on them.
+
+    Node i is linked unless row i and column i of ``norm_adj`` are both the
+    unit vector e_i, as for an isolated node of :func:`normalize_adjacency`.
+    Returns ``(linked, block)``: the ascending indices of the linked nodes and
+    the C-contiguous ``norm_adj[np.ix_(linked, linked)]``.
+    """
+    a_hat = np.asarray(norm_adj, dtype=float)
+    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
+        raise InvalidInputError("normalized adjacency must be square")
+    differs = a_hat != np.eye(a_hat.shape[0])
+    linked = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
+    return linked, np.ascontiguousarray(a_hat[np.ix_(linked, linked)])
+
+
+def _aggregate(linked: np.ndarray, block: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``a_hat @ h`` for the ``a_hat`` that :func:`_linked_block` split, bit for bit.
+
+    An unlinked row of the product is that row of ``h``; a linked row sums
+    only over linked nodes, since every other entry of its row is 0. For
+    finite ``h`` the dense product accumulates from +0.0 and adds the zero
+    terms exactly, so ``h + 0.0`` gives its bits on the unlinked rows (-0.0
+    becomes +0.0) and the block product on the linked rows, wherever the
+    BLAS adds each output's terms in index order. OpenBLAS 0.3.31's AVX-512
+    dgemm does so for C-ordered ``h`` whose width is a multiple of 8; at other
+    widths the last bit can differ. Pass ``block.T`` for ``a_hat.T @ h``.
+    """
+    out = np.add(h, 0.0, order="C")
+    out[linked] = block @ h[linked]
+    return out
+
+
 def readout(node_feats: np.ndarray) -> np.ndarray:
     """Graph-level vector: column-wise mean over nodes (permutation invariant)."""
     h = np.asarray(node_feats, dtype=float)
@@ -272,7 +305,8 @@ class ForwardCache:
 
     updates: int
     logits: np.ndarray
-    norm_adj: np.ndarray
+    linked: np.ndarray               # the nodes A_hat links, as _linked_block gives them
+    block: np.ndarray                # A_hat on the linked nodes
     aggregated: list[np.ndarray]     # A_hat @ H per layer
     preactivations: list[np.ndarray]
     dropout_masks: list
@@ -281,12 +315,15 @@ class ForwardCache:
 
 def forward(model: GcnModel, sample: GraphSample,
             rng: np.random.Generator | None = None,
-            norm_adj: np.ndarray | None = None):
+            norm_adj: np.ndarray | tuple | None = None):
     """Class probabilities for one graph, plus the cache for backprop.
 
     With an ``rng``, inverted dropout is applied to every hidden activation
     except the final layer's, drawing masks from it; without one the pass is
-    fully deterministic. Pass ``norm_adj`` to reuse a precomputed normalization.
+    fully deterministic. Pass ``norm_adj`` to use a precomputed normalization
+    in place of the sample's: any dense N x N matrix, or the ``(linked,
+    block)`` pair :func:`_linked_block` makes of one. Either way the layers
+    multiply only the block and copy the rows of unlinked nodes.
     """
     config = model.config
     h = np.asarray(sample.features, dtype=float)
@@ -295,7 +332,9 @@ def forward(model: GcnModel, sample: GraphSample,
             f"sample features have shape {h.shape}, model expects N x {config.in_dim}"
         )
     use_dropout = rng is not None and config.dropout_rate > 0.0
-    a_hat = normalize_adjacency(sample.adjacency) if norm_adj is None else norm_adj
+    if norm_adj is None:
+        norm_adj = normalize_adjacency(sample.adjacency)
+    linked, block = norm_adj if isinstance(norm_adj, tuple) else _linked_block(norm_adj)
 
     *layer_weights, readout_weight, readout_bias = model.params
     act, _ = ACTIVATIONS[config.activation]
@@ -304,7 +343,7 @@ def forward(model: GcnModel, sample: GraphSample,
     masks = []
     keep = 1.0 - config.dropout_rate
     for layer, weight in enumerate(layer_weights):
-        m = a_hat @ h
+        m = _aggregate(linked, block, h)
         z = m @ weight
         h = act(z)
         if use_dropout and layer < config.num_layers - 1:
@@ -320,7 +359,8 @@ def forward(model: GcnModel, sample: GraphSample,
     cache = ForwardCache(
         updates=model.updates,
         logits=readout_weight @ embedding + readout_bias,
-        norm_adj=a_hat,
+        linked=linked,
+        block=block,
         aggregated=aggregated,
         preactivations=preactivations,
         dropout_masks=masks,
@@ -361,7 +401,7 @@ def backward(model: GcnModel, cache: ForwardCache,
     grad_readout_weight = np.outer(dlogits, cache.embedding)
     grad_readout_bias = dlogits.copy()
 
-    n_nodes = cache.norm_adj.shape[0]
+    n_nodes = cache.aggregated[0].shape[0]
     d_embedding = readout_weight.T @ dlogits
     dh = np.repeat((d_embedding / n_nodes)[None, :], n_nodes, axis=0)
 
@@ -374,7 +414,7 @@ def backward(model: GcnModel, cache: ForwardCache,
         dz = dh * act_grad(cache.preactivations[layer])
         grads[layer] = cache.aggregated[layer].T @ dz
         if layer > 0:
-            dh = cache.norm_adj.T @ (dz @ layer_weights[layer].T)
+            dh = _aggregate(cache.linked, cache.block.T, dz @ layer_weights[layer].T)
     return [*grads, grad_readout_weight, grad_readout_bias]
 
 
@@ -474,7 +514,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
 
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
-    norm_adjs = [normalize_adjacency(s.adjacency) for s in dataset]
+    linked_blocks = [_linked_block(normalize_adjacency(s.adjacency)) for s in dataset]
     onehots = np.eye(num_classes)[[s.label for s in dataset]]
     state = init_adam(model.params)
 
@@ -493,7 +533,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
                 total.fill(0.0)
             for idx in batch:
                 probs, cache = forward(model, dataset[idx], rng=rng,
-                                       norm_adj=norm_adjs[idx])
+                                       norm_adj=linked_blocks[idx])
                 label = dataset[idx].label
                 loss_sum += -math.log(max(float(probs[label]), 1e-12))
                 correct += int(np.argmax(probs) == label)

@@ -82,7 +82,7 @@ class GraphSample:
 
     landmarks: np.ndarray  # N x 2 float64 pixel coordinates
     features: np.ndarray   # N x d float64, rows unit norm (or all-zero)
-    adjacency: np.ndarray  # N x N int64 over {0, 1}, symmetric, zero diagonal
+    adjacency: np.ndarray  # N x N bool, symmetric, False on the diagonal
     label: int
     # read-only raw weights of the strict upper triangle, row-major (N(N-1)/2)
     weights: np.ndarray | None = None
@@ -100,6 +100,14 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_mask(n: int) -> np.ndarray:
+    """Read-only n x n boolean mask of the strict upper triangle."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,11 +175,15 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _symmetric(weights: np.ndarray, n: int) -> np.ndarray:
-    """The n x n matrix with ``weights`` on both triangles and a zero diagonal."""
-    upper = _upper_triangle(n)
+    """The n x n matrix with ``weights`` on both triangles and a zero diagonal.
+
+    Boolean indexing walks the mask in row-major order, the order of the
+    weights; through the transpose it fills the lower triangle.
+    """
+    mask = _upper_mask(n)
     out = np.zeros((n, n))
-    out[upper] = weights
-    out[upper[::-1]] = weights
+    out[mask] = weights
+    out.T[mask] = weights
     return out
 
 
@@ -222,13 +234,13 @@ def threshold_stats(raw: np.ndarray, tau: float) -> ThresholdStats:
 
 
 def binarize(raw: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep edges whose weight strictly exceeds the threshold.
+    """Keep edges whose weight strictly exceeds the threshold, as a bool matrix.
 
-    Equality yields 0. The diagonal is forced to zero regardless of the
+    Equality yields False. The diagonal is forced to False regardless of the
     threshold's sign.
     """
-    adjacency = (np.asarray(raw, dtype=float) > float(threshold)).astype(np.int64)
-    np.fill_diagonal(adjacency, 0)
+    adjacency = np.asarray(raw, dtype=float) > float(threshold)
+    np.fill_diagonal(adjacency, False)
     return adjacency
 
 

@@ -219,3 +219,100 @@ def json_dump_checkpoint(path, model, preprocess=None, *, version):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
+
+
+def naive_train(graphs, model_config, train_config, activation):
+    """Per-sample reference for ``train``: dense ``A_hat @ H`` products on the
+    full N x N normalized adjacency, forward and backward, one fresh array per
+    expression.
+
+    ``activation`` is the (function, derivative) pair to use. Draws from one
+    generator seeded by ``train_config.seed`` in the package's order: Glorot
+    weights, then per epoch a permutation and, per sample, the dropout masks.
+    Returns (params, history) in the shapes ``train`` returns them.
+    """
+    act, act_grad = activation
+    rng = np.random.default_rng(train_config.seed)
+    num_layers, num_classes = model_config.num_layers, model_config.num_classes
+    dims = [model_config.in_dim] + [model_config.hidden_dim] * num_layers
+    shapes = [(dims[l], dims[l + 1]) for l in range(num_layers)] + [(num_classes, dims[-1])]
+    params = []
+    for fan_in, fan_out in shapes:
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        params.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+    params.append(np.zeros(num_classes))
+    first = [np.zeros_like(p) for p in params]
+    second = [np.zeros_like(p) for p in params]
+    keep = 1.0 - model_config.dropout_rate
+
+    def normalize(adjacency):
+        with_loops = np.asarray(adjacency, dtype=float) + np.eye(len(adjacency))
+        inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
+        return with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
+
+    def forward(features, a_hat):
+        h = np.asarray(features, dtype=float)
+        aggregated, preactivations, masks = [], [], []
+        for layer in range(num_layers):
+            m = a_hat @ h
+            z = m @ params[layer]
+            h = act(z)
+            mask = None
+            if model_config.dropout_rate > 0.0 and layer < num_layers - 1:
+                mask = (rng.random(h.shape) < keep) / keep
+                h = h * mask
+            aggregated.append(m)
+            preactivations.append(z)
+            masks.append(mask)
+        embedding = h.mean(axis=0)
+        logits = params[-2] @ embedding + params[-1]
+        exp = np.exp(logits - logits.max())
+        return exp / exp.sum(), (aggregated, preactivations, masks, embedding)
+
+    def backward(a_hat, cache, dlogits):
+        aggregated, preactivations, masks, embedding = cache
+        n = a_hat.shape[0]
+        d_embedding = params[-2].T @ dlogits
+        dh = np.repeat((d_embedding / n)[None, :], n, axis=0)
+        grads = [None] * num_layers
+        for layer in range(num_layers - 1, -1, -1):
+            if masks[layer] is not None:
+                dh = dh * masks[layer]
+            dz = dh * act_grad(preactivations[layer])
+            grads[layer] = aggregated[layer].T @ dz
+            if layer > 0:
+                dh = a_hat.T @ (dz @ params[layer].T)
+        return [*grads, np.outer(dlogits, embedding), dlogits.copy()]
+
+    a_hats = [normalize(g.adjacency) for g in graphs]
+    onehots = np.eye(num_classes)[[g.label for g in graphs]]
+    n = len(graphs)
+    history = []
+    step = 0
+    for epoch in range(train_config.epochs):
+        if train_config.epochs == 1:
+            lr = train_config.lr_init
+        else:
+            span = train_config.lr_init - train_config.lr_min
+            lr = train_config.lr_min + 0.5 * span * (
+                1.0 + math.cos(math.pi * epoch / (train_config.epochs - 1)))
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, n, train_config.batch_size):
+            batch = order[start:start + train_config.batch_size]
+            scale = 1.0 / len(batch)
+            total = [np.zeros_like(p) for p in params]
+            for idx in batch:
+                probs, cache = forward(graphs[idx].features, a_hats[idx])
+                label = graphs[idx].label
+                loss_sum += -math.log(max(float(probs[label]), 1e-12))
+                correct += int(np.argmax(probs) == label)
+                sample_grads = backward(a_hats[idx], cache, (probs - onehots[idx]) * scale)
+                total = [t + g for t, g in zip(total, sample_grads)]
+            params, first, second = naive_adam_step(params, total, first, second, step, lr,
+                                                    train_config.weight_decay)
+            step += 1
+        history.append({"epoch": epoch, "lr": lr, "loss": loss_sum / n,
+                        "accuracy": correct / n})
+    return params, history

@@ -638,6 +638,34 @@ class TestSweep:
                                                           "sweep.csv"]
         assert not any(p for t in points for p in (out / t).iterdir())
 
+    def test_program_defect_is_not_an_error_row(self, tmp_path, monkeypatch):
+        # only the errors main maps to exit codes become rows; a defect escapes
+        dataset = synth(tmp_path)
+
+        def broken(*args, **kwargs):
+            raise TypeError("defect inside a point")
+
+        monkeypatch.setattr(cli, "_train_and_eval", broken)
+        out = tmp_path / "tsweep"
+        with pytest.raises(TypeError, match="defect inside a point"):
+            main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                  "--param", "tau", "--grid", "0.3,0.5"])
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param, grid", [("tau", "0.5x,0.5"), ("patch", "ten,10")])
+    def test_unparsable_token_is_error_row(self, tmp_path, param, grid):
+        dataset = synth(tmp_path, "imgds", extra=["--with-images"])
+        out = tmp_path / "usweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", param, "--grid", grid, "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8", "--encoder-dim", "16"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        bad, good = grid.split(",")
+        assert [row[0] for row in rows[1:]] == [bad, good]
+        assert rows[1][-1].startswith("error: ") and bad in rows[1][-1]
+        assert rows[2][-1] == "ok"
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         out = tmp_path / "nosweep"
         code = main(["sweep", "--out-dir", str(out), "--param", "tau",

@@ -354,6 +354,15 @@ class TestSplits:
         assert sorted(train_idx + test_idx) == list(range(15))
         assert len(test_idx) == 3  # one per class at fraction 0.25 of 5
 
+    def test_two_per_class_puts_one_on_each_side(self):
+        # round(0.25 * 2) is 0; the split still keeps one test and one train
+        # sample of every class
+        dataset = generate_synthetic(SyntheticSpec(num_classes=3, samples_per_class=2,
+                                                   landmark_count=6, feature_dim=8))
+        train_idx, test_idx = split_indices(dataset, 0.25, 1000)
+        for indices in (train_idx, test_idx):
+            assert sorted(dataset.samples[i].label for i in indices) == [0, 1, 2]
+
     def test_random_split_deterministic(self):
         dataset = generate_synthetic(SMALL)
         assert split_indices(dataset, 0.3, 7) == split_indices(dataset, 0.3, 7)

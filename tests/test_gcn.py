@@ -35,10 +35,17 @@ from facegraph import (
     normalize_adjacency,
     predict,
     readout,
+    rethreshold,
     save_checkpoint,
     train,
 )
-from oracles import json_dump_checkpoint, naive_adam_step, where_elu, where_elu_grad
+from oracles import (
+    json_dump_checkpoint,
+    naive_adam_step,
+    naive_train,
+    where_elu,
+    where_elu_grad,
+)
 
 
 def toy_sample(rng, n=4, d=3, num_classes=2, label=0):
@@ -74,7 +81,7 @@ def layer_output(norm_adj, node_feats, weight, activation):
     return act(cache.preactivations[0])
 
 
-def finite_difference_grads(model, sample, step=1e-5, rng_seed=None):
+def finite_difference_grads(model, sample, step=1e-5, rng_seed=None, norm_adj=None):
     """Central finite differences of the single-sample loss w.r.t. every parameter.
 
     With ``rng_seed`` set, dropout is on and every loss evaluation re-seeds
@@ -82,7 +89,7 @@ def finite_difference_grads(model, sample, step=1e-5, rng_seed=None):
     """
     def loss():
         rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-        probs, _ = forward(model, sample, rng=rng)
+        probs, _ = forward(model, sample, rng=rng, norm_adj=norm_adj)
         return -math.log(max(float(probs[sample.label]), 1e-12))
 
     grads = []
@@ -101,9 +108,9 @@ def finite_difference_grads(model, sample, step=1e-5, rng_seed=None):
     return grads
 
 
-def analytic_grads(model, sample, rng_seed=None):
+def analytic_grads(model, sample, rng_seed=None, norm_adj=None):
     rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-    probs, cache = forward(model, sample, rng=rng)
+    probs, cache = forward(model, sample, rng=rng, norm_adj=norm_adj)
     onehot = np.zeros(model.config.num_classes)
     onehot[sample.label] = 1.0
     return backward(model, cache, probs - onehot)
@@ -214,6 +221,62 @@ class TestActivations:
         negative = {"relu": 0.0, "gelu": 0.0, "elu": -1.0}[name]
         want = [1.0, 1.0, 0.0] if derivative else [800.0, 2e154, negative]
         assert np.array_equal(out, want)
+
+
+def signed_zero_features(rng, n, width):
+    """Normal features with -0.0 at random places and in rows 0 and n - 1."""
+    h = rng.normal(size=(n, width))
+    h[rng.random(h.shape) < 0.1] = -0.0
+    h[[0, n - 1]] = -0.0
+    return h
+
+
+class TestLinkedBlock:
+    """Multiplying by the block of linked nodes gives the bits of the dense
+    A_hat @ H and A_hat.T @ H, -0.0 included."""
+
+    WIDTHS = [64, 256]
+
+    def assert_products_match(self, a, h):
+        linked, block = gcn._linked_block(a)
+        assert block.flags.c_contiguous
+        assert same_bits(gcn._aggregate(linked, block, h), a @ h)
+        assert same_bits(gcn._aggregate(linked, block.T, h), a.T @ h)
+        return linked
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_every_linked_set_size(self, width):
+        rng = np.random.default_rng(width)
+        n = 68
+        for size in range(n + 1):
+            chosen = np.sort(rng.choice(n, size=size, replace=False))
+            a = np.eye(n)
+            a[np.ix_(chosen, chosen)] = rng.normal(size=(size, size))
+            h = signed_zero_features(rng, n, width)
+            assert np.array_equal(self.assert_products_match(a, h), chosen)
+
+    def test_a_row_or_a_column_alone_links_a_node(self):
+        rng = np.random.default_rng(3)
+        a = np.eye(68)
+        a[2, 5] = 0.25  # row 2 and column 5 differ from e_2 and e_5
+        a[9, 9] = 0.5   # a diagonal entry other than 1
+        a[[20, 21], [21, 20]] = -0.0  # signed zeros are zeros
+        for width in self.WIDTHS:
+            linked = self.assert_products_match(a, signed_zero_features(rng, 68, width))
+            assert linked.tolist() == [2, 5, 9]
+
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5, 1.0, 1e6])
+    def test_normalized_graphs(self, tau):
+        # tau -0.5 gives complete graphs here and 1e6 edgeless ones
+        rng = np.random.default_rng(7)
+        spec = SyntheticSpec(num_classes=2, samples_per_class=3, landmark_count=68,
+                             feature_dim=8, seed=11)
+        for graph in dataset_graphs(generate_synthetic(spec), tau):
+            a = normalize_adjacency(graph.adjacency)
+            for width in self.WIDTHS:
+                linked = self.assert_products_match(a, signed_zero_features(rng, 68, width))
+                isolated = ~graph.adjacency.any(axis=1)
+                assert np.array_equal(linked, np.flatnonzero(~isolated))
 
 
 class TestGcnLayer:
@@ -361,6 +424,16 @@ class TestBackward:
         model = self.model_for("relu", dropout=0.3)
         analytic = analytic_grads(model, self.sample, rng_seed=99)
         numeric = finite_difference_grads(model, self.sample, rng_seed=99)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_gradients_with_a_non_symmetric_norm_adj(self):
+        # backward propagates through A_hat.T, which differs from A_hat here;
+        # node 3 is linked through its column alone
+        norm_adj = np.eye(4)
+        norm_adj[0, 1], norm_adj[1, 2], norm_adj[2, 3] = 0.7, -0.4, 0.9
+        model = self.model_for("gelu")
+        analytic = analytic_grads(model, self.sample, norm_adj=norm_adj)
+        numeric = finite_difference_grads(model, self.sample, norm_adj=norm_adj)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_stale_cache_detected(self):
@@ -536,6 +609,44 @@ class TestTrain:
         graphs = separable_graphs()
         with pytest.raises(InvalidInputError):
             train(graphs, GcnConfig(in_dim=8, num_classes=1), TrainConfig(epochs=1))
+
+
+def oracle_graphs(n):
+    """12 graphs on n landmarks, 3 classes; graph 0 is edgeless, graph 1 complete."""
+    spec = SyntheticSpec(num_classes=3, samples_per_class=4, landmark_count=n,
+                         feature_dim=8, seed=n)
+    graphs = dataset_graphs(generate_synthetic(spec), 0.5)
+    graphs[0] = rethreshold(graphs[0], 1e6)
+    graphs[1] = rethreshold(graphs[1], -1e6)
+    assert not graphs[0].adjacency.any()
+    assert graphs[1].adjacency.sum() == n * (n - 1)
+    return graphs
+
+
+class TestTrainMatchesOracle:
+    """``train`` gives the bits of a per-sample loop on dense A_hat products."""
+
+    @pytest.mark.parametrize("n, layers, activation, dropout", [
+        (12, 1, "relu", 0.0),
+        (12, 2, "gelu", 0.2),
+        (12, 3, "elu", 0.2),
+        (68, 1, "elu", 0.2),
+        (68, 2, "relu", 0.2),
+        (68, 3, "gelu", 0.0),
+    ])
+    def test_params_and_history_bit_for_bit(self, n, layers, activation, dropout):
+        graphs = oracle_graphs(n)
+        config = GcnConfig(in_dim=8, num_classes=3, hidden_dim=16, num_layers=layers,
+                           activation=activation, dropout_rate=dropout)
+        # 12 samples in batches of 5: the last batch holds 2
+        train_config = TrainConfig(epochs=3, batch_size=5, lr_init=0.01, seed=n + layers)
+        model, history = train(graphs, config, train_config)
+        params, expected = naive_train(graphs, config, train_config,
+                                       ACTIVATIONS[activation])
+        assert len(model.params) == len(params)
+        for got, want in zip(model.params, params):
+            assert same_bits(got, want)
+        assert history == expected
 
 
 class TestPredict:

@@ -333,7 +333,7 @@ def assert_same_graph(actual, expected):
     for name in ("landmarks", "features", "weights"):
         assert np.array_equal(getattr(actual, name).view(np.int64),
                               getattr(expected, name).view(np.int64)), name
-    assert actual.adjacency.dtype == expected.adjacency.dtype == np.int64
+    assert actual.adjacency.dtype == expected.adjacency.dtype == np.bool_
     assert np.array_equal(actual.adjacency, expected.adjacency)
     assert actual.label == expected.label
     a, e = actual.stats, expected.stats
