@@ -242,33 +242,35 @@ def _linked_block(norm_adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nodes a normalized adjacency links, and its block on them.
 
     Node i is linked unless row i and column i of ``norm_adj`` are both the
-    unit vector e_i, as for an isolated node of :func:`normalize_adjacency`.
+    unit vector e_i, bit for bit, as for an isolated node of
+    :func:`normalize_adjacency` (a -0.0 entry links its row and column).
     Returns ``(linked, block)``: the ascending indices of the linked nodes and
     the C-contiguous ``norm_adj[np.ix_(linked, linked)]``.
     """
     a_hat = np.asarray(norm_adj, dtype=float)
     if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
         raise InvalidInputError("normalized adjacency must be square")
-    differs = a_hat != np.eye(a_hat.shape[0])
+    differs = (a_hat != np.eye(a_hat.shape[0])) | np.signbit(a_hat)
     linked = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
     return linked, np.ascontiguousarray(a_hat[np.ix_(linked, linked)])
 
 
-def _aggregate(linked: np.ndarray, block: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``a_hat @ h`` for the ``a_hat`` that :func:`_linked_block` split, bit for bit.
+def _dense(linked: np.ndarray, block: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The N x N matrix that :func:`_linked_block` split, with the same bits.
 
-    An unlinked row of the product is that row of ``h``; a linked row sums
-    only over linked nodes, since every other entry of its row is 0. For
-    finite ``h`` the dense product accumulates from +0.0 and adds the zero
-    terms exactly, so ``h + 0.0`` gives its bits on the unlinked rows (-0.0
-    becomes +0.0) and the block product on the linked rows, wherever the
-    BLAS adds each output's terms in index order. OpenBLAS 0.3.31's AVX-512
-    dgemm does so for C-ordered ``h`` whose width is a multiple of 8; at other
-    widths the last bit can differ. Pass ``block.T`` for ``a_hat.T @ h``.
+    Layers multiply by this dense matrix rather than by ``block`` alone: a
+    BLAS may add a smaller product's terms in another order, which changes
+    the last bit at some widths.
     """
-    out = np.add(h, 0.0, order="C")
-    out[linked] = block @ h[linked]
-    return out
+    linked = np.asarray(linked)
+    if (linked.ndim != 1 or np.shape(block) != (linked.size, linked.size)
+            or (linked.size and not 0 <= linked.min() <= linked.max() < n_nodes)):
+        raise InvalidInputError(
+            f"linked nodes and block do not fit a graph of {n_nodes} nodes"
+        )
+    a_hat = np.eye(n_nodes)
+    a_hat[np.ix_(linked, linked)] = block
+    return a_hat
 
 
 def readout(node_feats: np.ndarray) -> np.ndarray:
@@ -322,8 +324,8 @@ def forward(model: GcnModel, sample: GraphSample,
     except the final layer's, drawing masks from it; without one the pass is
     fully deterministic. Pass ``norm_adj`` to use a precomputed normalization
     in place of the sample's: any dense N x N matrix, or the ``(linked,
-    block)`` pair :func:`_linked_block` makes of one. Either way the layers
-    multiply only the block and copy the rows of unlinked nodes.
+    block)`` pair :func:`_linked_block` makes of one. The cache keeps only
+    the pair; the layers multiply by the dense matrix rebuilt from it.
     """
     config = model.config
     h = np.asarray(sample.features, dtype=float)
@@ -334,7 +336,16 @@ def forward(model: GcnModel, sample: GraphSample,
     use_dropout = rng is not None and config.dropout_rate > 0.0
     if norm_adj is None:
         norm_adj = normalize_adjacency(sample.adjacency)
-    linked, block = norm_adj if isinstance(norm_adj, tuple) else _linked_block(norm_adj)
+    if isinstance(norm_adj, tuple):
+        linked, block = norm_adj
+    else:
+        linked, block = _linked_block(norm_adj)
+        if len(norm_adj) != h.shape[0]:
+            raise InvalidInputError(
+                f"normalized adjacency has {len(norm_adj)} nodes, "
+                f"sample features have {h.shape[0]}"
+            )
+    a_hat = _dense(linked, block, h.shape[0])
 
     *layer_weights, readout_weight, readout_bias = model.params
     act, _ = ACTIVATIONS[config.activation]
@@ -343,7 +354,7 @@ def forward(model: GcnModel, sample: GraphSample,
     masks = []
     keep = 1.0 - config.dropout_rate
     for layer, weight in enumerate(layer_weights):
-        m = _aggregate(linked, block, h)
+        m = a_hat @ h
         z = m @ weight
         h = act(z)
         if use_dropout and layer < config.num_layers - 1:
@@ -402,6 +413,7 @@ def backward(model: GcnModel, cache: ForwardCache,
     grad_readout_bias = dlogits.copy()
 
     n_nodes = cache.aggregated[0].shape[0]
+    a_hat = _dense(cache.linked, cache.block, n_nodes)
     d_embedding = readout_weight.T @ dlogits
     dh = np.repeat((d_embedding / n_nodes)[None, :], n_nodes, axis=0)
 
@@ -414,7 +426,7 @@ def backward(model: GcnModel, cache: ForwardCache,
         dz = dh * act_grad(cache.preactivations[layer])
         grads[layer] = cache.aggregated[layer].T @ dz
         if layer > 0:
-            dh = _aggregate(cache.linked, cache.block.T, dz @ layer_weights[layer].T)
+            dh = a_hat.T @ (dz @ layer_weights[layer].T)
     return [*grads, grad_readout_weight, grad_readout_bias]
 
 

@@ -232,16 +232,18 @@ def signed_zero_features(rng, n, width):
 
 
 class TestLinkedBlock:
-    """Multiplying by the block of linked nodes gives the bits of the dense
-    A_hat @ H and A_hat.T @ H, -0.0 included."""
+    """The dense matrix rebuilt from the linked block has the bits of A_hat,
+    so A_hat @ H and A_hat.T @ H keep theirs, -0.0 included."""
 
-    WIDTHS = [64, 256]
+    WIDTHS = [12, 64, 256]
 
     def assert_products_match(self, a, h):
         linked, block = gcn._linked_block(a)
         assert block.flags.c_contiguous
-        assert same_bits(gcn._aggregate(linked, block, h), a @ h)
-        assert same_bits(gcn._aggregate(linked, block.T, h), a.T @ h)
+        dense = gcn._dense(linked, block, a.shape[0])
+        assert same_bits(dense, a)
+        assert same_bits(dense @ h, a @ h)
+        assert same_bits(dense.T @ h, a.T @ h)
         return linked
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -260,10 +262,20 @@ class TestLinkedBlock:
         a = np.eye(68)
         a[2, 5] = 0.25  # row 2 and column 5 differ from e_2 and e_5
         a[9, 9] = 0.5   # a diagonal entry other than 1
-        a[[20, 21], [21, 20]] = -0.0  # signed zeros are zeros
+        a[30, 31] = -0.0  # a signed zero links row 30 and column 31
         for width in self.WIDTHS:
             linked = self.assert_products_match(a, signed_zero_features(rng, 68, width))
-            assert linked.tolist() == [2, 5, 9]
+            assert linked.tolist() == [2, 5, 9, 30, 31]
+
+    @pytest.mark.parametrize("linked, block", [
+        ([0, 4], np.eye(2)),
+        ([-1, 2], np.eye(2)),
+        ([0, 1, 2], np.eye(2)),
+        ([[0, 1]], np.eye(2)),
+    ])
+    def test_pair_that_does_not_fit_is_refused(self, linked, block):
+        with pytest.raises(InvalidInputError, match="4 nodes"):
+            gcn._dense(np.array(linked), block, 4)
 
     @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5, 1.0, 1e6])
     def test_normalized_graphs(self, tau):
@@ -351,6 +363,23 @@ class TestForward:
         bad = toy_sample(self.rng, n=4, d=6)
         with pytest.raises(InvalidInputError):
             forward(self.model, bad)
+
+    @pytest.mark.parametrize("nodes", [4, 8])
+    def test_adjacency_must_match_the_features(self, nodes):
+        other = toy_sample(self.rng, n=nodes, d=4)
+        short = GraphSample(landmarks=self.rng.uniform(0, 224, size=(6, 2)),
+                            features=toy_sample(self.rng, n=6, d=4).features,
+                            adjacency=other.adjacency, label=0)
+        with pytest.raises(InvalidInputError, match=f"{nodes} nodes"):
+            forward(self.model, short)
+        with pytest.raises(InvalidInputError, match=f"{nodes} nodes"):
+            forward(self.model, self.sample,
+                    norm_adj=normalize_adjacency(other.adjacency))
+
+    def test_linked_pair_must_fit_the_features(self):
+        pair = (np.array([3, 5]), np.eye(2))  # node 5 of a 5-node sample
+        with pytest.raises(InvalidInputError, match="5 nodes"):
+            forward(self.model, self.sample, norm_adj=pair)
 
     def test_train_mode_differs_and_masks_recorded(self):
         config = GcnConfig(in_dim=4, num_classes=3, hidden_dim=32, num_layers=2,
@@ -611,10 +640,10 @@ class TestTrain:
             train(graphs, GcnConfig(in_dim=8, num_classes=1), TrainConfig(epochs=1))
 
 
-def oracle_graphs(n):
+def oracle_graphs(n, feature_dim):
     """12 graphs on n landmarks, 3 classes; graph 0 is edgeless, graph 1 complete."""
     spec = SyntheticSpec(num_classes=3, samples_per_class=4, landmark_count=n,
-                         feature_dim=8, seed=n)
+                         feature_dim=feature_dim, seed=n)
     graphs = dataset_graphs(generate_synthetic(spec), 0.5)
     graphs[0] = rethreshold(graphs[0], 1e6)
     graphs[1] = rethreshold(graphs[1], -1e6)
@@ -626,18 +655,21 @@ def oracle_graphs(n):
 class TestTrainMatchesOracle:
     """``train`` gives the bits of a per-sample loop on dense A_hat products."""
 
-    @pytest.mark.parametrize("n, layers, activation, dropout", [
-        (12, 1, "relu", 0.0),
-        (12, 2, "gelu", 0.2),
-        (12, 3, "elu", 0.2),
-        (68, 1, "elu", 0.2),
-        (68, 2, "relu", 0.2),
-        (68, 3, "gelu", 0.0),
+    @pytest.mark.parametrize("n, width, layers, activation, dropout", [
+        (12, 8, 1, "relu", 0.0),
+        (12, 8, 2, "gelu", 0.2),
+        (12, 8, 3, "elu", 0.2),
+        (68, 8, 1, "elu", 0.2),
+        (68, 8, 2, "relu", 0.2),
+        (68, 8, 3, "gelu", 0.0),
+        (68, 12, 2, "relu", 0.2),
+        (68, 12, 3, "elu", 0.0),
     ])
-    def test_params_and_history_bit_for_bit(self, n, layers, activation, dropout):
-        graphs = oracle_graphs(n)
-        config = GcnConfig(in_dim=8, num_classes=3, hidden_dim=16, num_layers=layers,
-                           activation=activation, dropout_rate=dropout)
+    def test_params_and_history_bit_for_bit(self, n, width, layers, activation, dropout):
+        # width is in_dim and half of hidden_dim; 12 and 24 are not multiples of 8
+        graphs = oracle_graphs(n, width)
+        config = GcnConfig(in_dim=width, num_classes=3, hidden_dim=2 * width,
+                           num_layers=layers, activation=activation, dropout_rate=dropout)
         # 12 samples in batches of 5: the last batch holds 2
         train_config = TrainConfig(epochs=3, batch_size=5, lr_init=0.01, seed=n + layers)
         model, history = train(graphs, config, train_config)
