@@ -388,6 +388,9 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
               if grid_text else (TAU_GRID if param == "tau" else PATCH_GRID))
     if not tokens:
         raise UsageError("--grid is empty")
+    repeated = sorted({t for t in tokens if tokens.count(t) > 1})
+    if repeated:  # the points would share, and overwrite, one directory
+        raise UsageError(f"--grid repeats {', '.join(map(repr, repeated))}")
 
     columns = [param, "Acc", "F1-Score", "WAR", "UAR", "loss", "mean_edges", "status"]
     rows = []

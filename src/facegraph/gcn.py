@@ -247,12 +247,9 @@ def _linked_block(norm_adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(linked, block)``: the ascending indices of the linked nodes and
     the C-contiguous ``norm_adj[np.ix_(linked, linked)]``.
     """
-    a_hat = np.asarray(norm_adj, dtype=float)
-    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
-        raise InvalidInputError("normalized adjacency must be square")
-    differs = (a_hat != np.eye(a_hat.shape[0])) | np.signbit(a_hat)
+    differs = (norm_adj != np.eye(len(norm_adj))) | np.signbit(norm_adj)
     linked = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
-    return linked, np.ascontiguousarray(a_hat[np.ix_(linked, linked)])
+    return linked, np.ascontiguousarray(norm_adj[np.ix_(linked, linked)])
 
 
 def _dense(linked: np.ndarray, block: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -302,13 +299,13 @@ def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values one backward pass needs, the logits, and the
-    model's :attr:`GcnModel.updates` count when the pass ran."""
+    """Intermediate values one backward pass needs, the dense ``A_hat``
+    included, so that backward multiplies by the matrix forward used; the
+    logits; and the model's :attr:`GcnModel.updates` count when the pass ran."""
 
     updates: int
     logits: np.ndarray
-    linked: np.ndarray               # the nodes A_hat links, as _linked_block gives them
-    block: np.ndarray                # A_hat on the linked nodes
+    a_hat: np.ndarray                # N x N, C order
     aggregated: list[np.ndarray]     # A_hat @ H per layer
     preactivations: list[np.ndarray]
     dropout_masks: list
@@ -323,9 +320,10 @@ def forward(model: GcnModel, sample: GraphSample,
     With an ``rng``, inverted dropout is applied to every hidden activation
     except the final layer's, drawing masks from it; without one the pass is
     fully deterministic. Pass ``norm_adj`` to use a precomputed normalization
-    in place of the sample's: any dense N x N matrix, or the ``(linked,
-    block)`` pair :func:`_linked_block` makes of one. The cache keeps only
-    the pair; the layers multiply by the dense matrix rebuilt from it.
+    in place of the sample's: a dense N x N matrix, which the layers multiply
+    by as given, or the ``(linked, block)`` pair :func:`_linked_block` makes
+    of one, which is expanded to the dense matrix once. The cache keeps that
+    dense matrix for :func:`backward`.
     """
     config = model.config
     h = np.asarray(sample.features, dtype=float)
@@ -337,15 +335,14 @@ def forward(model: GcnModel, sample: GraphSample,
     if norm_adj is None:
         norm_adj = normalize_adjacency(sample.adjacency)
     if isinstance(norm_adj, tuple):
-        linked, block = norm_adj
-    else:
-        linked, block = _linked_block(norm_adj)
-        if len(norm_adj) != h.shape[0]:
-            raise InvalidInputError(
-                f"normalized adjacency has {len(norm_adj)} nodes, "
-                f"sample features have {h.shape[0]}"
-            )
-    a_hat = _dense(linked, block, h.shape[0])
+        a_hat = _dense(*norm_adj, h.shape[0])
+    else:  # C order, so that the BLAS sees one layout
+        a_hat = np.ascontiguousarray(norm_adj, dtype=float)
+        if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
+            raise InvalidInputError("normalized adjacency must be square")
+        if len(a_hat) != h.shape[0]:
+            raise InvalidInputError(f"normalized adjacency has {len(a_hat)} nodes, "
+                                    f"sample features have {h.shape[0]}")
 
     *layer_weights, readout_weight, readout_bias = model.params
     act, _ = ACTIVATIONS[config.activation]
@@ -370,8 +367,7 @@ def forward(model: GcnModel, sample: GraphSample,
     cache = ForwardCache(
         updates=model.updates,
         logits=readout_weight @ embedding + readout_bias,
-        linked=linked,
-        block=block,
+        a_hat=a_hat,
         aggregated=aggregated,
         preactivations=preactivations,
         dropout_masks=masks,
@@ -412,10 +408,8 @@ def backward(model: GcnModel, cache: ForwardCache,
     grad_readout_weight = np.outer(dlogits, cache.embedding)
     grad_readout_bias = dlogits.copy()
 
-    n_nodes = cache.aggregated[0].shape[0]
-    a_hat = _dense(cache.linked, cache.block, n_nodes)
-    d_embedding = readout_weight.T @ dlogits
-    dh = np.repeat((d_embedding / n_nodes)[None, :], n_nodes, axis=0)
+    # the readout's mean gives every node the same gradient row
+    dh = (readout_weight.T @ dlogits) / len(cache.a_hat)
 
     _, act_grad = ACTIVATIONS[model.config.activation]
     grads = [None] * len(layer_weights)
@@ -426,7 +420,7 @@ def backward(model: GcnModel, cache: ForwardCache,
         dz = dh * act_grad(cache.preactivations[layer])
         grads[layer] = cache.aggregated[layer].T @ dz
         if layer > 0:
-            dh = a_hat.T @ (dz @ layer_weights[layer].T)
+            dh = cache.a_hat.T @ (dz @ layer_weights[layer].T)
     return [*grads, grad_readout_weight, grad_readout_bias]
 
 

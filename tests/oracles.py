@@ -316,3 +316,32 @@ def naive_train(graphs, model_config, train_config, activation):
         history.append({"epoch": epoch, "lr": lr, "loss": loss_sum / n,
                         "accuracy": correct / n})
     return params, history
+
+
+def naive_predict(graphs, params, activation):
+    """Per-sample reference for ``predict``: a dense forward pass on the full
+    N x N normalized adjacency, with its own mean readout and softmax, one
+    fresh array per expression.
+
+    ``params`` is laid out as ``GcnModel.params`` and ``activation`` is the
+    (function, derivative) pair to use. Returns (labels, probabilities,
+    embeddings), one row per graph; ties go to the lowest class index.
+    """
+    act, _ = activation
+    *layer_weights, readout_weight, readout_bias = params
+    probs, embeddings = [], []
+    for graph in graphs:
+        adjacency = np.asarray(graph.adjacency, dtype=float)
+        with_loops = adjacency + np.eye(len(adjacency))
+        inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
+        a_hat = with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
+        h = np.asarray(graph.features, dtype=float)
+        for weight in layer_weights:
+            h = act((a_hat @ h) @ weight)
+        embedding = h.mean(axis=0)
+        logits = readout_weight @ embedding + readout_bias
+        exp = np.exp(logits - logits.max())
+        probs.append(exp / exp.sum())
+        embeddings.append(embedding)
+    probs = np.array(probs)
+    return probs.argmax(axis=1), probs, np.array(embeddings)

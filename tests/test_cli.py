@@ -539,6 +539,19 @@ class TestSweep:
             (tau, "error: non-finite parameters at epoch 0, batch 1")
             for tau in ("0.3", "0.5")]
 
+    @pytest.mark.parametrize("grid, repeated", [("0.5,0.5", "0.5"),
+                                                ("0.3, 0.5,0.3 ", "0.3")])
+    def test_repeated_point_is_usage_error(self, tmp_path, capsys, grid, repeated):
+        # both points would write the same point directory
+        dataset = synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "rsweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "tau", "--grid", grid, "--epochs", "1",
+                     "--hidden", "8"]) == 1
+        assert f"'{repeated}'" in capsys.readouterr().err
+        assert not list(out.glob("point_*")) and not (out / "sweep.csv").exists()
+
     def test_failed_point_recorded_and_run_continues(self, tmp_path):
         dataset = synth(tmp_path, "imgds", extra=["--with-images"])
         out = tmp_path / "fsweep"

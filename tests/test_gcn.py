@@ -42,6 +42,7 @@ from facegraph import (
 from oracles import (
     json_dump_checkpoint,
     naive_adam_step,
+    naive_predict,
     naive_train,
     where_elu,
     where_elu_grad,
@@ -376,6 +377,21 @@ class TestForward:
             forward(self.model, self.sample,
                     norm_adj=normalize_adjacency(other.adjacency))
 
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5), (5,), (5, 5, 1)])
+    def test_non_square_norm_adj_is_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="square"):
+            forward(self.model, self.sample, norm_adj=np.ones(shape))
+
+    def test_norm_adj_layout_keeps_the_bits(self):
+        # a BLAS may round a product differently for another memory layout
+        config = GcnConfig(in_dim=12, num_classes=3, hidden_dim=20, num_layers=3)
+        model = init_model(config, 5)
+        for graph in oracle_graphs(68, 12)[:4]:
+            a_hat = normalize_adjacency(graph.adjacency)
+            want, _ = forward(model, graph)
+            got, _ = forward(model, graph, norm_adj=np.asfortranarray(a_hat))
+            assert same_bits(got, want)
+
     def test_linked_pair_must_fit_the_features(self):
         pair = (np.array([3, 5]), np.eye(2))  # node 5 of a 5-node sample
         with pytest.raises(InvalidInputError, match="5 nodes"):
@@ -679,6 +695,35 @@ class TestTrainMatchesOracle:
         for got, want in zip(model.params, params):
             assert same_bits(got, want)
         assert history == expected
+
+
+class TestPredictMatchesOracle:
+    """``predict`` gives the bits of a per-sample forward on dense A_hat products."""
+
+    @pytest.mark.parametrize("n, in_dim, hidden, layers, activation", [
+        (12, 12, 20, 1, "relu"),
+        (12, 64, 32, 2, "gelu"),
+        (12, 12, 24, 3, "elu"),
+        (68, 12, 20, 1, "elu"),
+        (68, 12, 24, 2, "relu"),
+        (68, 12, 36, 3, "gelu"),
+        (68, 64, 64, 1, "gelu"),
+        (68, 64, 40, 2, "elu"),
+        (68, 64, 256, 3, "relu"),
+    ])
+    def test_labels_probabilities_and_embeddings_bit_for_bit(
+            self, n, in_dim, hidden, layers, activation):
+        graphs = oracle_graphs(n, in_dim)
+        config = GcnConfig(in_dim=in_dim, num_classes=3, hidden_dim=hidden,
+                           num_layers=layers, activation=activation)
+        model = init_model(config, n + in_dim + layers)
+        # spread the logits so that the classes do not all tie
+        model.params[-2] *= 50.0
+        got = predict(model, graphs)
+        want = naive_predict(graphs, model.params, ACTIVATIONS[activation])
+        assert np.array_equal(got[0], want[0])
+        assert same_bits(got[1], want[1])
+        assert same_bits(got[2], want[2])
 
 
 class TestPredict:

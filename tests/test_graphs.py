@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,28 @@ class TestRawAdjacency:
         near = raw_adjacency(feats, np.array([[0.0, 0.0], [709.78, 0.0]]))
         assert near[0, 1] == 1.0 / math.exp(709.78) > 0.0
         far = raw_adjacency(feats, np.array([[0.0, 0.0], [1e3, 0.0]]))
+        assert np.array_equal(far, np.zeros((2, 2)))
+
+    def test_decay_is_math_exp_bit_for_bit(self):
+        # identical one-hot features make every similarity exactly 1, so each
+        # weight is 1 / decay; 640 landmarks on a line give 204,480 distances
+        # in [0, log(max double)], 0 and the boundary itself included
+        log_max = math.log(sys.float_info.max)
+        rng = np.random.default_rng(23)
+        x = np.concatenate([[0.0, 0.0, log_max],
+                            rng.uniform(0.0, 40.0, 317), rng.uniform(0.0, log_max, 320)])
+        points = np.stack([x, np.zeros_like(x)], axis=1)
+        raw = raw_adjacency(np.ones((len(x), 1)), points)
+        rows, cols = _upper_triangle(len(x))
+        distances = np.sqrt((x[rows] - x[cols]) ** 2)
+        assert distances.min() == 0.0 and distances.max() == log_max
+        expected = [1.0 / math.exp(d) for d in distances.tolist()]
+        assert np.array_equal(raw[rows, cols].view(np.int64),
+                              np.array(expected).view(np.int64))
+        above = np.nextafter(log_max, math.inf)
+        with pytest.raises(OverflowError):
+            math.exp(above)
+        far = raw_adjacency(np.ones((2, 1)), np.array([[0.0, 0.0], [above, 0.0]]))
         assert np.array_equal(far, np.zeros((2, 2)))
 
     def test_far_and_huge_landmarks_match_oracle(self):
