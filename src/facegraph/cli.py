@@ -134,7 +134,9 @@ def _add_setting(parser: argparse.ArgumentParser, key: str) -> None:
                             help=_HELP.get(key))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given a ``command``, only that one's
+    settings get flags, since argparse hands the rest of the line to it alone."""
     common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     _add_setting(common, "seed")
@@ -144,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        for key in keys:
-            _add_setting(p, key)
+        if command in (None, name):
+            for key in keys:
+                _add_setting(p, key)
     return parser
 
 
@@ -471,7 +474,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         config = _effective_config(args)

@@ -235,39 +235,8 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
         raise InvalidInputError("adjacency must be square")
     with_loops = adj + np.eye(adj.shape[0])
     inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
-    return with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
-
-
-def _linked_block(norm_adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes a normalized adjacency links, and its block on them.
-
-    Node i is linked unless row i and column i of ``norm_adj`` are both the
-    unit vector e_i, bit for bit, as for an isolated node of
-    :func:`normalize_adjacency` (a -0.0 entry links its row and column).
-    Returns ``(linked, block)``: the ascending indices of the linked nodes and
-    the C-contiguous ``norm_adj[np.ix_(linked, linked)]``.
-    """
-    differs = (norm_adj != np.eye(len(norm_adj))) | np.signbit(norm_adj)
-    linked = np.flatnonzero(differs.any(axis=0) | differs.any(axis=1))
-    return linked, np.ascontiguousarray(norm_adj[np.ix_(linked, linked)])
-
-
-def _dense(linked: np.ndarray, block: np.ndarray, n_nodes: int) -> np.ndarray:
-    """The N x N matrix that :func:`_linked_block` split, with the same bits.
-
-    Layers multiply by this dense matrix rather than by ``block`` alone: a
-    BLAS may add a smaller product's terms in another order, which changes
-    the last bit at some widths.
-    """
-    linked = np.asarray(linked)
-    if (linked.ndim != 1 or np.shape(block) != (linked.size, linked.size)
-            or (linked.size and not 0 <= linked.min() <= linked.max() < n_nodes)):
-        raise InvalidInputError(
-            f"linked nodes and block do not fit a graph of {n_nodes} nodes"
-        )
-    a_hat = np.eye(n_nodes)
-    a_hat[np.ix_(linked, linked)] = block
-    return a_hat
+    with_loops *= inv_sqrt_degree[:, None] * inv_sqrt_degree
+    return with_loops
 
 
 def readout(node_feats: np.ndarray) -> np.ndarray:
@@ -299,7 +268,7 @@ def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values one backward pass needs, the dense ``A_hat``
+    """Intermediate values one backward pass needs, the N x N ``A_hat``
     included, so that backward multiplies by the matrix forward used; the
     logits; and the model's :attr:`GcnModel.updates` count when the pass ran."""
 
@@ -314,16 +283,15 @@ class ForwardCache:
 
 def forward(model: GcnModel, sample: GraphSample,
             rng: np.random.Generator | None = None,
-            norm_adj: np.ndarray | tuple | None = None):
+            norm_adj: np.ndarray | None = None):
     """Class probabilities for one graph, plus the cache for backprop.
 
     With an ``rng``, inverted dropout is applied to every hidden activation
     except the final layer's, drawing masks from it; without one the pass is
-    fully deterministic. Pass ``norm_adj`` to use a precomputed normalization
-    in place of the sample's: a dense N x N matrix, which the layers multiply
-    by as given, or the ``(linked, block)`` pair :func:`_linked_block` makes
-    of one, which is expanded to the dense matrix once. The cache keeps that
-    dense matrix for :func:`backward`.
+    fully deterministic. The layers multiply by ``norm_adj``, an N x N
+    matrix, or by default by :func:`normalize_adjacency` of the sample's
+    adjacency, which is computed on every call. The cache keeps that matrix,
+    in C order, for :func:`backward`.
     """
     config = model.config
     h = np.asarray(sample.features, dtype=float)
@@ -334,15 +302,12 @@ def forward(model: GcnModel, sample: GraphSample,
     use_dropout = rng is not None and config.dropout_rate > 0.0
     if norm_adj is None:
         norm_adj = normalize_adjacency(sample.adjacency)
-    if isinstance(norm_adj, tuple):
-        a_hat = _dense(*norm_adj, h.shape[0])
-    else:  # C order, so that the BLAS sees one layout
-        a_hat = np.ascontiguousarray(norm_adj, dtype=float)
-        if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
-            raise InvalidInputError("normalized adjacency must be square")
-        if len(a_hat) != h.shape[0]:
-            raise InvalidInputError(f"normalized adjacency has {len(a_hat)} nodes, "
-                                    f"sample features have {h.shape[0]}")
+    a_hat = np.ascontiguousarray(norm_adj, dtype=float)  # one layout for the BLAS
+    if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
+        raise InvalidInputError("normalized adjacency must be square")
+    if len(a_hat) != h.shape[0]:
+        raise InvalidInputError(f"normalized adjacency has {len(a_hat)} nodes, "
+                                f"sample features have {h.shape[0]}")
 
     *layer_weights, readout_weight, readout_bias = model.params
     act, _ = ACTIVATIONS[config.activation]
@@ -499,8 +464,10 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     Every epoch shuffles with the seeded generator, walks the batches in
     order, accumulates per-sample gradients sequentially and applies one Adam
     step per batch at the scheduled learning rate. The batch loss is the mean
-    cross-entropy over the batch. History rows report the mean loss and
-    accuracy over the samples as seen during the epoch (dropout active).
+    cross-entropy over the batch. Each sample-step runs :func:`forward` on the
+    sample, which normalizes its stored adjacency afresh, so no ``A_hat`` is
+    kept between steps. History rows report the mean loss and accuracy over
+    the samples as seen during the epoch (dropout active).
     A non-finite parameter after any step raises :class:`NumericError`
     naming the epoch and the batch index, with no numpy overflow warning.
     """
@@ -520,7 +487,6 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
 
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
-    linked_blocks = [_linked_block(normalize_adjacency(s.adjacency)) for s in dataset]
     onehots = np.eye(num_classes)[[s.label for s in dataset]]
     state = init_adam(model.params)
 
@@ -538,8 +504,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
             for total in grad_total:
                 total.fill(0.0)
             for idx in batch:
-                probs, cache = forward(model, dataset[idx], rng=rng,
-                                       norm_adj=linked_blocks[idx])
+                probs, cache = forward(model, dataset[idx], rng=rng)
                 label = dataset[idx].label
                 loss_sum += -math.log(max(float(probs[label]), 1e-12))
                 correct += int(np.argmax(probs) == label)

@@ -8,7 +8,7 @@ that stage's metrics read 0 without an error. These tests fail instead.
 ``bench/run.py`` also divides by counts the worker takes from those spans:
 ``gcn.train_steps`` is the number of ``gcn.forward`` spans under ``gcn.train``.
 So ``train`` must keep calling the module-level ``forward`` and ``backward``
-once per sample and step, and ``normalize_adjacency`` once per sample.
+once per sample and step; ``forward`` calls ``normalize_adjacency`` each time.
 """
 
 import importlib
@@ -52,7 +52,7 @@ def test_binding_resolves_to_the_named_function(module_name, attr, span_name):
     assert f"{fn.__module__}.{fn.__name__}" == f"facegraph.{span_name}"
 
 
-def test_train_calls_the_traced_steps_once_per_sample(monkeypatch):
+def test_train_runs_the_traced_steps_once_per_sample_step(monkeypatch):
     calls = {"forward": 0, "backward": 0, "normalize_adjacency": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(gcn, name), **kwargs):
@@ -64,4 +64,5 @@ def test_train_calls_the_traced_steps_once_per_sample(monkeypatch):
     graphs = dataset_graphs(generate_synthetic(spec), 0.5)
     gcn.train(graphs, GcnConfig(in_dim=4, num_classes=2, hidden_dim=4),
               TrainConfig(epochs=2, batch_size=4))
-    assert calls == {"forward": 2 * 10, "backward": 2 * 10, "normalize_adjacency": 10}
+    assert calls == {"forward": 2 * 10, "backward": 2 * 10,
+                     "normalize_adjacency": 2 * 10}

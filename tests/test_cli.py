@@ -839,6 +839,43 @@ class TestUsage:
         assert not (tmp_path / "o" / "manifest.json").exists()
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
+    @pytest.fixture
+    def added_settings(self, monkeypatch):
+        """The keys main adds flags for, in order."""
+        added = []
+
+        def counted(parser, key, _add=cli._add_setting):
+            added.append(key)
+            _add(parser, key)
+        monkeypatch.setattr(cli, "_add_setting", counted)
+        return added
+
+    def test_only_the_named_command_gets_its_flags(self, tmp_path, added_settings):
+        assert main(["eval", "--out-dir", str(tmp_path / "o")]) == 1  # no dataset
+        assert sorted(added_settings) == sorted(["seed", *cli._COMMANDS["eval"][2]])
+
+    @pytest.mark.parametrize("argv", [[], ["evaluate", "--out-dir", "o"],
+                                      ["--out-dir", "o", "eval"]],
+                             ids=["empty", "invalid_choice", "flag_first"])
+    def test_no_command_first_builds_every_command(self, argv, added_settings):
+        assert main(argv) == 1
+        every = [key for _, _, keys in cli._COMMANDS.values() for key in keys]
+        assert sorted(added_settings) == sorted(["seed", *every])
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"]])
+    def test_help_is_that_of_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as full:
+            cli._build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == full.value.code == 0
+        assert capsys.readouterr() == want
+
+    def test_unrecognized_argument_of_the_named_command(self, tmp_path, capsys):
+        assert main(["eval", "--out-dir", str(tmp_path / "o"), "--epochs", "3"]) == 1
+        assert "unrecognized arguments: --epochs 3" in capsys.readouterr().err
+
     def test_missing_subcommand(self):
         assert main([]) == 1
 

@@ -4,7 +4,7 @@ import math
 import re
 import struct
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -166,6 +166,22 @@ class TestNormalizeAdjacency:
         with pytest.raises(InvalidInputError):
             normalize_adjacency(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", [12, 68])
+    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5, 1.0, 1e6])
+    def test_bits_of_the_outer_product_form(self, n, tau):
+        # tau -0.5 gives complete graphs here and 1e6 edgeless ones; the int
+        # input has edge multiplicities 1-4, so its degrees vary more
+        rng = np.random.default_rng(n)
+        spec = SyntheticSpec(num_classes=2, samples_per_class=3, landmark_count=n,
+                             feature_dim=8, seed=11)
+        for graph in dataset_graphs(generate_synthetic(spec), tau):
+            upper = np.triu(rng.integers(1, 5, size=(n, n)), k=1)
+            for adjacency in (graph.adjacency, graph.adjacency * (upper + upper.T)):
+                with_loops = np.asarray(adjacency, dtype=float) + np.eye(n)
+                inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
+                want = with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
+                assert same_bits(normalize_adjacency(adjacency), want)
+
 
 class TestErf:
     def test_within_3_ulp_of_math_erf(self):
@@ -222,74 +238,6 @@ class TestActivations:
         negative = {"relu": 0.0, "gelu": 0.0, "elu": -1.0}[name]
         want = [1.0, 1.0, 0.0] if derivative else [800.0, 2e154, negative]
         assert np.array_equal(out, want)
-
-
-def signed_zero_features(rng, n, width):
-    """Normal features with -0.0 at random places and in rows 0 and n - 1."""
-    h = rng.normal(size=(n, width))
-    h[rng.random(h.shape) < 0.1] = -0.0
-    h[[0, n - 1]] = -0.0
-    return h
-
-
-class TestLinkedBlock:
-    """The dense matrix rebuilt from the linked block has the bits of A_hat,
-    so A_hat @ H and A_hat.T @ H keep theirs, -0.0 included."""
-
-    WIDTHS = [12, 64, 256]
-
-    def assert_products_match(self, a, h):
-        linked, block = gcn._linked_block(a)
-        assert block.flags.c_contiguous
-        dense = gcn._dense(linked, block, a.shape[0])
-        assert same_bits(dense, a)
-        assert same_bits(dense @ h, a @ h)
-        assert same_bits(dense.T @ h, a.T @ h)
-        return linked
-
-    @pytest.mark.parametrize("width", WIDTHS)
-    def test_every_linked_set_size(self, width):
-        rng = np.random.default_rng(width)
-        n = 68
-        for size in range(n + 1):
-            chosen = np.sort(rng.choice(n, size=size, replace=False))
-            a = np.eye(n)
-            a[np.ix_(chosen, chosen)] = rng.normal(size=(size, size))
-            h = signed_zero_features(rng, n, width)
-            assert np.array_equal(self.assert_products_match(a, h), chosen)
-
-    def test_a_row_or_a_column_alone_links_a_node(self):
-        rng = np.random.default_rng(3)
-        a = np.eye(68)
-        a[2, 5] = 0.25  # row 2 and column 5 differ from e_2 and e_5
-        a[9, 9] = 0.5   # a diagonal entry other than 1
-        a[30, 31] = -0.0  # a signed zero links row 30 and column 31
-        for width in self.WIDTHS:
-            linked = self.assert_products_match(a, signed_zero_features(rng, 68, width))
-            assert linked.tolist() == [2, 5, 9, 30, 31]
-
-    @pytest.mark.parametrize("linked, block", [
-        ([0, 4], np.eye(2)),
-        ([-1, 2], np.eye(2)),
-        ([0, 1, 2], np.eye(2)),
-        ([[0, 1]], np.eye(2)),
-    ])
-    def test_pair_that_does_not_fit_is_refused(self, linked, block):
-        with pytest.raises(InvalidInputError, match="4 nodes"):
-            gcn._dense(np.array(linked), block, 4)
-
-    @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5, 1.0, 1e6])
-    def test_normalized_graphs(self, tau):
-        # tau -0.5 gives complete graphs here and 1e6 edgeless ones
-        rng = np.random.default_rng(7)
-        spec = SyntheticSpec(num_classes=2, samples_per_class=3, landmark_count=68,
-                             feature_dim=8, seed=11)
-        for graph in dataset_graphs(generate_synthetic(spec), tau):
-            a = normalize_adjacency(graph.adjacency)
-            for width in self.WIDTHS:
-                linked = self.assert_products_match(a, signed_zero_features(rng, 68, width))
-                isolated = ~graph.adjacency.any(axis=1)
-                assert np.array_equal(linked, np.flatnonzero(~isolated))
 
 
 class TestGcnLayer:
@@ -391,11 +339,6 @@ class TestForward:
             want, _ = forward(model, graph)
             got, _ = forward(model, graph, norm_adj=np.asfortranarray(a_hat))
             assert same_bits(got, want)
-
-    def test_linked_pair_must_fit_the_features(self):
-        pair = (np.array([3, 5]), np.eye(2))  # node 5 of a 5-node sample
-        with pytest.raises(InvalidInputError, match="5 nodes"):
-            forward(self.model, self.sample, norm_adj=pair)
 
     def test_train_mode_differs_and_masks_recorded(self):
         config = GcnConfig(in_dim=4, num_classes=3, hidden_dim=32, num_layers=2,
@@ -620,6 +563,13 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):
             train([], GcnConfig(in_dim=4, num_classes=2), TrainConfig(epochs=1))
+
+    def test_adjacency_must_match_the_features(self):
+        graphs = separable_graphs()
+        graphs[3] = replace(graphs[3], adjacency=np.zeros((4, 4), dtype=bool))
+        with pytest.raises(InvalidInputError, match="4 nodes"):
+            train(graphs, GcnConfig(in_dim=8, num_classes=2, hidden_dim=8),
+                  TrainConfig(epochs=1))
 
     def test_non_finite_parameters_name_the_batch(self):
         # lr 1e200: the first step leaves finite weights near 1e200, and the
