@@ -2,7 +2,8 @@
 evaluation, threshold / patch-size sweeps and exports.
 
 Config precedence is flags > config file (JSON mirroring the flag names with
-underscores) > built-in defaults; the settings that ran are echoed to
+underscores) > a checkpoint's ``preprocess`` block (``eval``,
+``export-embeddings``) > built-in defaults; the settings that ran are echoed to
 ``<out-dir>/config.json``, a valid config file. Exit codes: 0 success,
 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import ChainMap
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +163,9 @@ def _type_ok(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _check_types(values: dict) -> None:
-    """Each value has its default's type and, for a key in CHOICES, is a choice."""
+def _check(values) -> None:
+    """Each value has its default's type and, for a key in CHOICES, is a choice;
+    seeds are >= 0, float settings finite and a patch parses."""
     for key, value in values.items():
         default = DEFAULTS.get(key, "")  # path keys hold strings
         if not _type_ok(value, default):
@@ -171,28 +174,21 @@ def _check_types(values: dict) -> None:
         if key in CHOICES and value not in CHOICES[key]:
             raise UsageError(f"config key {key!r} must be one of "
                              f"{CHOICES[key]}, got {value!r}")
-
-
-def _check_values(values: dict) -> None:
-    """Seeds are >= 0 and float settings finite, for whichever of them are given."""
-    for key in ("seed", "encoder_seed"):
-        if values.get(key, 0) < 0:
-            raise UsageError(f"{key} must be >= 0, got {values[key]}")
-    for key, value in values.items():
+        if key in ("seed", "encoder_seed") and value < 0:
+            raise UsageError(f"{key} must be >= 0, got {value}")
         # false for nan, +-inf and ints beyond the float range
-        if isinstance(DEFAULTS.get(key), float) and not abs(value) <= sys.float_info.max:
+        if isinstance(default, float) and not abs(value) <= sys.float_info.max:
             raise UsageError(f"{key} must be a finite number, got {value!r}")
+        if key == "patch":
+            _parse_patch(value)
 
 
-def _effective_config(args) -> dict:
-    """Merge defaults, config file and flags (flags win).
-
-    Keys the user actually set (file or flag) are recorded under "_explicit"
-    so later stages can tell an explicit value from a default; the marker is
-    stripped before the config is echoed.
-    """
-    config = dict(DEFAULTS)
-    explicit = set()
+def _effective_config(args) -> ChainMap:
+    """The checked settings the config file and flags give (flags win), over
+    the defaults: ``ChainMap(given, DEFAULTS)``, so ``maps[0]`` holds exactly
+    what the user set, and a value given explicitly wins even where it equals
+    its default."""
+    given = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -206,30 +202,22 @@ def _effective_config(args) -> dict:
         unknown = set(loaded) - set(DEFAULTS) - set(_PATH_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        _check_types(loaded)
-        config.update(loaded)
-        explicit |= set(loaded)
+        _check(loaded)
+        given.update(loaded)
     for key in (*DEFAULTS, *_PATH_KEYS):
         value = getattr(args, key, None)
         if value is not None:
-            config[key] = value
-            explicit.add(key)
-    _check_values(config)
-    config["_explicit"] = explicit
-    return config
+            given[key] = value
+    _check(given)
+    return ChainMap(given, DEFAULTS)
 
 
-def _require(config: dict, key: str) -> None:
+def _require(config: ChainMap, key: str) -> None:
     if not config.get(key):
         raise UsageError(f"--{key.replace('_', '-')} is required")
 
 
-def _echo_config(config: dict, out_dir: Path) -> None:
-    write_json(out_dir / "config.json",
-               {k: v for k, v in config.items() if k != "_explicit"})
-
-
-def _build(cls, config: dict, **given):
+def _build(cls, config: ChainMap, **given):
     """A ``cls`` from the config keys _LIBRARY maps to its fields, plus ``given``."""
     for key, (owner, name) in _LIBRARY.items():
         if owner is cls:
@@ -237,7 +225,7 @@ def _build(cls, config: dict, **given):
     return cls(**given)
 
 
-def cmd_synth(config: dict, out_dir: Path) -> int:
+def cmd_synth(config: ChainMap, out_dir: Path) -> int:
     spec = _build(SyntheticSpec, config, seed=config["seed"])
     generate = generate_synthetic_imageset if config["with_images"] else generate_synthetic
     dataset = generate(spec)
@@ -247,7 +235,7 @@ def cmd_synth(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _load(config: dict):
+def _load(config: ChainMap):
     _require(config, "dataset")
     dataset = load_dataset(config["dataset"])
     if not dataset.samples:
@@ -255,19 +243,20 @@ def _load(config: dict):
     return dataset
 
 
-def _graphs(config: dict, dataset):
+def _graphs(config: ChainMap, dataset):
     patch = _parse_patch(config["patch"])
     return dataset_graphs(dataset, config["tau"], patch_size=patch,
                           encoder=_build(EncoderConfig, config))
 
 
-def _load_graphs(config: dict):
+def _load_graphs(config: ChainMap):
     dataset = _load(config)
     return dataset, _graphs(config, dataset)
 
 
-def _merge_preprocess(config: dict, preprocess) -> dict:
-    """Checkpoint graph-construction settings apply unless the user set them.
+def _merge_preprocess(config: ChainMap, preprocess) -> ChainMap:
+    """``ChainMap(given, pre, DEFAULTS)``: the checkpoint's graph-construction
+    settings ``pre`` apply under those the user gave (``config.maps[0]``).
 
     The stored block passes the config-file checks; a block that fails them
     is a bad checkpoint, not a usage error.
@@ -284,22 +273,19 @@ def _merge_preprocess(config: dict, preprocess) -> dict:
             if not (_type_ok(h, 1) and _type_ok(w, 1)):
                 raise UsageError(f"needs int patch_h and patch_w, got {h!r}, {w!r}")
             pre["patch"] = f"{h}x{w}"
-            _parse_patch(pre["patch"])
-        _check_types(pre)
-        _check_values(pre)
-        _build(EncoderConfig, {**DEFAULTS, **pre})
+        _check(pre)
+        _build(EncoderConfig, ChainMap(pre, DEFAULTS))
     except UsageError as exc:
         raise CheckpointError(f"{config['checkpoint']}: preprocess {exc}") from exc
-    explicit = config["_explicit"]
-    return {**config, **{k: v for k, v in pre.items() if k not in explicit}}
+    return ChainMap(config.maps[0], pre, DEFAULTS)
 
 
-def _checkpoint_graphs(config: dict, out_dir: Path):
+def _checkpoint_graphs(config: ChainMap, out_dir: Path):
     """The checkpoint's model and graphs; config.json is echoed with its settings."""
     _require(config, "checkpoint")
     model, preprocess = load_checkpoint(config["checkpoint"])
     config = _merge_preprocess(config, preprocess)
-    _echo_config(config, out_dir)
+    write_json(out_dir / "config.json", dict(config))
     dataset, graphs = _load_graphs(config)
     if dataset.num_classes != model.config.num_classes:
         raise DatasetError(f"{config['checkpoint']}: {model.config.num_classes} "
@@ -307,7 +293,7 @@ def _checkpoint_graphs(config: dict, out_dir: Path):
     return model, dataset, graphs
 
 
-def cmd_build_graph(config: dict, out_dir: Path) -> int:
+def cmd_build_graph(config: ChainMap, out_dir: Path) -> int:
     dataset, graphs = _load_graphs(config)
     graph_dir = out_dir / "graphs"
     graph_dir.mkdir(exist_ok=True)
@@ -329,7 +315,7 @@ def _report_json(report, path) -> None:
                       for name, value in dataclasses.asdict(report).items()})
 
 
-def _train_and_eval(config: dict, out_dir: Path, dataset, graphs):
+def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     """Shared train pipeline; returns the test set's report."""
     train_idx, test_idx = split_indices(dataset, config["test_fraction"],
                                         config["seed"], config["split"])
@@ -351,14 +337,14 @@ def _train_and_eval(config: dict, out_dir: Path, dataset, graphs):
     return report
 
 
-def cmd_train(config: dict, out_dir: Path) -> int:
+def cmd_train(config: ChainMap, out_dir: Path) -> int:
     dataset, graphs = _load_graphs(config)
     report = _train_and_eval(config, out_dir, dataset, graphs)
     print(format_report(report, dataset.class_names))
     return 0
 
 
-def cmd_eval(config: dict, out_dir: Path) -> int:
+def cmd_eval(config: ChainMap, out_dir: Path) -> int:
     model, dataset, graphs = _checkpoint_graphs(config, out_dir)
     report = evaluate(model, graphs)
     _report_json(report, out_dir / "metrics.json")
@@ -366,23 +352,19 @@ def cmd_eval(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _point_config(config: dict, param: str, token: str) -> dict:
-    """The config of one sweep point; a token that fails to parse or check
-    raises :class:`UsageError`."""
+def _point_config(config: ChainMap, param: str, token: str) -> ChainMap:
+    """The config of one sweep point, ``config.new_child({param: value})``; a
+    token that fails to parse or check raises :class:`UsageError`."""
     try:
         value = float(token) if param == "tau" else int(token)
     except ValueError as exc:
         raise UsageError(f"grid token {token!r}: {exc}") from exc
-    if param == "tau":
-        point = {**config, "tau": value}
-        _check_values(point)
-    else:
-        point = {**config, "patch": f"{value}x{value}"}
-        _parse_patch(point["patch"])
-    return point
+    point = {param: value if param == "tau" else f"{value}x{value}"}
+    _check(point)
+    return config.new_child(point)
 
 
-def cmd_sweep(config: dict, out_dir: Path) -> int:
+def cmd_sweep(config: ChainMap, out_dir: Path) -> int:
     _require(config, "param")
     _require(config, "dataset")
     param = config["param"]
@@ -432,7 +414,7 @@ def cmd_sweep(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_export_embeddings(config: dict, out_dir: Path) -> int:
+def cmd_export_embeddings(config: ChainMap, out_dir: Path) -> int:
     model, dataset, graphs = _checkpoint_graphs(config, out_dir)
     target = out_dir / "embeddings.csv"
     export_embeddings(model, dataset, graphs, target)
@@ -440,7 +422,7 @@ def cmd_export_embeddings(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_export_graph(config: dict, out_dir: Path) -> int:
+def cmd_export_graph(config: ChainMap, out_dir: Path) -> int:
     dataset, graphs = _load_graphs(config)
     ids = [sample.sample_id for sample in dataset.samples]
     sid = config.get("sample_id")
@@ -481,7 +463,7 @@ def main(argv=None) -> int:
         config = _effective_config(args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _echo_config(config, out_dir)
+        write_json(out_dir / "config.json", dict(config))
         handler, _, _ = _COMMANDS[args.command]
         return handler(config, out_dir)
     except UsageError as exc:

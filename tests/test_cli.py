@@ -247,6 +247,35 @@ class TestEval:
         # an explicit tau is honored instead of the checkpoint's
         assert json.loads((overridden / "config.json").read_text())["tau"] == 0.9
 
+    @pytest.fixture(scope="class")
+    def tau_run(self, tmp_path_factory):
+        """A dataset and a checkpoint trained at tau 0.2 and encoder_dim 16."""
+        tmp_path = tmp_path_factory.mktemp("tau_run")
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="1",
+                          extra=["--tau", "0.2", "--encoder-dim", "16"])
+        return dataset, run / "checkpoint.json"
+
+    @pytest.mark.parametrize("flags, config, tau", [
+        (["--tau", "0.5"], None, 0.5),
+        ([], {"tau": 0.9}, 0.9),
+        (["--tau", "0.3"], {"tau": 0.9}, 0.3),
+    ], ids=["default_given_as_flag", "config_file", "flag_over_config_file"])
+    def test_setting_precedence_over_checkpoint(self, tmp_path, tau_run,
+                                                flags, config, tau):
+        """Flags > config file > checkpoint preprocess > defaults, where a value
+        given explicitly wins even when it equals the default."""
+        dataset, checkpoint = tau_run
+        args = ["eval", "--out-dir", str(tmp_path / "ev"), "--dataset", str(dataset),
+                "--checkpoint", str(checkpoint), *flags]
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "run.json")]
+        assert main(args) == 0
+        echoed = json.loads((tmp_path / "ev" / "config.json").read_text())
+        # neither sets encoder_dim, so the checkpoint's applies
+        assert (echoed["tau"], echoed["encoder_dim"]) == (tau, 16)
+
     def test_overflowing_logits_are_numeric_failure(self, tmp_path, capsys):
         dataset = tmp_path / "ds"
         assert main(["synth", "--out-dir", str(dataset)]) == 0  # 6 classes
@@ -888,3 +917,20 @@ class TestUsage:
         code = main(["build-graph", "--out-dir", str(tmp_path / "o"),
                      "--dataset", str(dataset), "--patch", "tiny"])
         assert code == 1
+
+    def test_bad_patch_writes_nothing(self, tmp_path, capsys):
+        dataset = synth(tmp_path)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--patch", "0x3"]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: patch size must be positive, got '0x3'\n"
+        assert not out.exists()
+
+    def test_bad_patch_in_config_file_of_any_command(self, tmp_path):
+        (tmp_path / "run.json").write_text(json.dumps({"patch": "bogus"}))
+        out = tmp_path / "o"
+        assert main(["synth", "--out-dir", str(out),
+                     "--config", str(tmp_path / "run.json")]) == 1
+        assert not out.exists()
