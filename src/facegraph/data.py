@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -144,7 +145,8 @@ def read_feature_blob(path) -> np.ndarray:
         version, rows, dim = struct.unpack("<III", header[4:])
         if version != FEATURE_VERSION:
             raise DatasetError(f"{path}: unsupported feature blob version {version}")
-        payload = handle.read(4 * rows * dim)
+        # a header may claim more than the file holds, even more than read accepts
+        payload = handle.read(min(4 * rows * dim, os.fstat(handle.fileno()).st_size))
     if len(payload) != 4 * rows * dim:
         raise DatasetError(f"{path}: feature blob truncated")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()

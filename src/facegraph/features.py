@@ -83,10 +83,9 @@ def read_pgm(path) -> np.ndarray:
     magic = next_token()
     if magic != b"P5":
         raise DatasetError(f"{path}: not a binary PGM (P5) file")
+    fields = [next_token() for _ in range(3)]
     try:
-        width = int(next_token())
-        height = int(next_token())
-        maxval = int(next_token())
+        width, height, maxval = map(int, fields)
     except ValueError as exc:
         raise DatasetError(f"{path}: malformed PGM header") from exc
     if width < 1 or height < 1:

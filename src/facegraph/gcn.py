@@ -586,13 +586,6 @@ def _matrix_from_doc(doc, name: str, shape: tuple[int, ...], version: int) -> np
     return array
 
 
-def _matrix_list_from_doc(docs, name: str, shapes, version: int) -> list[np.ndarray]:
-    if not isinstance(docs, list) or len(docs) != len(shapes):
-        raise CheckpointError(f"{name!r} must list {len(shapes)} matrices")
-    return [_matrix_from_doc(d, f"{name}[{i}]", shape, version)
-            for i, (d, shape) in enumerate(zip(docs, shapes))]
-
-
 def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> None:
     """Write model weights (and optionally graph settings) as versioned JSON.
 
@@ -659,10 +652,14 @@ def load_checkpoint(path):
     dims = (config.in_dim, config.num_classes, config.hidden_dim, config.num_layers)
     if any(type(d) is not int for d in dims):
         raise CheckpointError(f"{path}: config dimensions must be ints, got {list(dims)}")
+    # before param_shapes, whose per-layer list a huge count would not fit
+    layer_docs = doc.get("layer_weights")
+    if not isinstance(layer_docs, list) or len(layer_docs) != config.num_layers:
+        raise CheckpointError(f"'layer_weights' must list {config.num_layers} matrices")
     *layer_shapes, weight_shape, bias_shape = param_shapes(config)
     model = GcnModel(config=config, params=[
-        *_matrix_list_from_doc(doc.get("layer_weights"), "layer_weights", layer_shapes,
-                               version),
+        *(_matrix_from_doc(d, f"layer_weights[{i}]", shape, version)
+          for i, (d, shape) in enumerate(zip(layer_docs, layer_shapes))),
         _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape, version),
         _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape, version),
     ])

@@ -93,26 +93,10 @@ class GraphSample:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the strict upper triangle, row-major."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-@functools.lru_cache(maxsize=None)
 def _upper_mask(n: int) -> np.ndarray:
-    """Read-only n x n boolean mask of the strict upper triangle."""
+    """Read-only n x n boolean mask of the strict upper triangle. Boolean
+    indexing walks it in row-major order, the order of ``np.triu_indices``."""
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.setflags(write=False)
-    return mask
-
-
-@functools.lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Read-only n x n boolean mask that is True off the diagonal."""
-    mask = ~np.eye(n, dtype=bool)
     mask.setflags(write=False)
     return mask
 
@@ -142,9 +126,9 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     The kernel is the cosine similarity of two rows clamped to [0, 1]; the
     upper clamp removes rounding spill above 1 for identical unit rows.
-    ``features`` must already be row-normalized. The diagonal is forced to
-    zero so self-similarity never enters the threshold statistics; self-loops
-    are added later by the GCN normalization instead.
+    ``features`` must already be row-normalized and ``points`` finite. The
+    diagonal is forced to zero so self-similarity never enters the threshold
+    statistics; self-loops are added later by the GCN normalization instead.
     """
     feats = np.asarray(features, dtype=float)
     pts = np.asarray(points, dtype=float)
@@ -156,17 +140,18 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"feature rows ({feats.shape[0]}) and landmarks ({pts.shape[0]}) disagree"
         )
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("landmark coordinates must be finite")
     n = pts.shape[0]
-    upper = _upper_triangle(n)
-    rows, cols = upper
+    upper = _upper_mask(n)
     # every (i, j) pair is one dot of rows i and j, as in a per-pair np.dot
     dots = np.vecdot(feats[:, None, :], feats[None, :, :])[upper]
     x, y = pts[:, 0], pts[:, 1]
     # huge coordinates give distance inf, and past log(max double) = 709.78
     # the decay is inf, so such a pair weighs 0 (where math.exp would raise)
     with np.errstate(over="ignore"):
-        dx = x[rows] - x[cols]
-        dy = y[rows] - y[cols]
+        dx = (x[:, None] - x)[upper]
+        dy = (y[:, None] - y)[upper]
         distances = np.sqrt(dx * dx + dy * dy)
         decay = np.exp(distances[::-1])[::-1]  # the C library's exp: see above
     return _symmetric(np.clip(dots, 0.0, 1.0) / decay, n)
@@ -228,7 +213,7 @@ def threshold_stats(raw: np.ndarray, tau: float) -> ThresholdStats:
     if n < 2:
         raise InvalidInputError("need at least 2 nodes for off-diagonal statistics")
     # boolean indexing walks the matrix in row-major order
-    return threshold_from_weights(weights[_off_diagonal(n)], tau)
+    return threshold_from_weights(weights[~np.eye(n, dtype=bool)], tau)
 
 
 def binarize(raw: np.ndarray, threshold: float) -> np.ndarray:
@@ -256,7 +241,7 @@ def build_graph(landmarks: np.ndarray, features: np.ndarray, tau: float,
         raise InvalidInputError(f"label must be a nonnegative class index, got {label}")
     normalized = l2_normalize_rows(features)
     raw = raw_adjacency(normalized, pts)
-    weights = raw[_upper_triangle(pts.shape[0])]
+    weights = raw[_upper_mask(pts.shape[0])]
     weights.setflags(write=False)
     stats = threshold_stats(raw, tau)
     return GraphSample(landmarks=pts, features=normalized,

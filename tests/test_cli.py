@@ -391,6 +391,68 @@ class TestBadCheckpoint:
         assert code == 2
 
 
+class TestBadHeaders:
+    """A file whose header asks for more than it holds ends in a data error
+    (exit 2) that names the problem, not a traceback."""
+
+    @pytest.mark.parametrize("num_layers", [3, 10 ** 20])
+    def test_checkpoint_layer_count(self, tmp_path, capsys, num_layers):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
+        doc = json.loads((run / "checkpoint.json").read_text())
+        doc["config"]["num_layers"] = num_layers
+        checkpoint = tmp_path / "edited.json"
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--out-dir", str(tmp_path / "ev"), "--dataset", str(dataset),
+                     "--checkpoint", str(checkpoint)]) == 2
+        assert f"'layer_weights' must list {num_layers} matrices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["config"].pop("num_classes"),
+        lambda d: d["config"].update(activation="bogus"),
+        lambda d: d.update(config="hidden 8"),
+    ], ids=["missing_key", "bad_activation", "not_an_object"])
+    def test_malformed_checkpoint_config(self, tmp_path, capsys, edit):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
+        doc = json.loads((run / "checkpoint.json").read_text())
+        edit(doc)
+        checkpoint = tmp_path / "edited.json"
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--out-dir", str(tmp_path / "ev"), "--dataset", str(dataset),
+                     "--checkpoint", str(checkpoint)]) == 2
+        assert "malformed config section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, dim", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 31)])
+    def test_feature_blob_size(self, tmp_path, capsys, rows, dim):
+        dataset = synth(tmp_path)
+        blob = dataset / "features" / "s000_c0.fgf"
+        blob.write_bytes(b"FGF1" + struct.pack("<III", 1, rows, dim))
+        capsys.readouterr()
+        assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
+                     "--dataset", str(dataset)]) == 2
+        assert f"{blob}: feature blob truncated" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    def test_missing_config_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["synth", "--out-dir", str(tmp_path / "o"), "--config", str(path)]) == 2
+        assert f"config file not found: {path}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["{oops", "", '{"seed": 1,}'],
+                             ids=["unclosed", "empty", "trailing_comma"])
+    def test_invalid_json_config_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        assert main(["synth", "--out-dir", str(tmp_path / "o"), "--config", str(path)]) == 2
+        assert f"{path}: invalid JSON config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 def empty_dataset(tmp_path):
     """A dataset with no samples, and a checkpoint trained before it was emptied."""
     dataset = synth(tmp_path)
@@ -579,6 +641,16 @@ class TestSweep:
                      "--param", "tau", "--grid", grid, "--epochs", "1",
                      "--hidden", "8"]) == 1
         assert f"'{repeated}'" in capsys.readouterr().err
+        assert not list(out.glob("point_*")) and not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid", [",", " , ,"])
+    def test_grid_of_no_tokens_is_usage_error(self, tmp_path, capsys, grid):
+        dataset = synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "esweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "tau", "--grid", grid, "--epochs", "1"]) == 1
+        assert "usage error: --grid is empty" in capsys.readouterr().err
         assert not list(out.glob("point_*")) and not (out / "sweep.csv").exists()
 
     def test_failed_point_recorded_and_run_continues(self, tmp_path):

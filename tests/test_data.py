@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +73,31 @@ class TestFeatureBlob:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(DatasetError):
+            read_feature_blob(path)
+
+
+    @pytest.mark.parametrize("rows, dim", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 31, 2 ** 31),
+                                           (1, 1), (5, 3)])
+    def test_header_larger_than_file_is_truncated(self, tmp_path, rows, dim):
+        # the header's size is never handed to read: 4 * rows * dim bytes of
+        # the first two would not fit a read's size argument
+        path = tmp_path / "huge.fgf"
+        path.write_bytes(b"FGF1" + struct.pack("<III", 1, rows, dim))
+        with pytest.raises(DatasetError, match="feature blob truncated"):
+            read_feature_blob(path)
+
+    def test_trailing_bytes_accepted(self, tmp_path):
+        array = np.arange(6, dtype=np.float32).reshape(2, 3)
+        path = tmp_path / "long.fgf"
+        write_feature_blob(path, array)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        assert np.array_equal(read_feature_blob(path), array)
+
+    @pytest.mark.parametrize("version", [0, 2, 2 ** 32 - 1])
+    def test_unsupported_version(self, tmp_path, version):
+        path = tmp_path / "v.fgf"
+        path.write_bytes(b"FGF1" + struct.pack("<III", version, 1, 1) + bytes(4))
+        with pytest.raises(DatasetError, match=f"unsupported feature blob version {version}"):
             read_feature_blob(path)
 
 
@@ -290,6 +316,30 @@ class TestSaveLoad:
         (tmp_path / "ds" / "features").rename(tmp_path / "elsewhere")
         (tmp_path / "ds" / "features").symlink_to(tmp_path / "elsewhere")
         assert len(load_dataset(tmp_path / "ds").samples) == 15
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(format="something-else"), "not a facegraph-dataset manifest"),
+        (lambda d: d.pop("format"), "not a facegraph-dataset manifest"),
+        (lambda d: d.update(version=2), "unsupported version 2"),
+        (lambda d: d.update(version="1"), "unsupported version 1"),
+        (lambda d: d.pop("samples"), "missing fields ['samples']"),
+        (lambda d: [d.pop(k) for k in ("feature_dim", "class_names")],
+         "missing fields ['class_names', 'feature_dim']"),
+    ], ids=["wrong_format", "no_format", "version_2", "version_text", "no_samples",
+            "two_fields"])
+    def test_manifest_header_checked(self, tmp_path, edit, message):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ManifestParseError, match=re.escape(message)):
+            load_dataset(manifest)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        with pytest.raises(ManifestParseError, match="not a facegraph-dataset manifest"):
+            load_dataset(path)
 
     def test_unparseable_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"

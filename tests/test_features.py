@@ -48,6 +48,24 @@ class TestPgm:
         with pytest.raises(DatasetError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"P5\n4", "truncated PGM header"),
+        (b"P5\n4 4\n", "truncated PGM header"),
+        (b"P5", "truncated PGM header"),
+        (b"P5\nfour 4\n255\n", "malformed PGM header"),
+        (b"P5\n4 4.0\n255\n", "malformed PGM header"),
+        (b"P5\n0 4\n255\n", "invalid PGM dimensions 0x4"),
+        (b"P5\n4 0\n255\n", "invalid PGM dimensions 4x0"),
+        (b"P5\n-1 4\n255\n", "invalid PGM dimensions -1x4"),
+        (b"P5\n1 1\n0\n\x00", "only 8-bit PGM supported, maxval=0"),
+    ], ids=["no_height", "no_maxval", "magic_only", "word_width", "float_height",
+            "zero_width", "zero_height", "negative_width", "zero_maxval"])
+    def test_bad_header(self, tmp_path, content, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(DatasetError, match=message):
+            read_pgm(path)
+
     def test_16bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

@@ -919,6 +919,39 @@ class TestCheckpoint:
             save_checkpoint(path, model, preprocess={"tau": 0.5, key: value})
         assert not path.exists()
 
+    @pytest.mark.parametrize("num_layers", [1, 3, 10 ** 20])
+    def test_layer_count_checked_before_shapes(self, tmp_path, num_layers):
+        # a huge count must not reach param_shapes, whose list would not fit
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model)
+        doc = json.loads(path.read_text())
+        doc["config"]["num_layers"] = num_layers
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=f"'layer_weights' must list {num_layers} matrices"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["config"].pop("in_dim"),
+        lambda d: d["config"].update(depth=2),
+        lambda d: d["config"].update(num_classes=0),
+        lambda d: d["config"].update(activation="bogus"),
+        lambda d: d["config"].update(dropout_rate=1.5),
+        lambda d: d.update(config=[3, 2]),
+        lambda d: d.pop("config"),
+    ], ids=["missing_key", "unknown_key", "zero_classes", "bad_activation",
+            "bad_dropout", "not_an_object", "absent"])
+    def test_malformed_config_section(self, tmp_path, edit):
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="malformed config section"):
+            load_checkpoint(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}')

@@ -18,7 +18,7 @@ from facegraph import (
     threshold_stats,
 )
 from facegraph.cli import TAU_GRID as CLI_TAU_GRID
-from facegraph.graphs import _off_diagonal, _upper_triangle
+from facegraph.graphs import _upper_mask
 
 from oracles import naive_graph
 
@@ -156,7 +156,7 @@ class TestRawAdjacency:
                             rng.uniform(0.0, 40.0, 317), rng.uniform(0.0, log_max, 320)])
         points = np.stack([x, np.zeros_like(x)], axis=1)
         raw = raw_adjacency(np.ones((len(x), 1)), points)
-        rows, cols = _upper_triangle(len(x))
+        rows, cols = np.triu_indices(len(x), k=1)
         distances = np.sqrt((x[rows] - x[cols]) ** 2)
         assert distances.min() == 0.0 and distances.max() == log_max
         expected = [1.0 / math.exp(d) for d in distances.tolist()]
@@ -176,18 +176,23 @@ class TestRawAdjacency:
         normalized, raw, _, _ = naive_graph(points, features, 0.5)
         assert np.array_equal(raw_adjacency(normalized, points), raw)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_landmark_rejected(self, value):
+        points = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        points[1, 0] = value
+        with pytest.raises(InvalidInputError, match="landmark coordinates must be finite"):
+            raw_adjacency(np.eye(3), points)
+
 
 class TestReadOnlyCaches:
-    """Every per-size cache hands out shared arrays that nobody may edit."""
+    """The per-size cache hands out a shared mask that nobody may edit."""
 
     @pytest.mark.parametrize("n", [2, 68])
     def test_write_raises(self, n):
-        rows, cols = _upper_triangle(n)
-        mask = _off_diagonal(n)
-        assert _upper_triangle(n)[0] is rows and _off_diagonal(n) is mask
-        for array in (rows, cols, mask):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[0]
+        mask = _upper_mask(n)
+        assert _upper_mask(n) is mask
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = mask[0]
 
 
 class TestThresholdStats:
