@@ -195,7 +195,7 @@ def _effective_config(args) -> ChainMap:
             raise DatasetError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
             raise DatasetError(f"{path}: invalid JSON config ({exc})") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"{path}: config must be a JSON object")

@@ -250,7 +250,13 @@ def generate_synthetic_imageset(spec: SyntheticSpec) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest.json plus feature blobs and PGM images; returns the manifest path."""
+    """Write manifest.json plus feature blobs and PGM images; returns the manifest
+    path. An id :func:`load_dataset` would refuse raises before anything is written."""
+    for sample in dataset.samples:
+        sid = sample.sample_id
+        if not (isinstance(sid, str) and SAMPLE_ID_PATTERN.fullmatch(sid)):
+            raise InvalidInputError(f"sample_id {sid!r} must be a string matching "
+                                    f"{SAMPLE_ID_PATTERN.pattern}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     sample_docs = []
@@ -286,46 +292,46 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     return manifest_path
 
 
-def _manifest_path(path) -> Path:
-    p = Path(path)
-    if p.is_dir():
-        p = p / "manifest.json"
-    return p
-
-
-def _contained(sid: str, entry) -> PurePath:
-    """A manifest side-file path, which must stay inside the dataset directory."""
-    path = PurePath(entry) if isinstance(entry, str) else None
-    if path is None or path.is_absolute() or ".." in path.parts:
+def _side_file(root: Path, sid: str, entry, kind: str) -> Path:
+    """The existing side file ``entry`` names, a path relative to ``root``
+    without '..' (checked on the text)."""
+    if (not isinstance(entry, str) or PurePath(entry).is_absolute()
+            or ".." in PurePath(entry).parts):
         raise DatasetError(f"sample {sid!r}: side-file path {entry!r} must be "
                            f"relative to the manifest, without '..'")
+    path = root / entry
+    if not path.exists():
+        raise MissingFileError(f"sample {sid!r}: missing {kind} file {path}")
     return path
 
 
 def load_dataset(path) -> Dataset:
     """Parse and fully validate a dataset manifest.
 
-    ``class_names`` must be a list of strings, and ``feature_dim``,
+    ``class_names`` must be a list of strings, and ``version``, ``feature_dim``,
     ``landmark_count`` and every label JSON ints; nothing is coerced.
     Errors name the offending sample: label out of range, wrong landmark
     count, wrong feature dimension, or a missing side file each raise a
-    distinct exception type. Sample ids must match :data:`SAMPLE_ID_PATTERN`
+    distinct exception type, and features must be finite. Sample ids must match :data:`SAMPLE_ID_PATTERN`
     and be unique, and feature and image paths must be relative with no
     ``..`` component (checked on the text, so symlinked directories load).
     Every listed image is read, also for a sample that has features.
     """
-    manifest_path = _manifest_path(path)
+    manifest_path = Path(path)
+    if manifest_path.is_dir():
+        manifest_path /= "manifest.json"
     if not manifest_path.exists():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     try:
         with open(manifest_path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise ManifestParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
         raise ManifestParseError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest")
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ManifestParseError(f"{manifest_path}: unsupported version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise ManifestParseError(f"{manifest_path}: unsupported version {version}")
     missing = {"class_names", "feature_dim", "landmark_count", "samples"} - set(doc)
     if missing:
         raise ManifestParseError(f"{manifest_path}: missing fields {sorted(missing)}")
@@ -342,8 +348,7 @@ def load_dataset(path) -> Dataset:
 
     root = manifest_path.parent
     num_classes = len(class_names)
-    samples = []
-    seen = set()
+    samples, seen = [], set()
     for index, entry in enumerate(sample_docs):
         sid = entry.get("sample_id") if isinstance(entry, dict) else None
         if not isinstance(sid, str) or not SAMPLE_ID_PATTERN.fullmatch(sid):
@@ -356,56 +361,43 @@ def load_dataset(path) -> Dataset:
         if type(label) is not int:
             raise ManifestParseError(f"sample {sid!r}: label must be an int, got {label!r}")
         if not 0 <= label < num_classes:
-            raise DatasetError(
-                f"sample {sid!r}: label {label} outside [0, {num_classes})"
-            )
+            raise DatasetError(f"sample {sid!r}: label {label} outside [0, {num_classes})")
         try:
             landmarks = np.asarray(entry["landmarks"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ManifestParseError(f"sample {sid!r}: malformed landmarks") from exc
         if landmarks.shape != (landmark_count, 2):
-            raise DimensionMismatchError(
-                f"sample {sid!r}: landmarks shape {landmarks.shape}, "
-                f"expected ({landmark_count}, 2)"
-            )
+            raise DimensionMismatchError(f"sample {sid!r}: landmarks shape {landmarks.shape}, "
+                                         f"expected ({landmark_count}, 2)")
         if not np.all(np.isfinite(landmarks)):
             raise DatasetError(f"sample {sid!r}: non-finite landmark coordinates")
 
-        feature_entry = entry.get("features")
-        image_entry = entry.get("image")
+        feature_entry, image_entry = entry.get("features"), entry.get("image")
         if feature_entry is None and image_entry is None:
             raise DatasetError(f"sample {sid!r}: needs features or an image")
 
-        features = None
+        features = image = None
         if feature_entry is not None:
             if isinstance(feature_entry, str):
-                blob_path = root / _contained(sid, feature_entry)
-                if not blob_path.exists():
-                    raise MissingFileError(f"sample {sid!r}: missing feature file {blob_path}")
-                features = read_feature_blob(blob_path)
+                features = read_feature_blob(_side_file(root, sid, feature_entry, "feature"))
             else:
-                try:
-                    features = np.asarray(feature_entry, dtype=np.float32)
-                except (TypeError, ValueError) as exc:
+                try:  # a value beyond float32 becomes inf, refused below
+                    with np.errstate(over="ignore"):
+                        features = np.asarray(feature_entry, dtype=np.float32)
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ManifestParseError(
                         f"sample {sid!r}: malformed inline features") from exc
             if features.shape != (landmark_count, feature_dim):
                 raise DimensionMismatchError(
                     f"sample {sid!r}: features shape {features.shape}, "
-                    f"expected ({landmark_count}, {feature_dim})"
-                )
-
-        image = None
+                    f"expected ({landmark_count}, {feature_dim})")
+            if not np.isfinite(features).all():
+                raise DatasetError(f"sample {sid!r}: non-finite features")
         if image_entry is not None:
-            image_file = root / _contained(sid, image_entry)
-            if not image_file.exists():
-                raise MissingFileError(f"sample {sid!r}: missing image file {image_file}")
-            image = read_pgm(image_file)
+            image = read_pgm(_side_file(root, sid, image_entry, "image"))
 
-        samples.append(SampleRecord(sample_id=sid, label=label, landmarks=landmarks,
-                                    features=features, image=image))
-    return Dataset(class_names=class_names, feature_dim=feature_dim,
-                   landmark_count=landmark_count, samples=samples)
+        samples.append(SampleRecord(sid, label, landmarks, features, image))
+    return Dataset(class_names, feature_dim, landmark_count, samples)
 
 
 def dataset_graphs(dataset: Dataset, tau: float, patch_size=(30, 30),

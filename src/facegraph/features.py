@@ -25,6 +25,7 @@ Also provides binary PGM (P5, 8-bit) image reading and writing.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 POOL_GRID = 8
+
+# Skips whitespace and comments, then captures one PGM header token, which is
+# empty at the end of the data.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 
 @dataclass(frozen=True)
@@ -59,33 +64,17 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM file into an H x W uint8 array."""
     with open(path, "rb") as handle:
         data = handle.read()
-
-    pos = 0
-
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    tokens, pos = [], 0
+    for _ in range(4):  # magic, width, height, maxval
+        match = _PGM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
             raise DatasetError(f"{path}: truncated PGM header")
-        return data[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise DatasetError(f"{path}: not a binary PGM (P5) file")
-    fields = [next_token() for _ in range(3)]
+        if not tokens and match[1] != b"P5":
+            raise DatasetError(f"{path}: not a binary PGM (P5) file")
+        tokens.append(match[1])
     try:
-        width, height, maxval = map(int, fields)
+        width, height, maxval = map(int, tokens[1:])
     except ValueError as exc:
         raise DatasetError(f"{path}: malformed PGM header") from exc
     if width < 1 or height < 1:
@@ -100,15 +89,15 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write an H x W uint8 array as a binary (P5) PGM file."""
-    pixels = np.asarray(image)
-    if pixels.ndim != 2:
-        raise InvalidInputError("image must be a 2-D intensity grid")
-    pixels = pixels.astype(np.uint8)
+    """Write an H x W array of whole numbers in [0, 255] as a binary (P5) PGM
+    file; any other pixel, or an empty image, is an :class:`InvalidInputError`."""
+    pixels = _pixels(image)
+    if not ((pixels >= 0) & (pixels <= 255) & (pixels % 1 == 0)).all():
+        raise InvalidInputError("PGM pixels must be whole numbers in [0, 255]")
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as handle:
         handle.write(header)
-        handle.write(pixels.tobytes())
+        handle.write(pixels.astype(np.uint8).tobytes())
 
 
 def _pixels(image) -> np.ndarray:

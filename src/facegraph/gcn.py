@@ -71,6 +71,10 @@ __all__ = [
 CHECKPOINT_FORMAT = "facegraph-checkpoint"
 CHECKPOINT_VERSION = 2  # version 1 stored weights as JSON numbers; it still loads
 
+# init_model's budget: parameters plus 64 per layer, for the ~2.5 KB a layer's
+# arrays take beyond their values. Training holds about seven copies, ~1 GiB here.
+MAX_PARAMETERS = 2 ** 24
+
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -259,7 +263,13 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
-    """Glorot-uniform initialized model; biases start at zero."""
+    """Glorot-uniform initialized model; biases start at zero. A model over the
+    :data:`MAX_PARAMETERS` budget raises :class:`UsageError` before any allocation."""
+    h, classes, layers = config.hidden_dim, config.num_classes, config.num_layers
+    count = config.in_dim * h + (layers - 1) * h * h + classes * h + classes
+    if count + 64 * layers > MAX_PARAMETERS:
+        raise UsageError(f"a model of {count} parameters in {layers} layers, above "
+                         f"the budget of {MAX_PARAMETERS}")
     rng = np.random.default_rng(rng_or_seed)
     *weight_shapes, bias_shape = param_shapes(config)
     params = [_glorot(rng, *shape) for shape in weight_shapes]
@@ -638,7 +648,7 @@ def load_checkpoint(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise CheckpointError(f"{path}: not valid JSON") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")

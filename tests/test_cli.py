@@ -247,6 +247,22 @@ class TestEval:
         # an explicit tau is honored instead of the checkpoint's
         assert json.loads((overridden / "config.json").read_text())["tau"] == 0.9
 
+    def test_checkpoint_without_preprocess_uses_defaults(self, tmp_path):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="2", extra=["--test-fraction", "0"])
+        model, preprocess = facegraph.load_checkpoint(run / "checkpoint.json")
+        assert preprocess is not None
+        bare = tmp_path / "bare.json"
+        facegraph.save_checkpoint(bare, model)
+        assert "preprocess" not in json.loads(bare.read_text())
+        out = tmp_path / "ev"
+        assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--checkpoint", str(bare)]) == 0
+        assert json.loads((out / "config.json").read_text()) == {
+            **cli.DEFAULTS, "dataset": str(dataset), "checkpoint": str(bare)}
+        # trained at the defaults, so the metrics are those of the full checkpoint
+        assert (out / "metrics.json").read_bytes() == (run / "metrics.json").read_bytes()
+
     @pytest.fixture(scope="class")
     def tau_run(self, tmp_path_factory):
         """A dataset and a checkpoint trained at tau 0.2 and encoder_dim 16."""
@@ -380,8 +396,10 @@ class TestBadCheckpoint:
                      "--dataset", str(dataset), "--checkpoint", str(checkpoint)])
         assert code == 2
 
-    @pytest.mark.parametrize("content", [b"[]", b"\xff\xfe{}"],
-                             ids=["not_an_object", "not_utf8"])
+    @pytest.mark.parametrize("content", [
+        b"[]", b"\xff\xfe{}", b'{"version": 1' + b"0" * 5000 + b"}",
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not_an_object", "not_utf8", "too_many_digits", "nested_too_deep"])
     def test_not_a_json_object(self, tmp_path, content):
         dataset = synth(tmp_path)
         checkpoint = tmp_path / "junk.json"
@@ -443,14 +461,22 @@ class TestConfigFile:
         assert f"config file not found: {path}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text", ["{oops", "", '{"seed": 1,}'],
-                             ids=["unclosed", "empty", "trailing_comma"])
+    @pytest.mark.parametrize("text", [
+        "{oops", "", '{"seed": 1,}', '{"seed": 1' + "0" * 5000 + "}",
+        "[" * 100000 + "]" * 100000,
+    ], ids=["unclosed", "empty", "trailing_comma", "too_many_digits", "nested_too_deep"])
     def test_invalid_json_config_is_data_error(self, tmp_path, capsys, text):
         path = tmp_path / "run.json"
         path.write_text(text)
         assert main(["synth", "--out-dir", str(tmp_path / "o"), "--config", str(path)]) == 2
         assert f"{path}: invalid JSON config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        assert main(["synth", "--out-dir", str(tmp_path / "o"), "--config", str(path)]) == 2
+        assert f"{path}: invalid JSON config" in capsys.readouterr().err
 
 
 def empty_dataset(tmp_path):
@@ -541,6 +567,30 @@ class TestBuildGraphAndExports:
         assert main(["build-graph", "--out-dir", str(out),
                      "--dataset", str(dataset)]) == 2
         assert not (tmp_path / "esc" / "run" / "escaped.json").exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_manifest_version_must_be_an_int(self, tmp_path, capsys, version):
+        dataset = synth(tmp_path)
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["version"] = version
+        (dataset / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
+                     "--dataset", str(dataset)]) == 2
+        assert f"unsupported version {version}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e39, float("nan")], ids=["above_float32", "nan"])
+    def test_non_finite_inline_features_name_the_sample(self, tmp_path, capsys, value):
+        dataset = synth(tmp_path)
+        doc = json.loads((dataset / "manifest.json").read_text())
+        doc["samples"][2]["features"] = [[value] * 8] * 6
+        (dataset / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
+                     "--dataset", str(dataset)]) == 2
+        # one line: no numpy warning before it
+        assert capsys.readouterr().err == (
+            "data error: sample 's002_c0': non-finite features\n")
 
     def test_huge_landmark_on_image_is_clamped(self, tmp_path):
         dataset = synth(tmp_path, "imgds", extra=["--with-images"])
@@ -733,7 +783,7 @@ class TestSweep:
          "non-finite"),
     ], ids=["truncated_blob", "nan_features"])
     def test_shared_data_error_is_one_row_per_point(self, tmp_path, corrupt, message):
-        # loading fails for the first case, building the graphs for the second;
+        # loading fails for both cases, a truncated and a non-finite feature blob;
         # either way each point retries and records the same error
         dataset = synth(tmp_path)
         corrupt(dataset / "features" / "s002_c1.fgf")
@@ -928,12 +978,21 @@ class TestUsage:
         ("sweep", ["--param", "tau", "--grid", "0.3,0.5", "--encoder-dim", "0"], None),
         ("train", [], {"split": "bogus"}),
         ("sweep", ["--grid", "0.5"], {"param": "bogus"}),
+        ("train", ["--hidden", str(10 ** 18)], None),
+        ("train", ["--layers", str(10 ** 20)], None),
+        ("train", ["--hidden", str(10 ** 11)], None),
+        ("train", ["--hidden", "65536", "--layers", "10"], None),
+        ("train", [], {"layers": 10 ** 20}),
+        ("sweep", ["--param", "tau", "--grid", "0.3,0.5", "--hidden", str(10 ** 11)],
+         None),
     ], ids=["tau_nan", "lr_nan", "weight_decay_inf", "test_fraction_nan_config",
             "lr_huge_int_config", "synth_noise_inf", "hidden_zero",
             "batch_size_zero", "dropout_one", "lr_min_above_lr",
             "test_fraction_two", "encoder_dim_zero", "sweep_hidden_zero",
             "sweep_grid_hidden_zero", "sweep_grid_encoder_dim_zero",
-            "split_config_choice", "param_config_choice"])
+            "split_config_choice", "param_config_choice", "hidden_huge",
+            "layers_huge", "hidden_1e11", "wide_and_deep", "layers_huge_config",
+            "sweep_hidden_1e11"])
     def test_bad_setting_is_usage_error(self, tmp_path, command, flags, config):
         assert main(usage_args(tmp_path, command, flags, config)) == 1
         assert not (tmp_path / "o" / "checkpoint.json").exists()

@@ -325,8 +325,10 @@ class TestSaveLoad:
         (lambda d: d.pop("samples"), "missing fields ['samples']"),
         (lambda d: [d.pop(k) for k in ("feature_dim", "class_names")],
          "missing fields ['class_names', 'feature_dim']"),
+        (lambda d: d.update(version=True), "unsupported version True"),
+        (lambda d: d.update(version=1.0), "unsupported version 1.0"),
     ], ids=["wrong_format", "no_format", "version_2", "version_text", "no_samples",
-            "two_fields"])
+            "two_fields", "version_bool", "version_float"])
     def test_manifest_header_checked(self, tmp_path, edit, message):
         manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
         doc = json.loads(manifest.read_text())
@@ -347,9 +349,100 @@ class TestSaveLoad:
         with pytest.raises(ManifestParseError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("content", [
+        b'{"format": "\xff"}',
+        b'{"format": "facegraph-dataset", "version": 1' + b"0" * 5000 + b"}",
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not_utf8", "too_many_digits", "nested_too_deep"])
+    def test_undecodable_manifest(self, tmp_path, content):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        with pytest.raises(ManifestParseError, match="invalid JSON"):
+            load_dataset(path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(MissingFileError):
             load_dataset(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda s: s.pop("landmarks"), ManifestParseError, "malformed landmarks"),
+        (lambda s: s.update(landmarks="0,0"), ManifestParseError, "malformed landmarks"),
+        (lambda s: s.update(landmarks=[[0.0, 1.0], [2.0]]), ManifestParseError,
+         "malformed landmarks"),
+        (lambda s: s["landmarks"][0].__setitem__(0, 10 ** 400), ManifestParseError,
+         "malformed landmarks"),
+        (lambda s: s["landmarks"][0].__setitem__(0, float("inf")), DatasetError,
+         "non-finite landmark coordinates"),
+        (lambda s: s["landmarks"][5].__setitem__(1, float("nan")), DatasetError,
+         "non-finite landmark coordinates"),
+        (lambda s: s.update(features=None, image=None), DatasetError,
+         "needs features or an image"),
+        (lambda s: s.pop("features"), DatasetError, "needs features or an image"),
+        (lambda s: s.update(features=[["a"] * 8] * 6), ManifestParseError,
+         "malformed inline features"),
+        (lambda s: s.update(features=[[0.0] * 8] * 5 + [[0.0] * 7]), ManifestParseError,
+         "malformed inline features"),
+        (lambda s: s.update(features=[[10 ** 400] * 8] * 6), ManifestParseError,
+         "malformed inline features"),
+        (lambda s: s.update(features=[[0.0] * 8] * 5), DimensionMismatchError,
+         "features shape (5, 8)"),
+    ], ids=["landmarks_missing", "landmarks_text", "landmarks_ragged",
+            "landmarks_huge_int", "landmark_inf", "landmark_nan", "neither_side",
+            "features_missing", "features_text", "features_ragged",
+            "features_huge_int", "features_short"])
+    def test_bad_sample_entry_names_the_sample(self, tmp_path, edit, error, message):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        edit(doc["samples"][1])
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(error, match=f"^sample 's001_c0': .*{re.escape(message)}"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("value, inline", [
+        (1e39, True), (-1e39, True), (float("nan"), True), (float("inf"), True),
+        (float("nan"), False), (float("-inf"), False),
+    ], ids=["inline_above_float32", "inline_below_float32", "inline_nan", "inline_inf",
+            "blob_nan", "blob_negative_inf"])
+    def test_non_finite_features_refused(self, tmp_path, value, inline):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        features = np.zeros((6, 8))
+        features[2, 3] = value
+        if inline:
+            doc["samples"][1]["features"] = features.tolist()
+            manifest.write_text(json.dumps(doc))
+        else:
+            write_feature_blob(tmp_path / "ds" / doc["samples"][1]["features"], features)
+        with pytest.raises(DatasetError, match="^sample 's001_c0': non-finite features"):
+            load_dataset(manifest)
+
+    def test_float32_extremes_load(self, tmp_path):
+        manifest = save_dataset(generate_synthetic(SMALL), tmp_path / "ds")
+        doc = json.loads(manifest.read_text())
+        edge = float(np.finfo(np.float32).max)
+        doc["samples"][1]["features"] = [[edge, -edge, 1e-45, 0.0] * 2] * 6
+        manifest.write_text(json.dumps(doc))
+        features = load_dataset(manifest).samples[1].features
+        assert features.dtype == np.float32
+        assert features[0, 0] == np.finfo(np.float32).max and features[0, 2] > 0
+
+    @pytest.mark.parametrize("sample_id", ["../escaped", ".hidden", "a/b", "", 7, None],
+                             ids=["parent", "dot", "separator", "empty", "int", "none"])
+    def test_save_refuses_an_id_load_refuses(self, tmp_path, sample_id):
+        dataset = generate_synthetic(SMALL)
+        dataset.samples[3].sample_id = sample_id
+        with pytest.raises(InvalidInputError, match="sample_id"):
+            save_dataset(dataset, tmp_path / "ds" / "nested")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_before_writing_any_sample(self, tmp_path):
+        dataset = generate_synthetic_imageset(IMAGES)
+        dataset.samples[-1].sample_id = "../escaped"
+        out = tmp_path / "ds"
+        out.mkdir()
+        with pytest.raises(InvalidInputError):
+            save_dataset(dataset, out)
+        assert list(tmp_path.rglob("*")) == [out]
 
 
 class TestDatasetGraphs:

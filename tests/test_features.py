@@ -58,13 +58,52 @@ class TestPgm:
         (b"P5\n4 0\n255\n", "invalid PGM dimensions 4x0"),
         (b"P5\n-1 4\n255\n", "invalid PGM dimensions -1x4"),
         (b"P5\n1 1\n0\n\x00", "only 8-bit PGM supported, maxval=0"),
+        (b"P5#c\n1 1\n255\n\x00", "not a binary PGM"),
+        (b"P5\n1 1\n255#c\n\x00", "malformed PGM header"),
+        (b"P5\n1 1 # no maxval", "truncated PGM header"),
     ], ids=["no_height", "no_maxval", "magic_only", "word_width", "float_height",
-            "zero_width", "zero_height", "negative_width", "zero_maxval"])
+            "zero_width", "zero_height", "negative_width", "zero_maxval",
+            "comment_glued_to_magic", "comment_glued_to_maxval", "comment_for_maxval"])
     def test_bad_header(self, tmp_path, content, message):
         path = tmp_path / "bad.pgm"
         path.write_bytes(content)
         with pytest.raises(DatasetError, match=message):
             read_pgm(path)
+
+    @pytest.mark.parametrize("content", [
+        b"P5 #c\r2 1 255\n\x01\x02",
+        b"P5\t2\t1\t255\t\x01\x02",
+        b"P5\x0b2\x0b1\x0b255\x0b\x01\x02",
+        b"P5\x0c2\x0c1\x0c255\x0c\x01\x02",
+        b"# made by hand\nP5 2 1 255\n\x01\x02",
+        b"P5 2 1 255\r\x01\x02trailing",
+    ], ids=["cr_ended_comment", "tabs", "vertical_tabs", "form_feeds",
+            "comment_before_magic", "cr_then_trailing"])
+    def test_header_separators(self, tmp_path, content):
+        path = tmp_path / "sep.pgm"
+        path.write_bytes(content)
+        assert np.array_equal(read_pgm(path), [[1, 2]])
+
+    @pytest.mark.parametrize("image", [
+        np.zeros((0, 3), dtype=np.uint8), np.zeros((3, 0)), [[300.0]], [[-1.0]],
+        [[2.5]], [[np.nan]], [[np.inf]], np.array([[256]]), np.array([[-1]]),
+        [[1e300]], [[2 ** 70]], np.zeros(3, dtype=np.uint8),
+    ], ids=["no_rows", "no_columns", "above_255", "negative", "fraction", "nan",
+            "inf", "int_above_255", "int_negative", "float_past_int64",
+            "int_past_int64", "one_dimensional"])
+    def test_write_refuses_what_read_refuses_or_changes(self, tmp_path, image):
+        path = tmp_path / "out.pgm"
+        with pytest.raises(InvalidInputError):
+            write_pgm(path, image)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("image", [np.array([[0.0, 255.0]]), np.array([[0, 255]]),
+                                       np.array([[False, True]])],
+                             ids=["whole_floats", "int64", "bool"])
+    def test_write_accepts_exact_pixels(self, tmp_path, image):
+        path = tmp_path / "out.pgm"
+        write_pgm(path, image)
+        assert np.array_equal(read_pgm(path), image)
 
     def test_16bit_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"

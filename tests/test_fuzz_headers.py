@@ -7,6 +7,11 @@ image. It then runs ``main`` in-process on it. Whatever the bytes, the command
 must end in a documented exit code (0 success, 1 usage, 2 data, 3 numeric),
 no exception may escape, and nothing may be written outside ``--out-dir``.
 
+A second fuzzer edits one or two fields of a dataset manifest: sample ids,
+labels, ``class_names``, side-file paths, the declared counts, the header,
+landmarks, and the values and nesting of inline feature lists. Its commands
+read the edited dataset under the same three rules.
+
 Sizes are drawn at most 64, or huge: ``num_layers`` from 10**19 up, and both
 blob fields together from 2**31 up. A huge size must be refused before
 anything is allocated for it; a huge blob field beside a small one would ask
@@ -14,6 +19,7 @@ for gigabytes if the reader trusted it, so the two are never mixed.
 """
 
 import json
+import math
 import random
 import shutil
 import struct
@@ -21,6 +27,7 @@ import struct
 import pytest
 
 from facegraph.cli import main
+from facegraph.data import read_feature_blob
 
 from test_fuzz_settings import MODEL, TINY, _tree
 
@@ -170,6 +177,119 @@ def test_header_boundary(case, inputs, tmp_path, monkeypatch, capsys):
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     argv = _case(random.Random(case), inputs, work)
+    out = work / "out"
+    before = _tree(inputs), _tree(tmp_path, out)
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
+    assert (_tree(inputs), _tree(tmp_path, out)) == before, argv
+
+
+MANIFEST_CASES = 120
+
+SAMPLE_IDS = ["../escaped", "..", ".hidden", "", "a/b", "a\\b", "s000_c1", 7, None,
+              ["s"], "fresh_1"]
+LABELS = [0, 1, -1, 2, 1.0, True, "0", None, 10 ** 400]
+CLASS_NAMES = [["a", "b"], [], ["a"], ["a", "b", "c"], "a,b", [1, 2], None, {"a": 0}]
+COUNTS = [-1, 0, 1, 5, 6, 7, 8, 10 ** 20, "6", 6.0, True, None]
+VALUES = [0.0, -2.5, 3, 1e-45, 1e39, -1e39, math.nan, math.inf, 10 ** 400, "x", None,
+          True, [], [0.5]]
+
+
+def _side_paths(root):
+    """Side-file paths a manifest might hold, all of them bad or misplaced."""
+    return ["features/absent.fgf", "", ".", "features", "images", "manifest.json",
+            "images/s000_c0.pgm", "features/s000_c0.fgf", "../feat/manifest.json",
+            "./features/../features/s000_c0.fgf", str(root / "features" / "s000_c0.fgf"),
+            5, [], {}, True]
+
+
+def _inline(rng, root, sample):
+    """The sample's features as an inline list, then one edit of its values or nesting."""
+    entry = sample.get("features")
+    if isinstance(entry, str) and entry.endswith(".fgf") and (root / entry).is_file():
+        rows = read_feature_blob(root / entry).tolist()
+    else:
+        rows = [[0.25] * 8 for _ in range(6)]
+    op = rng.choice(["value", "value", "ragged", "extra_row", "nest", "flat", "whole"])
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    if op == "value":
+        rows[r][c] = rng.choice(VALUES)
+    elif op == "ragged":
+        rows[r].pop()
+    elif op == "extra_row":
+        rows.append(list(rows[0]))
+    elif op == "nest":
+        rows[r][c] = [rows[r][c]]
+    elif op == "flat":
+        rows = [v for row in rows for v in row]
+    else:
+        rows = rng.choice([[], 0.5, "0.5", [[]], {}])
+    sample["features"] = rows
+
+
+def _mutate_manifest(rng, doc, root):
+    """Edit one or two fields of a manifest document in place."""
+    for _ in range(rng.choice([1, 2])):
+        samples = doc["samples"] if isinstance(doc["samples"], list) else [{}]
+        sample = rng.choice(samples) if samples else {}
+        kind = rng.choice(["id", "label", "class_names", "path", "path", "count",
+                           "features", "features", "landmarks", "header"])
+        if kind == "id":
+            sample["sample_id"] = rng.choice(SAMPLE_IDS)
+        elif kind == "label":
+            sample["label"] = rng.choice(LABELS)
+        elif kind == "class_names":
+            doc["class_names"] = rng.choice(CLASS_NAMES)
+        elif kind == "path":
+            sample[rng.choice(["features", "image"])] = rng.choice(_side_paths(root))
+        elif kind == "count":
+            doc[rng.choice(["feature_dim", "landmark_count"])] = rng.choice(COUNTS)
+        elif kind == "features":
+            _inline(rng, root, sample)
+        elif kind == "landmarks":
+            landmarks = sample.get("landmarks")
+            if not (isinstance(landmarks, list) and landmarks
+                    and all(isinstance(p, list) and len(p) == 2 for p in landmarks)):
+                sample["landmarks"] = rng.choice(VALUES)
+            elif rng.random() < 0.5:
+                landmarks[rng.randrange(len(landmarks))][rng.randrange(2)] = \
+                    rng.choice(VALUES)
+            else:
+                sample["landmarks"] = rng.choice([landmarks[:-1], [], "0,0", None,
+                                                  [c for p in landmarks for c in p]])
+        else:
+            key = rng.choice(["version", "format", "samples"])
+            doc[key] = rng.choice([True, 1.0, "1", 2, None, "facegraph-dataset", {}])
+
+
+def _manifest_case(rng, inputs, work):
+    """The argv of one manifest case; the dataset it edits is copied into ``work``."""
+    name = rng.choice(["feat", "feat", "img"])
+    dataset = work / name
+    shutil.copytree(inputs / name, dataset)
+    manifest = dataset / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    _mutate_manifest(rng, doc, dataset)
+    manifest.write_text(json.dumps(doc))
+    command = rng.choice(["build-graph", "train", "export-graph", "eval"]
+                         if name == "feat" else ["build-graph", "train", "export-graph"])
+    argv = [command, "--out-dir", str(work / "out"), "--dataset", str(dataset)]
+    if command == "train":
+        argv += [f"--{k.replace('_', '-')}={v}" for k, v in MODEL.items()]
+    elif command == "eval":
+        argv += ["--checkpoint", str(inputs / "run" / "checkpoint.json")]
+    return argv
+
+
+@pytest.mark.parametrize("case", range(MANIFEST_CASES))
+def test_manifest_boundary(case, inputs, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = _manifest_case(random.Random(case), inputs, work)
     out = work / "out"
     before = _tree(inputs), _tree(tmp_path, out)
     code = main(argv)

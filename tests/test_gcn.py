@@ -21,6 +21,7 @@ from facegraph import (
     NumericError,
     SyntheticSpec,
     TrainConfig,
+    UsageError,
     adam_step,
     backward,
     cross_entropy,
@@ -350,6 +351,41 @@ class TestForward:
         assert cache.dropout_masks[0] is not None
         assert cache.dropout_masks[-1] is None  # final layer keeps everything
         assert set(np.unique(cache.dropout_masks[0])) <= {0.0, 2.0}
+
+
+class TestModelBudget:
+    @pytest.mark.parametrize("hidden, layers", [
+        (10 ** 18, 2), (8, 10 ** 20), (10 ** 11, 2), (65536, 10), (2 ** 62, 2 ** 62),
+        (1, 10 ** 7),
+    ], ids=["hidden_huge", "layers_huge", "hidden_1e11", "wide_and_deep", "both_huge",
+            "deep_and_thin"])
+    def test_over_budget_is_refused_before_any_shape(self, hidden, layers, monkeypatch):
+        def no_shapes(config):
+            raise AssertionError("shapes derived for an over-budget model")
+        monkeypatch.setattr(gcn, "param_shapes", no_shapes)
+        config = GcnConfig(in_dim=16, num_classes=6, hidden_dim=hidden, num_layers=layers)
+        with pytest.raises(UsageError,
+                           match=r"parameters in \d+ layers, above the budget of \d+$"):
+            init_model(config, 0)
+
+    @pytest.mark.parametrize("in_dim, classes, hidden, layers", [
+        (4, 3, 8, 2), (1, 1, 1, 1), (64, 7, 256, 2), (5, 2, 3, 4),
+    ])
+    def test_budget_counts_every_parameter_and_layer(self, in_dim, classes, hidden,
+                                                     layers, monkeypatch):
+        config = GcnConfig(in_dim=in_dim, num_classes=classes, hidden_dim=hidden,
+                           num_layers=layers)
+        count = sum(math.prod(shape) for shape in gcn.param_shapes(config))
+        monkeypatch.setattr(gcn, "MAX_PARAMETERS", count + 64 * layers)
+        model = init_model(config, 0)
+        assert sum(p.size for p in model.params) == count
+        monkeypatch.setattr(gcn, "MAX_PARAMETERS", count + 64 * layers - 1)
+        with pytest.raises(UsageError, match=f"{count} parameters in {layers} layers"):
+            init_model(config, 0)
+
+    def test_wide_real_face_model_fits(self):
+        config = GcnConfig(in_dim=64, num_classes=7, hidden_dim=1024, num_layers=4)
+        assert [p.shape for p in init_model(config, 0).params] == gcn.param_shapes(config)
 
 
 class TestCrossEntropy:
