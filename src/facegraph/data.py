@@ -32,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .features import EncoderConfig, features_for_sample, read_pgm, write_pgm
-from .graphs import GraphSample, build_graph, edge_count
+from .graphs import GraphSample, _check_node_count, build_graph, edge_count
 from .gcn import GcnModel, predict
 
 __all__ = [
@@ -64,6 +64,11 @@ EXPRESSION_NAMES = ("anger", "disgust", "fear", "happy", "sad", "surprise", "neu
 IMAGE_SIZE = 224
 CIRCLE_RADIUS = 50.0
 CIRCLE_CENTER = (112.0, 112.0)
+
+# A synthetic dataset's budget: the bytes its samples hold as generated, 16
+# per landmark (two float64 coordinates) plus 8 per float64 feature or 1 per
+# uint8 pixel. Writing the manifest takes about 8 times the coordinates' share.
+MAX_SYNTHETIC_BYTES = 2 ** 27
 
 # Sample ids name output files, so they may not hold a path separator or
 # start with a dot.
@@ -169,6 +174,16 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.maximum(norms, 1e-12)
 
 
+def _check_budget(spec: SyntheticSpec, payload_bytes: int) -> None:
+    """Refuse, before any allocation, a dataset over :data:`MAX_SYNTHETIC_BYTES`
+    whose samples each hold their landmarks and ``payload_bytes``."""
+    size = spec.num_classes * spec.samples_per_class * (
+        16 * spec.landmark_count + payload_bytes)
+    if size > MAX_SYNTHETIC_BYTES:
+        raise UsageError(f"a synthetic dataset of {size} bytes, above the budget "
+                         f"of {MAX_SYNTHETIC_BYTES}")
+
+
 def _synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator,
                        class_geometry: np.ndarray, payload) -> Dataset:
     """The samples of ``spec`` class by class; ``payload(label, landmarks)``
@@ -201,6 +216,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     re-normalized and quantized to float32 so that writing and reloading the
     dataset is bitwise faithful.
     """
+    _check_budget(spec, 8 * spec.landmark_count * spec.feature_dim)
     rng = np.random.default_rng(spec.seed)
     class_geometry = rng.normal(size=(spec.num_classes, spec.landmark_count, 2))
     class_prototypes = np.stack([
@@ -240,6 +256,7 @@ def generate_synthetic_imageset(spec: SyntheticSpec) -> Dataset:
     downstream code encodes patches. The class signal is the per-landmark
     blob brightness.
     """
+    _check_budget(spec, IMAGE_SIZE ** 2)
     rng = np.random.default_rng(spec.seed)
     class_geometry = rng.normal(size=(spec.num_classes, spec.landmark_count, 2))
     amplitudes = rng.uniform(60.0, 220.0, size=(spec.num_classes, spec.landmark_count))
@@ -410,6 +427,7 @@ def dataset_graphs(dataset: Dataset, tau: float, patch_size=(30, 30),
     encoder = encoder or EncoderConfig()
     graphs = []
     for sample in dataset.samples:
+        _check_node_count(len(sample.landmarks))  # before a patch is encoded
         if sample.features is not None:
             feats = np.asarray(sample.features, dtype=float)
         elif sample.image is not None:

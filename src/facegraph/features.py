@@ -43,6 +43,10 @@ __all__ = [
 
 POOL_GRID = 8
 
+# The largest encoder output: its projection takes out_dim x 512 bytes, and a
+# sample's features out_dim x 8 bytes per landmark.
+MAX_ENCODER_DIM = 2 ** 12
+
 # Skips whitespace and comments, then captures one PGM header token, which is
 # empty at the end of the data.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
@@ -58,6 +62,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.out_dim < 1:
             raise UsageError("encoder output dimension must be >= 1")
+        if self.out_dim > MAX_ENCODER_DIM:
+            raise UsageError(f"encoder output dimension {self.out_dim}, above the "
+                             f"budget of {MAX_ENCODER_DIM}")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -101,13 +108,17 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def _pixels(image) -> np.ndarray:
-    """Check that an image or patch is a non-empty 2-D grid of finite pixels."""
+    """Check that an image or patch is a non-empty 2-D grid of finite bool,
+    int, uint or float pixels."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise InvalidInputError("image must be a 2-D intensity grid")
     if img.size == 0:
         raise InvalidInputError(f"image must have pixels, got shape {img.shape}")
-    if img.dtype.kind in "fc" and not np.isfinite(img).all():
+    if img.dtype.kind not in "biuf":
+        raise InvalidInputError("image pixels must be bool, int, uint or float, "
+                                f"got dtype {img.dtype}")
+    if img.dtype.kind == "f" and not np.isfinite(img).all():
         raise InvalidInputError("image pixels must be finite")
     return img
 

@@ -179,9 +179,6 @@ class GcnConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise UsageError("dropout_rate must lie in [0, 1)")
 
-    def layer_dims(self) -> list[int]:
-        return [self.in_dim] + [self.hidden_dim] * self.num_layers
-
 
 def param_shapes(config: GcnConfig) -> list[tuple[int, ...]]:
     """Shapes of :attr:`GcnModel.params`, in order.
@@ -189,7 +186,7 @@ def param_shapes(config: GcnConfig) -> list[tuple[int, ...]]:
     One dims[l] x dims[l + 1] weight per layer, then the num_classes x
     dims[-1] readout weight, then the num_classes readout bias.
     """
-    dims = config.layer_dims()
+    dims = [config.in_dim] + [config.hidden_dim] * config.num_layers
     return ([(dims[l], dims[l + 1]) for l in range(config.num_layers)]
             + [(config.num_classes, dims[-1]), (config.num_classes,)])
 
@@ -450,8 +447,7 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState,
         np.divide(m, bias1, out=update)
         update /= temp
         update *= lr
-        if weight_decay != 0.0:
-            p *= 1.0 - lr * weight_decay
+        p *= 1.0 - lr * weight_decay
         p -= update
     model.updates += 1
 
@@ -464,6 +460,18 @@ def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
         return config.lr_init
     span = config.lr_init - config.lr_min
     return config.lr_min + 0.5 * span * (1.0 + math.cos(math.pi * epoch / (total_epochs - 1)))
+
+
+def _check_samples(samples: list[GraphSample], config: GcnConfig) -> None:
+    """Sample k, in turn, has N x in_dim features and a label in [0, num_classes)."""
+    for k, sample in enumerate(samples):
+        shape = np.shape(sample.features)
+        if shape[1:] != (config.in_dim,):
+            raise InvalidInputError(f"sample {k} has features of shape {shape}, "
+                                    f"model expects N x {config.in_dim}")
+        if not 0 <= sample.label < config.num_classes:
+            raise InvalidInputError(f"sample {k} has label {sample.label}, "
+                                    f"outside [0, {config.num_classes})")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence ends in NumericError alone
@@ -483,21 +491,11 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     """
     if not dataset:
         raise InvalidInputError("training dataset is empty")
-    num_classes = model_config.num_classes
-    for k, sample in enumerate(dataset):
-        if sample.features.shape[1] != model_config.in_dim:
-            raise InvalidInputError(
-                f"sample {k} has feature dim {sample.features.shape[1]}, "
-                f"model expects {model_config.in_dim}"
-            )
-        if not 0 <= sample.label < num_classes:
-            raise InvalidInputError(
-                f"sample {k} has label {sample.label}, outside [0, {num_classes})"
-            )
+    _check_samples(dataset, model_config)
 
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
-    onehots = np.eye(num_classes)[[s.label for s in dataset]]
+    onehots = np.eye(model_config.num_classes)[[s.label for s in dataset]]
     state = init_adam(model.params)
 
     n = len(dataset)
@@ -555,12 +553,7 @@ def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
     """Full metrics report (loss, accuracy, macro-F1, WAR, UAR) on labeled graphs."""
     if not samples:
         raise InvalidInputError("cannot evaluate an empty sample list")
-    num_classes = model.config.num_classes
-    for k, sample in enumerate(samples):
-        if not 0 <= sample.label < num_classes:
-            raise InvalidInputError(
-                f"sample {k} has label {sample.label}, outside [0, {num_classes})"
-            )
+    _check_samples(samples, model.config)
     labels = np.array([s.label for s in samples])
     predictions, probs, _ = predict(model, samples)
     loss = cross_entropy(np.eye(model.config.num_classes)[labels], probs)
@@ -568,7 +561,15 @@ def evaluate(model: GcnModel, samples: list[GraphSample]) -> MetricsReport:
     return compute_metrics(matrix, loss)
 
 
-def _matrix_doc(array: np.ndarray) -> dict:
+def _param_names(num_layers: int) -> list[str]:
+    """The checkpoint name of each entry of :attr:`GcnModel.params`, in order."""
+    return [*(f"layer_weights[{i}]" for i in range(num_layers)),
+            "readout_weight", "readout_bias"]
+
+
+def _matrix_doc(name: str, array: np.ndarray) -> dict:
+    if not np.isfinite(array).all():
+        raise NumericError(f"cannot save matrix {name!r}: it holds a non-finite value")
     values = np.ascontiguousarray(array, dtype="<f8")  # b64encode reads its buffer
     return {"data": base64.b64encode(values).decode("ascii"), "shape": list(array.shape)}
 
@@ -609,19 +610,15 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
     opened, since :func:`load_checkpoint` or a strict JSON reader would
     refuse the file.
     """
-    *layer_weights, readout_weight, readout_bias = model.params
-    names = [f"layer_weights[{i}]" for i in range(len(layer_weights))]
-    for name, array in zip([*names, "readout_weight", "readout_bias"], model.params):
-        if not np.isfinite(array).all():
-            raise NumericError(f"cannot save matrix {name!r}: it holds a non-finite value")
-
+    *layer_docs, weight_doc, bias_doc = map(
+        _matrix_doc, _param_names(len(model.params) - 2), model.params)
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "layer_weights": [_matrix_doc(w) for w in layer_weights],
-        "readout_weight": _matrix_doc(readout_weight),
-        "readout_bias": _matrix_doc(readout_bias),
+        "layer_weights": layer_docs,
+        "readout_weight": weight_doc,
+        "readout_bias": bias_doc,
     }
     if preprocess is not None:
         for key, value in preprocess.items():
@@ -666,11 +663,7 @@ def load_checkpoint(path):
     layer_docs = doc.get("layer_weights")
     if not isinstance(layer_docs, list) or len(layer_docs) != config.num_layers:
         raise CheckpointError(f"'layer_weights' must list {config.num_layers} matrices")
-    *layer_shapes, weight_shape, bias_shape = param_shapes(config)
-    model = GcnModel(config=config, params=[
-        *(_matrix_from_doc(d, f"layer_weights[{i}]", shape, version)
-          for i, (d, shape) in enumerate(zip(layer_docs, layer_shapes))),
-        _matrix_from_doc(doc.get("readout_weight"), "readout_weight", weight_shape, version),
-        _matrix_from_doc(doc.get("readout_bias"), "readout_bias", bias_shape, version),
-    ])
-    return model, doc.get("preprocess")
+    docs = [*layer_docs, doc.get("readout_weight"), doc.get("readout_bias")]
+    params = [_matrix_from_doc(d, name, shape, version) for d, name, shape
+              in zip(docs, _param_names(config.num_layers), param_shapes(config))]
+    return GcnModel(config=config, params=params), doc.get("preprocess")

@@ -59,6 +59,10 @@ __all__ = [
     "threshold_stats",
 ]
 
+# Building an N-node graph peaks at about 45 bytes per N x N entry; the budget
+# admits up to 2048 nodes, about 190 MB.
+MAX_ADJACENCY_ENTRIES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class ThresholdStats:
@@ -140,6 +144,7 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"feature rows ({feats.shape[0]}) and landmarks ({pts.shape[0]}) disagree"
         )
+    _check_node_count(pts.shape[0])
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("landmark coordinates must be finite")
     n = pts.shape[0]
@@ -155,6 +160,13 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
         distances = np.sqrt(dx * dx + dy * dy)
         decay = np.exp(distances[::-1])[::-1]  # the C library's exp: see above
     return _symmetric(np.clip(dots, 0.0, 1.0) / decay, n)
+
+
+def _check_node_count(n: int) -> None:
+    """Refuse a graph of more than :data:`MAX_ADJACENCY_ENTRIES` N x N entries."""
+    if n * n > MAX_ADJACENCY_ENTRIES:
+        raise InvalidInputError(f"a graph of {n} nodes has {n * n} adjacency entries, "
+                                f"above the budget of {MAX_ADJACENCY_ENTRIES}")
 
 
 def _symmetric(weights: np.ndarray, n: int) -> np.ndarray:

@@ -378,13 +378,16 @@ class TestBadCheckpoint:
         lambda d: d["readout_bias"].update(data=[0.0, 0.0]),
         lambda d: d.update(version=1),
         lambda d: d.update(version=3),
+        lambda d: d["preprocess"].update(encoder_dim=10 ** 9),
+        lambda d: d["preprocess"].update(patch_h=10 ** 6, patch_w=10 ** 6),
     ], ids=["layer_shape", "bias_length", "layer_count",
             "tau_text", "tau_null", "tau_bool", "tau_inf", "patch_h_alone",
             "patch_w_zero", "encoder_dim_float", "encoder_seed_text",
             "preprocess_not_object", "weight_null", "bias_overflow",
             "bias_huge_int", "num_layers_float", "hidden_dim_float",
             "v2_nan_bytes", "v2_inf_bytes", "v2_not_base64", "v2_bytes_off_shape",
-            "v2_shape_wildcard", "v2_list", "v1_string", "version_3"])
+            "v2_shape_wildcard", "v2_list", "v1_string", "version_3",
+            "encoder_dim_over_budget", "patch_over_budget"])
     def test_edited_checkpoint(self, tmp_path, edit):
         dataset = synth(tmp_path)
         run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
@@ -452,6 +455,19 @@ class TestBadHeaders:
         assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
                      "--dataset", str(dataset)]) == 2
         assert f"{blob}: feature blob truncated" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("extra", [[], ["--with-images"]], ids=["features", "images"])
+    def test_landmark_count_over_graph_budget(self, tmp_path, capsys, extra):
+        # 2049 x 2049 passes the budget of 2**22 adjacency entries
+        dataset = tmp_path / "wide"
+        assert main(["synth", "--out-dir", str(dataset), "--classes", "1",
+                     "--per-class", "1", "--landmarks", "2049", "--feature-dim", "1",
+                     *extra]) == 0
+        capsys.readouterr()
+        assert main(["build-graph", "--out-dir", str(tmp_path / "g"),
+                     "--dataset", str(dataset)]) == 2
+        assert "a graph of 2049 nodes" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -816,7 +832,8 @@ class TestSweep:
                   "--param", "tau", "--grid", "0.3,0.5"])
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("param, grid", [("tau", "0.5x,0.5"), ("patch", "ten,10")])
+    @pytest.mark.parametrize("param, grid", [("tau", "0.5x,0.5"), ("patch", "ten,10"),
+                                             ("patch", "1000000,10")])
     def test_unparsable_token_is_error_row(self, tmp_path, param, grid):
         dataset = synth(tmp_path, "imgds", extra=["--with-images"])
         out = tmp_path / "usweep"
@@ -985,6 +1002,15 @@ class TestUsage:
         ("train", [], {"layers": 10 ** 20}),
         ("sweep", ["--param", "tau", "--grid", "0.3,0.5", "--hidden", str(10 ** 11)],
          None),
+        ("train", ["--epochs", "-1"], None),
+        ("synth", ["--feature-dim", "1000000000"], None),
+        ("synth", ["--classes", "1000000000"], None),
+        ("synth", ["--landmarks", "1000000000"], None),
+        ("synth", [], {"landmarks": 10 ** 9}),
+        ("synth", ["--per-class", "100000000", "--with-images"], None),
+        ("train", ["--encoder-dim", "1000000000"], None),
+        ("train", ["--patch", "1000000x1000000"], None),
+        ("sweep", ["--param", "tau", "--grid", "0.3,0.5"], {"patch": "129x128"}),
     ], ids=["tau_nan", "lr_nan", "weight_decay_inf", "test_fraction_nan_config",
             "lr_huge_int_config", "synth_noise_inf", "hidden_zero",
             "batch_size_zero", "dropout_one", "lr_min_above_lr",
@@ -992,12 +1018,32 @@ class TestUsage:
             "sweep_grid_hidden_zero", "sweep_grid_encoder_dim_zero",
             "split_config_choice", "param_config_choice", "hidden_huge",
             "layers_huge", "hidden_1e11", "wide_and_deep", "layers_huge_config",
-            "sweep_hidden_1e11"])
+            "sweep_hidden_1e11", "epochs_negative", "synth_feature_dim_huge",
+            "synth_classes_huge", "synth_landmarks_huge", "synth_landmarks_huge_config",
+            "synth_images_huge", "encoder_dim_huge", "patch_huge",
+            "sweep_patch_over_budget_config"])
     def test_bad_setting_is_usage_error(self, tmp_path, command, flags, config):
         assert main(usage_args(tmp_path, command, flags, config)) == 1
         assert not (tmp_path / "o" / "checkpoint.json").exists()
         assert not (tmp_path / "o" / "manifest.json").exists()
         assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--encoder-dim", "1000000000"], None),
+        ([], {"encoder_dim": 10 ** 9}),
+        (["--patch", "1000000x1000000"], None),
+        ([], {"patch": "1000000x1000000"}),
+    ], ids=["encoder_dim_flag", "encoder_dim_config", "patch_flag", "patch_config"])
+    def test_over_budget_on_images_is_usage_error(self, tmp_path, capsys, flags, config):
+        dataset = synth(tmp_path, "imgds", extra=["--with-images"])
+        args = ["train", "--out-dir", str(tmp_path / "o"), "--dataset", str(dataset),
+                "--epochs", "1", *flags]
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "run.json")]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "above the budget of" in capsys.readouterr().err
 
     @pytest.fixture
     def added_settings(self, monkeypatch):

@@ -7,13 +7,16 @@ import struct
 import numpy as np
 import pytest
 
+import facegraph.data as data_module
 from facegraph import (
     DatasetError,
     DimensionMismatchError,
     InvalidInputError,
     ManifestParseError,
     MissingFileError,
+    SampleRecord,
     SyntheticSpec,
+    UsageError,
     build_graph,
     dataset_graphs,
     edge_count,
@@ -86,6 +89,10 @@ class TestFeatureBlob:
         with pytest.raises(DatasetError, match="feature blob truncated"):
             read_feature_blob(path)
 
+    def test_write_needs_a_matrix(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="2-D"):
+            write_feature_blob(tmp_path / "x.fgf", np.zeros(3))
+
     def test_trailing_bytes_accepted(self, tmp_path):
         array = np.arange(6, dtype=np.float32).reshape(2, 3)
         path = tmp_path / "long.fgf"
@@ -151,6 +158,40 @@ class TestSynthetic:
             SyntheticSpec(samples_per_class=0)
         with pytest.raises(InvalidInputError):
             SyntheticSpec(feature_noise_scale=-1.0)
+
+    def test_generic_names_past_the_expression_names(self):
+        spec = SyntheticSpec(num_classes=8, samples_per_class=1, landmark_count=2,
+                             feature_dim=2)
+        assert generate_synthetic(spec).class_names == [f"class_{c}" for c in range(8)]
+
+    def test_blob_off_the_image_leaves_the_background(self):
+        spec = SyntheticSpec(num_classes=2, samples_per_class=2, landmark_count=3,
+                             geometry_displacement_scale=1e4, seed=5)
+        for sample in generate_synthetic_imageset(spec).samples:
+            assert np.all(np.abs(sample.landmarks - 112.0).max(axis=1) > 130.0)
+            assert np.all(sample.image == 30)
+
+    @pytest.mark.parametrize("generate, sample_bytes", [
+        (generate_synthetic, lambda spec: 8 * spec.landmark_count * (2 + spec.feature_dim)),
+        (generate_synthetic_imageset,
+         lambda spec: 16 * spec.landmark_count + data_module.IMAGE_SIZE ** 2),
+    ], ids=["features", "images"])
+    def test_budget_counts_every_sample_byte(self, monkeypatch, generate, sample_bytes):
+        size = 15 * sample_bytes(SMALL)
+        monkeypatch.setattr(data_module, "MAX_SYNTHETIC_BYTES", size)
+        assert len(generate(SMALL).samples) == 15
+        monkeypatch.setattr(data_module, "MAX_SYNTHETIC_BYTES", size - 1)
+        with pytest.raises(UsageError, match=f"{size} bytes, above the budget of {size - 1}$"):
+            generate(SMALL)
+
+    @pytest.mark.parametrize("generate, field", [
+        (generate_synthetic, "num_classes"), (generate_synthetic, "landmark_count"),
+        (generate_synthetic, "feature_dim"), (generate_synthetic_imageset, "num_classes"),
+        (generate_synthetic_imageset, "landmark_count"),
+    ], ids=["classes", "landmarks", "feature_dim", "images_classes", "images_landmarks"])
+    def test_huge_size_refused(self, generate, field):
+        with pytest.raises(UsageError, match="above the budget"):
+            generate(SyntheticSpec(**{field: 10 ** 9}))
 
     def test_imageset_renders_per_sample(self):
         spec = SyntheticSpec(num_classes=2, samples_per_class=3, landmark_count=5,
@@ -462,6 +503,12 @@ class TestDatasetGraphs:
         for sample, graph in zip(dataset.samples, graphs):
             assert graph.label == sample.label
             assert np.array_equal(graph.landmarks, sample.landmarks)
+
+    def test_sample_needs_features_or_an_image(self):
+        dataset = generate_synthetic(SMALL)
+        dataset.samples[1] = SampleRecord("bare", 0, dataset.samples[1].landmarks, None)
+        with pytest.raises(DatasetError, match="'bare': no features and no image"):
+            dataset_graphs(dataset, 0.3)
 
     def test_features_take_precedence_over_image(self):
         dataset = generate_synthetic(SMALL)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import facegraph.features as features_module
 from facegraph import (
     DatasetError,
     EncoderConfig,
     InvalidInputError,
+    UsageError,
     encode_patch_toy,
     extract_patch,
     features_for_sample,
@@ -190,6 +192,13 @@ class TestToyEncoder:
         with pytest.raises(InvalidInputError):
             EncoderConfig(out_dim=0)
 
+    def test_out_dim_budget(self):
+        budget = features_module.MAX_ENCODER_DIM
+        assert EncoderConfig(out_dim=budget).out_dim == budget
+        for out_dim in (budget + 1, 10 ** 9):
+            with pytest.raises(UsageError, match=f"{out_dim}, above the budget of {budget}"):
+                EncoderConfig(out_dim=out_dim)
+
 
 class TestFeaturesForSample:
     def test_constant_image_identical_rows(self):
@@ -204,6 +213,12 @@ class TestFeaturesForSample:
         feats = features_for_sample(image, np.array([[1.0, 2.0], [3.0, 4.0]]),
                                     5, 5, EncoderConfig(out_dim=16))
         assert feats.shape == (2, 16)
+
+    @pytest.mark.parametrize("landmarks", [np.zeros(2), np.zeros((2, 3))],
+                             ids=["1d", "3_columns"])
+    def test_landmark_shape_rejected(self, landmarks):
+        with pytest.raises(InvalidInputError, match=r"shape \(N, 2\)"):
+            features_for_sample(np.zeros((5, 5)), landmarks, 3, 3, EncoderConfig())
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_image_without_pixels_rejected(self, shape):
@@ -223,6 +238,22 @@ class TestFeaturesForSample:
     def test_bad_patch_rejected(self, patch):
         with pytest.raises(InvalidInputError):
             encode_patch_toy(patch, EncoderConfig())
+
+    @pytest.mark.parametrize("run", [
+        lambda image, path: write_pgm(path, image),
+        lambda image, path: extract_patch(image, (2.0, 2.0), 3, 3),
+        lambda image, path: encode_patch_toy(image, EncoderConfig()),
+        lambda image, path: features_for_sample(image, np.array([[1.0, 2.0]]), 3, 3,
+                                                EncoderConfig()),
+    ], ids=["write_pgm", "extract_patch", "encode_patch_toy", "features_for_sample"])
+    @pytest.mark.parametrize("image", [
+        np.full((6, 6), 1 + 2j), np.full((6, 6), "a"), np.full((6, 6), None),
+        np.zeros((6, 6), dtype="datetime64[s]"),
+    ], ids=["complex", "string", "object_none", "datetime"])
+    def test_pixel_dtype_rejected(self, tmp_path, run, image):
+        with pytest.raises(InvalidInputError, match="got dtype"):
+            run(image, tmp_path / "out.pgm")
+        assert not (tmp_path / "out.pgm").exists()
 
     def test_landmark_order_equivariance(self):
         rng = np.random.default_rng(5)

@@ -8,9 +8,13 @@ inputs, the command must end in a documented exit code (0 success, 1 usage,
 2 data, 3 numeric), no exception may escape, and nothing may be written
 outside ``--out-dir``.
 
-Size settings are drawn from a pool capped at 64, and at most one of them is
-mutated per case: nothing bounds them from above, so a huge ``--hidden`` or
-``--layers`` would ask numpy for the memory, or the loop for the time, at once.
+Size settings are drawn from small values and from huge ones, which the
+budgets refuse before any allocation: the model budget bounds ``hidden`` and
+``layers``, the synthetic dataset budget the ``synth`` sizes, and the encoder
+and patch budgets ``encoder_dim`` and ``patch``; nothing allocated grows with
+``batch_size``. ``epochs`` is drawn only from the small values, since no budget
+bounds it and training time grows with it. At most one size is mutated per
+case, so that two moderate sizes do not multiply into a long run.
 """
 
 import json
@@ -27,13 +31,15 @@ CASES = 200
 SIZE_KEYS = {"hidden", "layers", "landmarks", "classes", "per_class", "feature_dim",
              "encoder_dim", "epochs", "batch_size"}
 SIZES = [-1, 0, 1, 2, 3, 64]
+HUGE = [10 ** 9, 2 ** 63, 10 ** 30]
 # values of the wrong type for most keys; none parses as a large int
 JUNK = ["", "abc", "nan", "1e3", "0x3", "-0", "1.5", None, True, [], {}, 1.5]
 FLOATS = [0, -1, 0.5, 1, 1e-300, 1e300, -1e300, 10 ** 400,
           math.nan, math.inf, -math.inf]
 SEEDS = [-1, 0, 7, 2 ** 63, 2 ** 70]
 STRINGS = {
-    "patch": ["1", "2x3", "64x64", "0x3", "3x-1", "x", "65536x0", "1x2x3"],
+    "patch": ["1", "2x3", "64x64", "0x3", "3x-1", "x", "65536x0", "1x2x3",
+              "1000000x1000000", "129x128"],
     "split": ["random", "subject", "bogus"],
     "activation": [*cli.CHOICES["activation"], "bogus"],
     "param": ["tau", "patch", "bogus"],
@@ -41,7 +47,7 @@ STRINGS = {
     "sample_id": ["s000_c0", "../escape", "/abs", "nope"],
 }
 TAU_TOKENS = ["0", "0.5", "-1", "1e308", "1e309", "nan", "inf", "1_0", "x", " 2 "]
-PATCH_TOKENS = ["-1", "0", "1", "2", "64", "٣", "1.5", "x", "+3"]
+PATCH_TOKENS = ["-1", "0", "1", "2", "64", "٣", "1.5", "x", "+3", "1000000"]
 
 # small, valid settings every case starts from
 MODEL = {"epochs": "2", "batch_size": "4", "hidden": "8", "encoder_dim": "16"}
@@ -52,7 +58,7 @@ TINY = {"classes": "2", "per_class": "3", "landmarks": "6", "feature_dim": "8",
 def _pool(key):
     """The values of ``key``'s type that a mutation draws from."""
     if key in SIZE_KEYS:
-        return SIZES
+        return SIZES if key == "epochs" else SIZES + HUGE
     if key in ("seed", "encoder_seed"):
         return SEEDS
     if key in STRINGS:
@@ -125,7 +131,7 @@ def _case(rng, inputs, work):
         elif key == "tau":
             pre[key] = _draw(rng, FLOATS)
         else:
-            pre[key] = _draw(rng, SEEDS if key == "encoder_seed" else SIZES)
+            pre[key] = _draw(rng, SEEDS if key == "encoder_seed" else SIZES + HUGE)
         if rng.random() < 0.1:
             checkpoint["preprocess"] = rng.choice([None, [], "tau", 0.5])
     if checkpoint is not None:

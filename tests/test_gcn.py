@@ -282,6 +282,12 @@ class TestReadout:
     def test_arithmetic_mean(self):
         assert np.array_equal(readout(np.array([[0.0, 2.0], [2.0, 0.0]])), [1.0, 1.0])
 
+    @pytest.mark.parametrize("node_feats", [np.zeros((0, 2)), np.zeros(2)],
+                             ids=["no_nodes", "1d"])
+    def test_needs_nonempty_matrix(self, node_feats):
+        with pytest.raises(InvalidInputError, match="nonempty 2-D"):
+            readout(node_feats)
+
 
 class TestForward:
     def setup_method(self):
@@ -515,6 +521,17 @@ class TestAdam:
         assert np.array_equal(grads[0], np.ones(3))
         assert state.step == 1 and model.updates == 1
 
+    def test_zero_decay_keeps_every_bit(self):
+        params = [np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -np.inf, np.nan])]
+        before = params[0].copy()
+        adam_step(adam_model(params), [np.zeros(7)], init_adam(params), 1e-3, 0.0)
+        assert same_bits(params[0], before)
+
+    def test_params_and_grads_must_be_parallel(self):
+        params = [np.ones(3), np.ones(2)]
+        with pytest.raises(InvalidInputError, match="parallel"):
+            adam_step(adam_model(params), [np.ones(3)], init_adam(params), 1e-3, 0.0)
+
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_matches_oracle_over_steps(self, weight_decay):
         rng = np.random.default_rng(31)
@@ -640,6 +657,55 @@ class TestTrain:
         graphs = separable_graphs()
         with pytest.raises(InvalidInputError):
             train(graphs, GcnConfig(in_dim=8, num_classes=1), TrainConfig(epochs=1))
+
+
+def with_sample_2(**fields):
+    """An edit of a graph list that replaces fields of graph 2."""
+    def edit(graphs):
+        graphs[2] = replace(graphs[2], **fields)
+        return graphs
+    return edit
+
+
+def run_on(run, samples):
+    """``train`` a 2-class, in_dim 8 model on ``samples``, or ``evaluate`` one."""
+    config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+    if run == "train":
+        return train(samples, config, TrainConfig(epochs=2, batch_size=4))
+    return evaluate(init_model(config, 0), samples)
+
+
+class TestSampleCheck:
+    """``train`` and ``evaluate`` refuse a bad sample up front, naming it."""
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda graphs: [], "empty"),
+        (with_sample_2(features=np.zeros(8)), r"^sample 2 has features of shape \(8,\)"),
+        (with_sample_2(features=np.zeros((6, 5))),
+         r"^sample 2 has features of shape \(6, 5\), model expects N x 8$"),
+        (with_sample_2(features=np.zeros((6, 8, 1))),
+         r"^sample 2 has features of shape \(6, 8, 1\)"),
+        (with_sample_2(features=None), r"^sample 2 has features of shape \(\)"),
+        (with_sample_2(label=2), r"^sample 2 has label 2, outside \[0, 2\)$"),
+        (with_sample_2(label=-1), r"^sample 2 has label -1, outside \[0, 2\)$"),
+    ], ids=["empty", "features_1d", "wrong_width", "features_3d", "no_features",
+            "label_high", "label_negative"])
+    def test_bad_sample_named(self, run, edit, message):
+        with pytest.raises(InvalidInputError, match=message):
+            run_on(run, edit(separable_graphs()))
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_list_features_accepted(self, run):
+        graphs = separable_graphs()
+        listed = [replace(g, features=g.features.tolist()) for g in graphs]
+        got, want = run_on(run, listed), run_on(run, graphs)
+        if run == "train":
+            assert got[1] == want[1]
+            assert all(same_bits(a, b) for a, b in zip(got[0].params, want[0].params))
+        else:
+            assert got.loss == want.loss
+            assert np.array_equal(got.confusion, want.confusion)
 
 
 def oracle_graphs(n, feature_dim):

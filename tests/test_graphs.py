@@ -184,6 +184,25 @@ class TestRawAdjacency:
             raw_adjacency(np.eye(3), points)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: l2_normalize_rows(np.ones(3)), "feature matrix must be 2-D"),
+    (lambda: raw_adjacency(np.ones(3), np.zeros((3, 2))), "feature matrix must be 2-D"),
+    (lambda: raw_adjacency(np.eye(3), np.zeros((3, 3))), r"shape \(N, 2\)"),
+    (lambda: threshold_from_weights([], 0.5), "no weights"),
+    (lambda: threshold_stats(np.zeros((2, 3)), 0.5), "square"),
+    (lambda: build_graph(np.zeros((3, 3)), np.eye(3), 0.5, 0), r"shape \(N, 2\)"),
+    (lambda: build_graph(np.eye(3, 2), np.eye(3), 0.5, -1), "nonnegative"),
+    # 2049 x 2049 passes the budget of 2**22 adjacency entries
+    (lambda: raw_adjacency(np.ones((2049, 1)), np.zeros((2049, 2))), "2049 nodes"),
+    (lambda: build_graph(np.zeros((2049, 2)), np.ones((2049, 1)), 0.5, 0), "2049 nodes"),
+], ids=["normalize_1d", "raw_features_1d", "raw_points_3_columns", "no_weights",
+        "stats_not_square", "build_points_3_columns", "negative_label",
+        "raw_over_budget", "build_over_budget"])
+def test_bad_input_is_refused(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 class TestReadOnlyCaches:
     """The per-size cache hands out a shared mask that nobody may edit."""
 
