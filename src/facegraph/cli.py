@@ -317,11 +317,6 @@ def cmd_build_graph(config: ChainMap, out_dir: Path) -> int:
     return 0
 
 
-def _report_json(report, path) -> None:
-    write_json(path, {name: value.tolist() if isinstance(value, np.ndarray) else value
-                      for name, value in dataclasses.asdict(report).items()})
-
-
 def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     """Shared train pipeline; returns the test set's report."""
     train_idx, test_idx = split_indices(dataset, config["test_fraction"],
@@ -340,7 +335,7 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     columns = ["epoch", "lr", "loss", "accuracy"]
     write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))
     report = evaluate(model, test_set)
-    _report_json(report, out_dir / "metrics.json")
+    write_json(out_dir / "metrics.json", dataclasses.asdict(report))
     return report
 
 
@@ -354,7 +349,7 @@ def cmd_train(config: ChainMap, out_dir: Path) -> int:
 def cmd_eval(config: ChainMap, out_dir: Path) -> int:
     model, dataset, graphs = _checkpoint_graphs(config, out_dir)
     report = evaluate(model, graphs)
-    _report_json(report, out_dir / "metrics.json")
+    write_json(out_dir / "metrics.json", dataclasses.asdict(report))
     print(format_report(report, dataset.class_names))
     return 0
 
@@ -432,10 +427,8 @@ def cmd_export_embeddings(config: ChainMap, out_dir: Path) -> int:
 def cmd_export_graph(config: ChainMap, out_dir: Path) -> int:
     dataset, graphs = _load_graphs(config)
     ids = [sample.sample_id for sample in dataset.samples]
-    sid = config.get("sample_id")
-    if sid is None:
-        sid = ids[0]
-    elif sid not in ids:
+    sid = config.get("sample_id", ids[0])
+    if sid not in ids:
         raise DatasetError(f"sample {sid!r} not found in dataset")
     graph = graphs[ids.index(sid)]
     write_graph_json(graph, out_dir / f"graph_{sid}.json")

@@ -117,9 +117,10 @@ class SyntheticSpec:
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with sorted keys, a one-space indent and a final newline."""
+    """Write ``doc`` as JSON with sorted keys, a one-space indent and a final
+    newline; a numpy array is written as its ``tolist()``."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=1)
+        json.dump(doc, handle, sort_keys=True, indent=1, default=np.ndarray.tolist)
         handle.write("\n")
 
 
@@ -268,12 +269,33 @@ def generate_synthetic_imageset(spec: SyntheticSpec) -> Dataset:
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
     """Write manifest.json plus feature blobs and PGM images; returns the manifest
-    path. An id :func:`load_dataset` would refuse raises before anything is written."""
+    path. A sample whose id, label, landmarks or features :func:`load_dataset`
+    would refuse (a malformed or repeated id, a label that is not a whole number
+    in [0, num_classes), a non-finite coordinate or float32 feature) raises
+    :class:`InvalidInputError` before anything is written."""
+    seen = set()
     for sample in dataset.samples:
         sid = sample.sample_id
         if not (isinstance(sid, str) and SAMPLE_ID_PATTERN.fullmatch(sid)):
             raise InvalidInputError(f"sample_id {sid!r} must be a string matching "
                                     f"{SAMPLE_ID_PATTERN.pattern}")
+        if sid in seen:
+            raise InvalidInputError(f"sample {sid!r}: duplicate sample_id")
+        seen.add(sid)
+        try:
+            whole = int(sample.label) == sample.label
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+            whole = False
+        if not (whole and 0 <= sample.label < dataset.num_classes):
+            raise InvalidInputError(f"sample {sid!r}: label {sample.label!r} is not a "
+                                    f"whole number in [0, {dataset.num_classes})")
+        if not np.isfinite(np.asarray(sample.landmarks, dtype=float)).all():
+            raise InvalidInputError(f"sample {sid!r}: non-finite landmark coordinates")
+        if sample.features is not None:
+            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
+                blob = np.asarray(sample.features, dtype="<f4")
+            if not np.isfinite(blob).all():
+                raise InvalidInputError(f"sample {sid!r}: non-finite float32 features")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     sample_docs = []

@@ -31,18 +31,19 @@ class MetricsReport:
 
 
 def confusion(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
-    """C x C count matrix; entry (t, p) counts true class t predicted as p."""
-    truth = np.asarray(true_labels, dtype=int)
-    preds = np.asarray(predicted_labels, dtype=int)
+    """C x C count matrix; entry (t, p) counts true class t predicted as p.
+    Every label must be a whole number in [0, num_classes)."""
+    truth, preds = np.asarray(true_labels), np.asarray(predicted_labels)
     if truth.shape != preds.shape or truth.ndim != 1:
         raise InvalidInputError("label arrays must be 1-D and the same length")
-    if truth.size and (truth.min() < 0 or truth.max() >= num_classes):
-        raise InvalidInputError(f"true labels outside [0, {num_classes})")
-    if preds.size and (preds.min() < 0 or preds.max() >= num_classes):
-        raise InvalidInputError(f"predicted labels outside [0, {num_classes})")
+    for which, labels in (("true", truth), ("predicted", preds)):
+        # nan != nan, so a NaN fails the first check; +-inf fails the second
+        if labels.dtype.kind not in "iub" and not np.all(labels == np.trunc(labels)):
+            raise InvalidInputError(f"{which} labels must be whole numbers")
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise InvalidInputError(f"{which} labels outside [0, {num_classes})")
     matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(truth, preds):
-        matrix[t, p] += 1
+    np.add.at(matrix, (truth.astype(int), preds.astype(int)), 1)
     return matrix
 
 
@@ -66,13 +67,12 @@ def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
     # support-weighted recall telescopes to trace/total, i.e. accuracy
     war = accuracy
 
-    f1_total = 0.0
-    for c in range(num_classes):
-        precision = diagonal[c] / col_sums[c] if col_sums[c] > 0 else 0.0
-        recall = recalls[c]
-        if precision + recall > 0.0:
-            f1_total += 2.0 * precision * recall / (precision + recall)
-    macro_f1 = f1_total / num_classes
+    precisions = np.where(col_sums > 0, diagonal / np.maximum(col_sums, 1), 0.0)
+    sums = precisions + recalls
+    positive = sums > 0.0
+    f1 = np.where(positive, 2.0 * precisions * recalls / np.where(positive, sums, 1.0), 0.0)
+    # a running sum in class order; np.sum would add pairwise and change bits
+    macro_f1 = np.cumsum(f1)[-1] / num_classes
 
     return MetricsReport(loss=float(loss), accuracy=accuracy, macro_f1=macro_f1,
                          war=war, uar=uar, per_class_recall=recalls,
@@ -82,15 +82,14 @@ def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
 def format_report(report: MetricsReport, class_names=None) -> str:
     """Human-readable rendering of a metrics report."""
     num_classes = report.confusion.shape[0]
-    names = list(class_names) if class_names else [f"class_{c}" for c in range(num_classes)]
+    names = ([f"class_{c}" for c in range(num_classes)] if class_names is None
+             else list(class_names))
     if len(names) != num_classes:
         raise InvalidInputError(f"{len(names)} class names for {num_classes} classes")
+    row = report_row(report)
     lines = [
-        f"loss      {report.loss:.6f}",
-        f"Acc       {100.0 * report.accuracy:.2f}%",
-        f"F1-Score  {100.0 * report.macro_f1:.2f}%",
-        f"WAR       {100.0 * report.war:.2f}%",
-        f"UAR       {100.0 * report.uar:.2f}%",
+        f"{'loss':<10}{row['loss']}",
+        *(f"{key:<10}{row[key]}%" for key in ("Acc", "F1-Score", "WAR", "UAR")),
         "",
         "per-class recall:",
     ]

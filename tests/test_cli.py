@@ -61,6 +61,21 @@ def test_cli_import_needs_numpy_only():
     assert result.returncode == 0, result.stderr
 
 
+def test_module_exit_codes_reach_the_os(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(facegraph.__file__).parents[1]),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "facegraph.cli", *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120).returncode
+
+    assert run("synth", "--out-dir", "ds", *TINY) == 0
+    assert run("train", "--out-dir", "run") == 1
+    assert run("eval", "--out-dir", "ev", "--dataset", "ds",
+               "--checkpoint", "missing.json") == 2
+
+
 class TestSynth:
     def test_sample_count(self, tmp_path):
         out = tmp_path / "ds"

@@ -485,6 +485,36 @@ class TestSaveLoad:
             save_dataset(dataset, out)
         assert list(tmp_path.rglob("*")) == [out]
 
+    @pytest.mark.parametrize("edit", [
+        lambda s: setattr(s[3], "sample_id", s[1].sample_id),
+        lambda s: setattr(s[3], "label", 1.7),
+        lambda s: setattr(s[3], "label", 5),
+        lambda s: setattr(s[3], "label", -1),
+        lambda s: setattr(s[3], "label", float("nan")),
+        lambda s: setattr(s[3], "label", None),
+        lambda s: s[3].landmarks.__setitem__((2, 0), np.nan),
+        lambda s: s[3].landmarks.__setitem__((0, 1), -np.inf),
+        lambda s: s[3].features.__setitem__((1, 1), np.inf),
+        lambda s: setattr(s[3], "features", np.full((6, 8), 1e39)),
+    ], ids=["duplicate_id", "fractional_label", "label_past_classes", "negative_label",
+            "nan_label", "none_label", "nan_landmark", "infinite_landmark",
+            "infinite_feature", "feature_above_float32"])
+    def test_save_refuses_a_sample_load_refuses(self, tmp_path, edit):
+        dataset = generate_synthetic(SMALL)
+        edit(dataset.samples)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"sample {dataset.samples[3].sample_id!r}")):
+            save_dataset(dataset, tmp_path / "ds" / "nested")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_whole_number_labels_save(self, tmp_path):
+        dataset = generate_synthetic(SMALL)
+        dataset.samples[3].label = np.int64(2)
+        dataset.samples[4].label = 1.0
+        loaded = load_dataset(save_dataset(dataset, tmp_path / "ds"))
+        assert [s.label for s in loaded.samples[3:5]] == [2, 1]
+        assert all(type(s.label) is int for s in loaded.samples)
+
 
 class TestDatasetGraphs:
     def test_feature_backed(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,26 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             confusion([0, 1], [0], 2)
+
+    @pytest.mark.parametrize("truth, preds", [
+        ([0, 1], [0, 1.7]),
+        ([0.5, 1], [0, 1]),
+        ([0, float("nan")], [0, 1]),
+        (np.array([0.0, np.nan]), np.array([0, 1])),
+        ([0, 1], np.array([0.0, np.inf])),
+        ([0, 1], np.array([-np.inf, 1.0])),
+    ], ids=["fractional_pred", "fractional_true", "nan_list", "nan_array",
+            "inf_array", "negative_inf_array"])
+    def test_label_that_is_no_class_index(self, truth, preds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="labels"):
+                confusion(truth, preds, 2)
+
+    def test_whole_number_labels_count(self):
+        matrix = confusion([0.0, 1.0, 1.0], np.array([1, 1, 0], dtype=np.uint8), 2)
+        assert matrix.dtype == np.int64
+        assert np.array_equal(matrix, [[0, 1], [1, 1]])
 
 
 class TestComputeMetrics:
@@ -72,7 +94,7 @@ class TestComputeMetrics:
             assert report.accuracy == want["accuracy"]
             assert abs(report.uar - want["uar"]) < 1e-12
             assert abs(report.war - want["war"]) < 1e-12
-            assert abs(report.macro_f1 - want["macro_f1"]) < 1e-12
+            assert report.macro_f1 == want["macro_f1"]
 
     def test_balanced_uar_equals_war(self):
         rng = np.random.default_rng(17)
@@ -120,6 +142,22 @@ class TestRendering:
         report = compute_metrics(np.diag([1, 2, 3]), loss=0.25)
         with pytest.raises(InvalidInputError, match="3"):
             format_report(report, class_names=names)
+
+    def test_format_report_takes_an_array_of_names(self):
+        report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
+        assert (format_report(report, np.array(["happy", "sad"]))
+                == format_report(report, ["happy", "sad"]))
+
+    def test_format_report_empty_names_are_counted(self):
+        report = compute_metrics(np.diag([1, 2]), loss=0.25)
+        with pytest.raises(InvalidInputError, match="0 class names for 2 classes"):
+            format_report(report, class_names=[])
+
+    def test_format_report_headline_bytes(self):
+        report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
+        head = format_report(report, ["happy", "sad"]).split("\n")[:5]
+        assert head == ["loss      0.250000", "Acc       75.00%", "F1-Score  42.86%",
+                        "WAR       75.00%", "UAR       50.00%"]
 
     def test_report_row_percentages(self):
         report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
