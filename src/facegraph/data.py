@@ -31,7 +31,7 @@ from .errors import (
     MissingFileError,
     UsageError,
 )
-from .features import EncoderConfig, features_for_sample, read_pgm, write_pgm
+from .features import EncoderConfig, _pgm_pixels, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, _check_node_count, build_graph, edge_count
 from .gcn import GcnModel, predict
 
@@ -267,73 +267,63 @@ def generate_synthetic_imageset(spec: SyntheticSpec) -> Dataset:
         lambda label, landmarks: (None, _render_image(landmarks, amplitudes[label])))
 
 
+def _whole(value):
+    """A whole-number numpy or float ``value`` as an int; any other unchanged."""
+    whole = isinstance(value, (np.integer, np.floating, float)) and float(value).is_integer()
+    return int(value) if whole else value
+
+
 def save_dataset(dataset: Dataset, out_dir) -> Path:
     """Write manifest.json plus feature blobs and PGM images; returns the manifest
-    path. A sample whose id, label, landmarks or features :func:`load_dataset`
-    would refuse (a malformed or repeated id, a label that is not a whole number
-    in [0, num_classes), a non-finite coordinate or float32 feature) raises
-    :class:`InvalidInputError` before anything is written."""
-    seen = set()
+    path. The manifest and its side files' arrays are first checked by
+    :func:`load_dataset`'s rules, and image pixels must be whole numbers in
+    [0, 255]: a refusal is an :class:`InvalidInputError` with the rule's message,
+    before anything is written. Whole-number numpy or float labels and counts
+    are written as ints."""
+    side, sample_docs = {}, []
     for sample in dataset.samples:
-        sid = sample.sample_id
-        if not (isinstance(sid, str) and SAMPLE_ID_PATTERN.fullmatch(sid)):
-            raise InvalidInputError(f"sample_id {sid!r} must be a string matching "
-                                    f"{SAMPLE_ID_PATTERN.pattern}")
-        if sid in seen:
-            raise InvalidInputError(f"sample {sid!r}: duplicate sample_id")
-        seen.add(sid)
-        try:
-            whole = int(sample.label) == sample.label
-        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
-            whole = False
-        if not (whole and 0 <= sample.label < dataset.num_classes):
-            raise InvalidInputError(f"sample {sid!r}: label {sample.label!r} is not a "
-                                    f"whole number in [0, {dataset.num_classes})")
-        if not np.isfinite(np.asarray(sample.landmarks, dtype=float)).all():
-            raise InvalidInputError(f"sample {sid!r}: non-finite landmark coordinates")
-        if sample.features is not None:
-            with np.errstate(over="ignore"):  # a value beyond float32 becomes inf
-                blob = np.asarray(sample.features, dtype="<f4")
-            if not np.isfinite(blob).all():
-                raise InvalidInputError(f"sample {sid!r}: non-finite float32 features")
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    sample_docs = []
-    for sample in dataset.samples:
-        doc = {
-            "sample_id": sample.sample_id,
-            "label": int(sample.label),
-            "landmarks": np.asarray(sample.landmarks, dtype=float).tolist(),
-            "features": None,
-            "image": None,
-        }
-        if sample.features is not None:
-            rel = f"features/{sample.sample_id}.fgf"
-            (root / "features").mkdir(exist_ok=True)
-            write_feature_blob(root / rel, sample.features)
-            doc["features"] = rel
-        if sample.image is not None:
-            rel = f"images/{sample.sample_id}.pgm"
-            (root / "images").mkdir(exist_ok=True)
-            write_pgm(root / rel, sample.image)
-            doc["image"] = rel
+        doc = {"sample_id": sample.sample_id, "label": _whole(sample.label),
+               "landmarks": sample.landmarks, "features": None, "image": None}
+        for key, rel in (("features", f"features/{sample.sample_id}.fgf"),
+                         ("image", f"images/{sample.sample_id}.pgm")):
+            if getattr(sample, key) is not None:
+                doc[key], side[rel] = rel, getattr(sample, key)
         sample_docs.append(doc)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "class_names": list(dataset.class_names),
-        "feature_dim": int(dataset.feature_dim),
-        "landmark_count": int(dataset.landmark_count),
+        "feature_dim": _whole(dataset.feature_dim),
+        "landmark_count": _whole(dataset.landmark_count),
         "samples": sample_docs,
     }
+
+    def staged(sid, entry, kind):  # an image as its PGM file will hold it
+        try:
+            return side[entry] if kind == "feature" else _pgm_pixels(side[entry])
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"sample {sid!r}: {exc}") from exc
+
+    root = Path(out_dir)
     manifest_path = root / "manifest.json"
+    try:
+        checked = _parse_manifest(manifest, manifest_path, staged)
+    except DatasetError as exc:
+        raise InvalidInputError(str(exc)) from exc
+    root.mkdir(parents=True, exist_ok=True)
+    for doc, sample in zip(sample_docs, checked.samples):
+        doc["landmarks"] = sample.landmarks
+        for key, write in (("features", write_feature_blob), ("image", write_pgm)):
+            if doc[key] is not None:
+                (root / doc[key]).parent.mkdir(exist_ok=True)
+                write(root / doc[key], getattr(sample, key))
     write_json(manifest_path, manifest)
     return manifest_path
 
 
-def _side_file(root: Path, sid: str, entry, kind: str) -> Path:
-    """The existing side file ``entry`` names, a path relative to ``root``
-    without '..' (checked on the text)."""
+def _read_side_file(root: Path, sid: str, entry, kind: str) -> np.ndarray:
+    """The feature blob or image in the existing side file ``entry`` names, a
+    path relative to ``root`` without '..' (checked on the text)."""
     if (not isinstance(entry, str) or PurePath(entry).is_absolute()
             or ".." in PurePath(entry).parts):
         raise DatasetError(f"sample {sid!r}: side-file path {entry!r} must be "
@@ -341,7 +331,7 @@ def _side_file(root: Path, sid: str, entry, kind: str) -> Path:
     path = root / entry
     if not path.exists():
         raise MissingFileError(f"sample {sid!r}: missing {kind} file {path}")
-    return path
+    return read_feature_blob(path) if kind == "feature" else read_pgm(path)
 
 
 def load_dataset(path) -> Dataset:
@@ -366,6 +356,14 @@ def load_dataset(path) -> Dataset:
             doc = json.load(handle)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
         raise ManifestParseError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    root = manifest_path.parent
+    return _parse_manifest(doc, manifest_path, lambda *args: _read_side_file(root, *args))
+
+
+def _parse_manifest(doc, manifest_path: Path, read_side) -> Dataset:
+    """Apply every rule of the manifest format to the JSON document ``doc``.
+    ``read_side(sid, entry, kind)`` returns the array of sample ``sid``'s side
+    file ``entry``, of ``kind`` "feature" or "image"."""
     if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
         raise ManifestParseError(f"{manifest_path}: not a {MANIFEST_FORMAT} manifest")
     version = doc.get("version")
@@ -385,7 +383,6 @@ def load_dataset(path) -> Dataset:
     if not isinstance(sample_docs, list):
         raise ManifestParseError(f"{manifest_path}: samples must be a list")
 
-    root = manifest_path.parent
     num_classes = len(class_names)
     samples, seen = [], set()
     for index, entry in enumerate(sample_docs):
@@ -394,7 +391,7 @@ def load_dataset(path) -> Dataset:
             raise ManifestParseError(f"sample {index}: sample_id {sid!r} must be a "
                                      f"string matching {SAMPLE_ID_PATTERN.pattern}")
         if sid in seen:
-            raise DatasetError(f"sample {index}: duplicate sample_id {sid!r}")
+            raise DatasetError(f"sample {sid!r}: duplicate sample_id")
         seen.add(sid)
         label = entry.get("label")
         if type(label) is not int:
@@ -415,25 +412,23 @@ def load_dataset(path) -> Dataset:
         if feature_entry is None and image_entry is None:
             raise DatasetError(f"sample {sid!r}: needs features or an image")
 
-        features = image = None
+        features = None
         if feature_entry is not None:
             if isinstance(feature_entry, str):
-                features = read_feature_blob(_side_file(root, sid, feature_entry, "feature"))
-            else:
-                try:  # a value beyond float32 becomes inf, refused below
-                    with np.errstate(over="ignore"):
-                        features = np.asarray(feature_entry, dtype=np.float32)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ManifestParseError(
-                        f"sample {sid!r}: malformed inline features") from exc
+                feature_entry = read_side(sid, feature_entry, "feature")
+            try:  # a value beyond float32 becomes inf, refused below
+                with np.errstate(over="ignore"):
+                    features = np.asarray(feature_entry, dtype=np.float32)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ManifestParseError(
+                    f"sample {sid!r}: malformed inline features") from exc
             if features.shape != (landmark_count, feature_dim):
                 raise DimensionMismatchError(
                     f"sample {sid!r}: features shape {features.shape}, "
                     f"expected ({landmark_count}, {feature_dim})")
             if not np.isfinite(features).all():
                 raise DatasetError(f"sample {sid!r}: non-finite features")
-        if image_entry is not None:
-            image = read_pgm(_side_file(root, sid, image_entry, "image"))
+        image = None if image_entry is None else read_side(sid, image_entry, "image")
 
         samples.append(SampleRecord(sid, label, landmarks, features, image))
     return Dataset(class_names, feature_dim, landmark_count, samples)

@@ -98,13 +98,18 @@ def read_pgm(path) -> np.ndarray:
 def write_pgm(path, image: np.ndarray) -> None:
     """Write an H x W array of whole numbers in [0, 255] as a binary (P5) PGM
     file; any other pixel, or an empty image, is an :class:`InvalidInputError`."""
+    pixels = _pgm_pixels(image)
+    with open(path, "wb") as handle:
+        handle.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
+        handle.write(pixels.tobytes())
+
+
+def _pgm_pixels(image) -> np.ndarray:
+    """The uint8 raster :func:`write_pgm` writes for ``image``."""
     pixels = _pixels(image)
     if not ((pixels >= 0) & (pixels <= 255) & (pixels % 1 == 0)).all():
         raise InvalidInputError("PGM pixels must be whole numbers in [0, 255]")
-    header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(pixels.astype(np.uint8).tobytes())
+    return pixels.astype(np.uint8)
 
 
 def _pixels(image) -> np.ndarray:

@@ -86,6 +86,8 @@ def format_report(report: MetricsReport, class_names=None) -> str:
              else list(class_names))
     if len(names) != num_classes:
         raise InvalidInputError(f"{len(names)} class names for {num_classes} classes")
+    if not all(isinstance(n, str) for n in names):
+        raise InvalidInputError(f"class names must be strings, got {names!r}")
     row = report_row(report)
     lines = [
         f"{'loss':<10}{row['loss']}",

@@ -507,6 +507,35 @@ class TestSaveLoad:
             save_dataset(dataset, tmp_path / "ds" / "nested")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: setattr(d.samples[3], "features", d.samples[3].features[:, :7]),
+         "sample 's003_c0': features shape (6, 7)"),
+        (lambda d: setattr(d.samples[3], "landmarks", d.samples[3].landmarks[:5]),
+         "sample 's003_c0': landmarks shape (5, 2)"),
+        (lambda d: setattr(d, "feature_dim", 9), "sample 's000_c0': features shape (6, 8)"),
+        (lambda d: setattr(d.samples[3], "features", None),
+         "sample 's003_c0': needs features or an image"),
+        (lambda d: setattr(d, "class_names", [1, 2, 3]), "class_names"),
+    ], ids=["features_short", "landmarks_short", "feature_dim_off", "neither_side",
+            "class_names_ints"])
+    def test_save_refuses_a_dataset_load_refuses(self, tmp_path, edit, named):
+        dataset = generate_synthetic(SMALL)
+        edit(dataset)
+        with pytest.raises(InvalidInputError, match=re.escape(named)):
+            save_dataset(dataset, tmp_path / "ds" / "nested")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("pixel", [300.0, -1, 0.5, np.nan],
+                             ids=["above_255", "negative", "fractional", "nan"])
+    def test_save_checks_every_image_before_writing(self, tmp_path, pixel):
+        dataset = generate_synthetic_imageset(IMAGES)
+        image = dataset.samples[-1].image.astype(float)
+        image[4, 7] = pixel
+        dataset.samples[-1].image = image
+        with pytest.raises(InvalidInputError, match=r"^sample 's001_c1': .*pixels"):
+            save_dataset(dataset, tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
+
     def test_whole_number_labels_save(self, tmp_path):
         dataset = generate_synthetic(SMALL)
         dataset.samples[3].label = np.int64(2)

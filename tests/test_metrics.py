@@ -153,6 +153,13 @@ class TestRendering:
         with pytest.raises(InvalidInputError, match="0 class names for 2 classes"):
             format_report(report, class_names=[])
 
+    @pytest.mark.parametrize("names", [[1, 2], ["happy", None], [b"happy", b"sad"]],
+                             ids=["ints", "none", "bytes"])
+    def test_format_report_names_must_be_strings(self, names):
+        report = compute_metrics(np.diag([1, 2]), loss=0.1)
+        with pytest.raises(InvalidInputError, match="class names must be strings"):
+            format_report(report, class_names=names)
+
     def test_format_report_headline_bytes(self):
         report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
         head = format_report(report, ["happy", "sad"]).split("\n")[:5]
