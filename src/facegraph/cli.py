@@ -104,6 +104,8 @@ _HELP = {"grid": "comma separated values; defaults per parameter"}
 
 # Settings shared by several subcommands; _COMMANDS says which take which.
 _GRAPH = ("dataset", "tau", "patch", "encoder_dim", "encoder_seed")
+# A checkpoint's preprocess block records these, and the patch as patch_h, patch_w.
+_PREPROCESS = tuple(key for key in _GRAPH if key not in ("dataset", "patch"))
 _MODEL = ("hidden", "layers", "activation", "dropout", "lr", "lr_min",
           "weight_decay", "epochs", "batch_size", "test_fraction", "split")
 
@@ -273,8 +275,7 @@ def _merge_preprocess(config: ChainMap, preprocess) -> ChainMap:
     try:
         if not isinstance(preprocess, dict):
             raise UsageError("must be a JSON object")
-        pre = {k: preprocess[k] for k in ("tau", "encoder_dim", "encoder_seed")
-               if k in preprocess}
+        pre = {k: preprocess[k] for k in _PREPROCESS if k in preprocess}
         if "patch_h" in preprocess or "patch_w" in preprocess:
             h, w = preprocess.get("patch_h"), preprocess.get("patch_w")
             if not (_type_ok(h, 1) and _type_ok(w, 1)):
@@ -327,10 +328,8 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
                           num_classes=dataset.num_classes)
     train_config = _build(TrainConfig, config, epochs=config["epochs"])
     model, history = train(train_set, model_config, train_config)
-    patch = _parse_patch(config["patch"])
-    preprocess = {"tau": config["tau"], "patch_h": patch[0], "patch_w": patch[1],
-                  "encoder_dim": config["encoder_dim"],
-                  "encoder_seed": config["encoder_seed"]}
+    preprocess = {key: config[key] for key in _PREPROCESS}
+    preprocess["patch_h"], preprocess["patch_w"] = _parse_patch(config["patch"])
     save_checkpoint(out_dir / "checkpoint.json", model, preprocess=preprocess)
     columns = ["epoch", "lr", "loss", "accuracy"]
     write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))

@@ -30,9 +30,10 @@ from .errors import (
     ManifestParseError,
     MissingFileError,
     UsageError,
+    _check_ints,
 )
 from .features import EncoderConfig, _pgm_pixels, features_for_sample, read_pgm, write_pgm
-from .graphs import GraphSample, _check_node_count, build_graph, edge_count
+from .graphs import GraphSample, _check_node_count, build_graph
 from .gcn import GcnModel, predict
 
 __all__ = [
@@ -109,6 +110,9 @@ class SyntheticSpec:
     seed: int = 1000
 
     def __post_init__(self):
+        _check_ints(num_classes=self.num_classes, samples_per_class=self.samples_per_class,
+                    landmark_count=self.landmark_count, feature_dim=self.feature_dim,
+                    seed=self.seed)
         if min(self.num_classes, self.samples_per_class, self.landmark_count,
                self.feature_dim) < 1:
             raise UsageError("all synthetic counts must be positive")
@@ -233,15 +237,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return _synthetic_dataset(spec, rng, class_geometry, features)
 
 
-def _render_image(landmarks: np.ndarray, amplitudes: np.ndarray,
-                  size: int = IMAGE_SIZE, sigma: float = 6.0) -> np.ndarray:
-    """Grayscale image with one Gaussian blob per landmark."""
-    img = np.full((size, size), 30.0)
+def _render_image(landmarks: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """IMAGE_SIZE-square grayscale image with one Gaussian blob per landmark."""
+    img = np.full((IMAGE_SIZE, IMAGE_SIZE), 30.0)
+    sigma = 6.0
     reach = int(3 * sigma)
     for (x, y), amp in zip(landmarks, amplitudes):
         cx, cy = int(round(x)), int(round(y))
-        x0, x1 = max(0, cx - reach), min(size, cx + reach + 1)
-        y0, y1 = max(0, cy - reach), min(size, cy + reach + 1)
+        x0, x1 = max(0, cx - reach), min(IMAGE_SIZE, cx + reach + 1)
+        y0, y1 = max(0, cy - reach), min(IMAGE_SIZE, cy + reach + 1)
         if x0 >= x1 or y0 >= y1:
             continue
         ys = np.arange(y0, y1)[:, None]
@@ -292,7 +296,9 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
-        "class_names": list(dataset.class_names),
+        "class_names": (list(dataset.class_names)
+                        if isinstance(dataset.class_names, (list, tuple))
+                        else dataset.class_names),
         "feature_dim": _whole(dataset.feature_dim),
         "landmark_count": _whole(dataset.landmark_count),
         "samples": sample_docs,
@@ -469,31 +475,29 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
         raise UsageError(f"unknown split mode {mode!r}")
     n = len(dataset.samples)
     rng = np.random.default_rng(seed)
+    groups: dict = {}  # label or subject -> sample indices
+    for idx, sample in enumerate(dataset.samples):
+        key = sample.label if mode == "random" else sample.sample_id.split("_", 1)[0]
+        groups.setdefault(key, []).append(idx)
     test: list[int] = []
     if mode == "random":
-        by_class: dict[int, list[int]] = {}
-        for idx, sample in enumerate(dataset.samples):
-            by_class.setdefault(sample.label, []).append(idx)
-        for label in sorted(by_class):
-            indices = np.array(by_class[label])
+        for label in sorted(groups):
+            indices = np.array(groups[label])
             rng.shuffle(indices)
             n_test = int(round(test_fraction * len(indices)))
             if test_fraction > 0.0:
                 n_test = min(max(n_test, 1), len(indices) - 1)
             test.extend(indices[:n_test].tolist())
     else:
-        subjects: dict[str, list[int]] = {}
-        for idx, sample in enumerate(dataset.samples):
-            subjects.setdefault(sample.sample_id.split("_", 1)[0], []).append(idx)
-        names = sorted(subjects)
+        names = sorted(groups)
         rng.shuffle(names)
         target = test_fraction * n
         taken = 0
         for name in names:
-            if taken >= target or taken + len(subjects[name]) >= n:
+            if taken >= target or taken + len(groups[name]) >= n:
                 break
-            test.extend(subjects[name])
-            taken += len(subjects[name])
+            test.extend(groups[name])
+            taken += len(groups[name])
     test_set = set(test)
     train = [i for i in range(n) if i not in test_set]
     return train, sorted(test_set)
@@ -521,15 +525,16 @@ def _edge_list(sample: GraphSample):
 
 def write_graph_json(sample: GraphSample, path) -> None:
     """Plotter-friendly node/edge description of one graph."""
+    edges = _edge_list(sample)
     doc = {
         "format": "facegraph-graph",
         "version": 1,
         "label": int(sample.label),
         "num_nodes": sample.num_nodes,
-        "num_edges": edge_count(sample.adjacency),
+        "num_edges": len(edges),
         "nodes": [{"id": i, "x": float(x), "y": float(y)}
                   for i, (x, y) in enumerate(np.asarray(sample.landmarks, dtype=float))],
-        "edges": _edge_list(sample),
+        "edges": edges,
     }
     write_json(path, doc)
 

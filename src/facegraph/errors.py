@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral as _Integral
+
 
 class InvalidInputError(ValueError):
     """An operation received arguments outside its documented domain."""
@@ -35,3 +37,15 @@ class CacheMismatchError(RuntimeError):
 
 class NumericError(ArithmeticError):
     """Training produced non-finite values."""
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither."""
+    return isinstance(value, _Integral) and not isinstance(value, bool)
+
+
+def _check_ints(**values) -> None:
+    """Raise :class:`UsageError` for the first value that is not :func:`_is_int`."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise UsageError(f"{name} must be an int, got {value!r}")

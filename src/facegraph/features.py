@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, InvalidInputError, UsageError
+from .errors import DatasetError, InvalidInputError, UsageError, _check_ints
 
 __all__ = [
     "EncoderConfig",
@@ -60,6 +60,7 @@ class EncoderConfig:
     projection_seed: int = 1000
 
     def __post_init__(self):
+        _check_ints(out_dim=self.out_dim, projection_seed=self.projection_seed)
         if self.out_dim < 1:
             raise UsageError("encoder output dimension must be >= 1")
         if self.out_dim > MAX_ENCODER_DIM:

@@ -40,6 +40,8 @@ from .errors import (
     InvalidInputError,
     NumericError,
     UsageError,
+    _check_ints,
+    _is_int,
 )
 from .graphs import GraphSample
 from .metrics import MetricsReport, compute_metrics, confusion
@@ -168,6 +170,11 @@ class GcnConfig:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
+        # only ints: asdict(config) is the checkpoint's JSON config block
+        dims = [self.in_dim, self.num_classes, self.hidden_dim, self.num_layers]
+        if any(type(d) is not int for d in dims):
+            raise UsageError(f"in_dim, num_classes, hidden_dim and num_layers must "
+                             f"be ints, got {dims}")
         if self.in_dim < 1 or self.num_classes < 1:
             raise UsageError("in_dim and num_classes must be >= 1")
         if self.hidden_dim < 1 or self.num_layers < 1:
@@ -214,6 +221,7 @@ class TrainConfig:
     seed: int = 1000
 
     def __post_init__(self):
+        _check_ints(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
         if self.epochs < 0:
             raise UsageError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -463,12 +471,16 @@ def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
 
 
 def _check_samples(samples: list[GraphSample], config: GcnConfig) -> None:
-    """Sample k, in turn, has N x in_dim features and a label in [0, num_classes)."""
+    """Sample k, in turn, has N x in_dim features and an integer label in
+    [0, num_classes)."""
     for k, sample in enumerate(samples):
         shape = np.shape(sample.features)
         if shape[1:] != (config.in_dim,):
             raise InvalidInputError(f"sample {k} has features of shape {shape}, "
                                     f"model expects N x {config.in_dim}")
+        if not _is_int(sample.label):
+            raise InvalidInputError(f"sample {k} has label {sample.label!r}, "
+                                    f"not an integer class index")
         if not 0 <= sample.label < config.num_classes:
             raise InvalidInputError(f"sample {k} has label {sample.label}, "
                                     f"outside [0, {config.num_classes})")
@@ -652,10 +664,7 @@ def load_checkpoint(path):
     try:
         config = GcnConfig(**doc["config"])
     except (KeyError, TypeError, InvalidInputError) as exc:
-        raise CheckpointError(f"{path}: malformed config section") from exc
-    dims = (config.in_dim, config.num_classes, config.hidden_dim, config.num_layers)
-    if any(type(d) is not int for d in dims):
-        raise CheckpointError(f"{path}: config dimensions must be ints, got {list(dims)}")
+        raise CheckpointError(f"{path}: malformed config section ({exc})") from exc
     # before param_shapes, whose per-layer list a huge count would not fit
     layer_docs = doc.get("layer_weights")
     if not isinstance(layer_docs, list) or len(layer_docs) != config.num_layers:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _is_int
 
 __all__ = [
     "GraphSample",
@@ -247,10 +247,8 @@ def build_graph(landmarks: np.ndarray, features: np.ndarray, tau: float,
         raise InvalidInputError("landmark array must have shape (N, 2)")
     if pts.shape[0] < 2:
         raise InvalidInputError("need at least 2 landmarks to build a graph")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("landmark coordinates must be finite")
-    if int(label) < 0:
-        raise InvalidInputError(f"label must be a nonnegative class index, got {label}")
+    if not _is_int(label) or label < 0:
+        raise InvalidInputError(f"label must be a nonnegative class index, got {label!r}")
     normalized = l2_normalize_rows(features)
     raw = raw_adjacency(normalized, pts)
     weights = raw[_upper_mask(pts.shape[0])]

@@ -278,6 +278,26 @@ class TestEval:
         # trained at the defaults, so the metrics are those of the full checkpoint
         assert (out / "metrics.json").read_bytes() == (run / "metrics.json").read_bytes()
 
+    def test_every_graph_setting_goes_through_the_checkpoint(self, tmp_path):
+        """Each graph setting but the dataset is stored in the checkpoint's
+        ``preprocess`` block, the patch as ``patch_h`` and ``patch_w``, and
+        comes back into the settings ``eval`` runs with."""
+        given = {"tau": 0.3, "patch": "20x10", "encoder_dim": 16, "encoder_seed": 5}
+        assert set(given) == set(cli._GRAPH) - {"dataset"}
+        assert all(value != cli.DEFAULTS[key] for key, value in given.items())
+        dataset = synth(tmp_path, "imgds", extra=["--with-images"])
+        flags = [arg for key, value in given.items()
+                 for arg in (f"--{key.replace('_', '-')}", str(value))]
+        run = quick_train(tmp_path, dataset, epochs="1", extra=flags)
+        stored = json.loads((run / "checkpoint.json").read_text())["preprocess"]
+        assert stored == {**{k: v for k, v in given.items() if k != "patch"},
+                          "patch_h": 20, "patch_w": 10}
+        out = tmp_path / "ev"
+        assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--checkpoint", str(run / "checkpoint.json")]) == 0
+        echoed = json.loads((out / "config.json").read_text())
+        assert {key: echoed[key] for key in given} == given
+
     @pytest.fixture(scope="class")
     def tau_run(self, tmp_path_factory):
         """A dataset and a checkpoint trained at tau 0.2 and encoder_dim 16."""

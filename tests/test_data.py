@@ -159,6 +159,25 @@ class TestSynthetic:
         with pytest.raises(InvalidInputError):
             SyntheticSpec(feature_noise_scale=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 2.5), ("landmark_count", 4.0), ("seed", 1.5),
+        ("samples_per_class", True), ("feature_dim", "8"), ("seed", None),
+    ], ids=["classes_fraction", "landmarks_float", "seed_fraction", "per_class_bool",
+            "feature_dim_text", "seed_none"])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be an int, got {value!r}$"):
+            SyntheticSpec(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = SyntheticSpec(num_classes=np.int64(3), samples_per_class=np.int32(5),
+                             landmark_count=np.int64(6), feature_dim=np.int64(8),
+                             seed=np.int64(77))
+        got, want = generate_synthetic(spec), generate_synthetic(SMALL)
+        assert [s.sample_id for s in got.samples] == [s.sample_id for s in want.samples]
+        for a, b in zip(got.samples, want.samples):
+            assert np.array_equal(a.landmarks, b.landmarks)
+            assert np.array_equal(a.features, b.features)
+
     def test_generic_names_past_the_expression_names(self):
         spec = SyntheticSpec(num_classes=8, samples_per_class=1, landmark_count=2,
                              feature_dim=2)
@@ -543,6 +562,21 @@ class TestSaveLoad:
         loaded = load_dataset(save_dataset(dataset, tmp_path / "ds"))
         assert [s.label for s in loaded.samples[3:5]] == [2, 1]
         assert all(type(s.label) is int for s in loaded.samples)
+
+    @pytest.mark.parametrize("names", [None, "abc", 3, {"a": 0, "b": 1, "c": 2}],
+                             ids=["none", "string", "int", "dict"])
+    def test_save_refuses_class_names_not_a_list(self, tmp_path, names):
+        dataset = generate_synthetic(SMALL)
+        dataset.class_names = names
+        with pytest.raises(InvalidInputError, match="class_names must be a list of strings"):
+            save_dataset(dataset, tmp_path / "ds" / "nested")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tuple_class_names_save_as_a_list(self, tmp_path):
+        dataset = generate_synthetic(SMALL)
+        names = list(dataset.class_names)
+        dataset.class_names = tuple(names)
+        assert load_dataset(save_dataset(dataset, tmp_path / "ds")).class_names == names
 
 
 class TestDatasetGraphs:

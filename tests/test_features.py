@@ -192,6 +192,21 @@ class TestToyEncoder:
         with pytest.raises(InvalidInputError):
             EncoderConfig(out_dim=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("out_dim", 2.5), ("out_dim", True), ("out_dim", "8"), ("projection_seed", 1.5),
+        ("projection_seed", None),
+    ], ids=["dim_fraction", "dim_bool", "dim_text", "seed_fraction", "seed_none"])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be an int, got {value!r}$"):
+            EncoderConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        patch = np.arange(144).reshape(12, 12)
+        typed = EncoderConfig(out_dim=np.int64(7), projection_seed=np.int32(3))
+        assert np.array_equal(encode_patch_toy(patch, typed),
+                              encode_patch_toy(patch, EncoderConfig(out_dim=7,
+                                                                    projection_seed=3)))
+
     def test_out_dim_budget(self):
         budget = features_module.MAX_ENCODER_DIM
         assert EncoderConfig(out_dim=budget).out_dim == budget

@@ -555,6 +555,38 @@ class TestAdam:
                 assert same_bits(got, expected)
 
 
+class TestConfigTypes:
+    """Sizes and seeds are integers; a model's dimensions, which its checkpoint
+    stores as JSON, are Python ints."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 1.5), ("batch_size", 2.5), ("seed", 1.5), ("epochs", True),
+        ("batch_size", "4"), ("seed", None),
+    ], ids=["epochs_fraction", "batch_fraction", "seed_fraction", "epochs_bool",
+            "batch_text", "seed_none"])
+    def test_train_config_sizes_and_seed(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be an int, got {value!r}$"):
+            TrainConfig(**{"epochs": 1, field: value})
+
+    def test_train_config_takes_numpy_integers(self):
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        typed = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.int64(5))
+        got = train(graphs, config, typed)
+        want = train(graphs, config, TrainConfig(epochs=2, batch_size=4, seed=5))
+        assert got[1] == want[1]
+        assert all(same_bits(a, b) for a, b in zip(got[0].params, want[0].params))
+
+    @pytest.mark.parametrize("field", ["in_dim", "num_classes", "hidden_dim", "num_layers"])
+    @pytest.mark.parametrize("value", [8.0, True, np.int64(8), "8"],
+                             ids=["float", "bool", "numpy_int", "text"])
+    def test_gcn_config_dimensions_are_ints(self, field, value):
+        given = {"in_dim": 4, "num_classes": 3, field: value}
+        with pytest.raises(UsageError, match=r"^in_dim, num_classes, hidden_dim and "
+                                             r"num_layers must be ints, got \["):
+            GcnConfig(**given)
+
+
 class TestLrSchedule:
     def setup_method(self):
         self.config = TrainConfig(epochs=11)
@@ -694,6 +726,28 @@ class TestSampleCheck:
     def test_bad_sample_named(self, run, edit, message):
         with pytest.raises(InvalidInputError, match=message):
             run_on(run, edit(separable_graphs()))
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    @pytest.mark.parametrize("label", [1.5, np.float64(1.0), "1", None, True, np.True_],
+                             ids=["fraction", "numpy_float", "text", "none", "bool",
+                                  "numpy_bool"])
+    def test_label_that_is_not_an_integer_named(self, run, label):
+        with pytest.raises(InvalidInputError,
+                           match=rf"^sample 2 has label {re.escape(repr(label))}, "
+                                 r"not an integer class index$"):
+            run_on(run, with_sample_2(label=label)(separable_graphs()))
+
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_numpy_integer_labels_accepted(self, run):
+        graphs = separable_graphs()
+        typed = [replace(g, label=np.int64(g.label)) for g in graphs]
+        got, want = run_on(run, typed), run_on(run, graphs)
+        if run == "train":
+            assert got[1] == want[1]
+            assert all(same_bits(a, b) for a, b in zip(got[0].params, want[0].params))
+        else:
+            assert got.loss == want.loss
+            assert np.array_equal(got.confusion, want.confusion)
 
     @pytest.mark.parametrize("run", ["train", "evaluate"])
     def test_list_features_accepted(self, run):

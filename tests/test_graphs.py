@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -182,6 +183,21 @@ class TestRawAdjacency:
         points[1, 0] = value
         with pytest.raises(InvalidInputError, match="landmark coordinates must be finite"):
             raw_adjacency(np.eye(3), points)
+
+
+@pytest.mark.parametrize("label", [1.5, -0.5, "1", True, None, np.float64(1.0), np.True_],
+                         ids=["fraction", "negative_fraction", "text", "bool", "none",
+                              "numpy_float", "numpy_bool"])
+def test_build_graph_label_must_be_an_integer(label):
+    with pytest.raises(InvalidInputError,
+                       match=r"^label must be a nonnegative class index, got "
+                             + re.escape(repr(label)) + "$"):
+        build_graph(np.eye(3, 2), np.eye(3), 0.5, label)
+
+
+def test_build_graph_takes_a_numpy_integer_label():
+    graph = build_graph(np.eye(3, 2), np.eye(3), 0.5, np.int64(2))
+    assert type(graph.label) is int and graph.label == 2
 
 
 @pytest.mark.parametrize("call, message", [
