@@ -40,7 +40,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .features import EncoderConfig
+from .features import EncoderConfig, _check_patch
 from .gcn import (
     ACTIVATIONS,
     GcnConfig,
@@ -59,10 +59,6 @@ _NUMERIC_ERRORS = (NumericError, FloatingPointError)
 
 TAU_GRID = ["0.20", "0.25", "0.30", "0.35", "0.40", "0.45", "0.50", "0.70", "0.90"]
 PATCH_GRID = ["10", "20", "30", "50", "70", "90"]
-
-# The largest patch area: encoding a sample peaks at about 10 bytes per patch
-# pixel per landmark.
-MAX_PATCH_PIXELS = 2 ** 14
 
 # config key -> the library field it sets, which also declares its default
 _LIBRARY = {
@@ -128,10 +124,7 @@ def _parse_patch(text) -> tuple[int, int]:
         raise UsageError(f"--patch expects SIZE or HxW, got {text!r}")
     if h < 1 or w < 1:
         raise UsageError(f"patch size must be positive, got {text!r}")
-    if h * w > MAX_PATCH_PIXELS:
-        raise UsageError(f"patch {text!r} of {h * w} pixels, above the budget "
-                         f"of {MAX_PATCH_PIXELS}")
-    return h, w
+    return _check_patch(h, w)
 
 
 def _add_setting(parser: argparse.ArgumentParser, key: str) -> None:

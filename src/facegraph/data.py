@@ -31,6 +31,7 @@ from .errors import (
     MissingFileError,
     UsageError,
     _check_ints,
+    _is_int,
 )
 from .features import EncoderConfig, _pgm_pixels, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, _check_node_count, build_graph
@@ -110,14 +111,11 @@ class SyntheticSpec:
     seed: int = 1000
 
     def __post_init__(self):
-        _check_ints(num_classes=self.num_classes, samples_per_class=self.samples_per_class,
-                    landmark_count=self.landmark_count, feature_dim=self.feature_dim,
-                    seed=self.seed)
-        if min(self.num_classes, self.samples_per_class, self.landmark_count,
-               self.feature_dim) < 1:
-            raise UsageError("all synthetic counts must be positive")
-        if self.geometry_displacement_scale < 0 or self.feature_noise_scale < 0:
-            raise UsageError("synthetic noise scales must be >= 0")
+        _check_ints(self, 1, "num_classes", "samples_per_class", "landmark_count", "feature_dim")
+        _check_ints(self, 0, "seed")
+        if not (0 <= self.geometry_displacement_scale < np.inf
+                and 0 <= self.feature_noise_scale < np.inf):
+            raise UsageError("synthetic noise scales must be finite and >= 0")
 
 
 def write_json(path, doc) -> None:
@@ -473,6 +471,8 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
         raise UsageError("test_fraction must lie in [0, 1)")
     if mode not in ("random", "subject"):
         raise UsageError(f"unknown split mode {mode!r}")
+    if not _is_int(seed) or seed < 0:
+        raise UsageError(f"seed must be an int >= 0, got {seed!r}")
     n = len(dataset.samples)
     rng = np.random.default_rng(seed)
     groups: dict = {}  # label or subject -> sample indices

@@ -44,8 +44,12 @@ def _is_int(value) -> bool:
     return isinstance(value, _Integral) and not isinstance(value, bool)
 
 
-def _check_ints(**values) -> None:
-    """Raise :class:`UsageError` for the first value that is not :func:`_is_int`."""
-    for name, value in values.items():
+def _check_ints(config, low: int, *names: str) -> None:
+    """Store each named field of ``config`` as an int >= ``low``, or raise UsageError."""
+    for name in names:
+        value = getattr(config, name)
         if not _is_int(value):
             raise UsageError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise UsageError(f"{name} must be >= {low}, got {value}")
+        object.__setattr__(config, name, int(value))  # frozen dataclasses too

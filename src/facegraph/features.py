@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, InvalidInputError, UsageError, _check_ints
+from .errors import DatasetError, InvalidInputError, UsageError, _check_ints, _is_int
 
 __all__ = [
     "EncoderConfig",
@@ -47,6 +47,10 @@ POOL_GRID = 8
 # sample's features out_dim x 8 bytes per landmark.
 MAX_ENCODER_DIM = 2 ** 12
 
+# The largest patch area: encoding a sample peaks at about 10 bytes per patch
+# pixel per landmark.
+MAX_PATCH_PIXELS = 2 ** 14
+
 # Skips whitespace and comments, then captures one PGM header token, which is
 # empty at the end of the data.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
@@ -60,9 +64,8 @@ class EncoderConfig:
     projection_seed: int = 1000
 
     def __post_init__(self):
-        _check_ints(out_dim=self.out_dim, projection_seed=self.projection_seed)
-        if self.out_dim < 1:
-            raise UsageError("encoder output dimension must be >= 1")
+        _check_ints(self, 1, "out_dim")
+        _check_ints(self, 0, "projection_seed")
         if self.out_dim > MAX_ENCODER_DIM:
             raise UsageError(f"encoder output dimension {self.out_dim}, above the "
                              f"budget of {MAX_ENCODER_DIM}")
@@ -129,11 +132,22 @@ def _pixels(image) -> np.ndarray:
     return img
 
 
+def _check_patch(h, w) -> tuple[int, int]:
+    """``(h, w)`` as ints; refuses non-int sides and areas over MAX_PATCH_PIXELS."""
+    if not (_is_int(h) and _is_int(w)):
+        raise UsageError(f"patch sides must be ints, got {h!r}x{w!r}")
+    if int(h) * int(w) > MAX_PATCH_PIXELS:
+        raise UsageError(f"patch {h}x{w} of {int(h) * int(w)} pixels, above the "
+                         f"budget of {MAX_PATCH_PIXELS}")
+    return int(h), int(w)
+
+
 def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:
     """Cut one h x w window per (x, y) center into an N x h x w stack."""
     img = _pixels(image)
     if h < 1 or w < 1:
         raise InvalidInputError(f"patch size must be positive, got {h}x{w}")
+    h, w = _check_patch(h, w)
     if not np.all(np.isfinite(centers)):
         raise InvalidInputError("patch center must be finite")
     height, width = img.shape

@@ -175,10 +175,7 @@ class GcnConfig:
         if any(type(d) is not int for d in dims):
             raise UsageError(f"in_dim, num_classes, hidden_dim and num_layers must "
                              f"be ints, got {dims}")
-        if self.in_dim < 1 or self.num_classes < 1:
-            raise UsageError("in_dim and num_classes must be >= 1")
-        if self.hidden_dim < 1 or self.num_layers < 1:
-            raise UsageError("hidden_dim and num_layers must be >= 1")
+        _check_ints(self, 1, "in_dim", "num_classes", "hidden_dim", "num_layers")
         if self.activation not in ACTIVATIONS:
             raise UsageError(
                 f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
@@ -221,15 +218,12 @@ class TrainConfig:
     seed: int = 1000
 
     def __post_init__(self):
-        _check_ints(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
-        if self.epochs < 0:
-            raise UsageError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise UsageError("batch_size must be >= 1")
-        if self.lr_init <= 0.0 or self.lr_min <= 0.0 or self.lr_min > self.lr_init:
-            raise UsageError("need 0 < lr_min <= lr_init")
-        if self.weight_decay < 0.0:
-            raise UsageError("weight_decay must be >= 0")
+        _check_ints(self, 0, "epochs", "seed")
+        _check_ints(self, 1, "batch_size")
+        if not 0.0 < self.lr_min <= self.lr_init < math.inf:
+            raise UsageError("need 0 < lr_min <= lr_init < inf")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise UsageError("weight_decay must be finite and >= 0")
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:

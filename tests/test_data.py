@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import re
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -734,3 +736,59 @@ class TestExports:
         dot = (tmp_path / "g.dot").read_text()
         assert dot.count(" -- ") == 2
         assert "n0" in dot and 'pos="0.0,1.0!"' in dot
+
+
+class TestSettingBounds:
+    """Synthetic counts are >= 1 and seeds >= 0, both stored as Python ints;
+    noise scales are finite; a split's seed is a nonnegative int."""
+
+    @pytest.mark.parametrize("field, value, low", [
+        ("seed", -1, 0), ("num_classes", 0, 1), ("samples_per_class", -3, 1),
+        ("landmark_count", 0, 1), ("feature_dim", np.int64(0), 1),
+    ], ids=["seed", "classes", "per_class", "landmarks", "numpy_feature_dim"])
+    def test_spec_below_its_bound(self, field, value, low):
+        with pytest.raises(UsageError, match=f"^{field} must be >= {low}, got {value}$"):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("generate, sizes", [
+        (generate_synthetic, {"num_classes": np.int64(2 ** 40),
+                              "samples_per_class": np.int64(2 ** 40),
+                              "landmark_count": 1, "feature_dim": 1}),
+        (generate_synthetic_imageset, {"num_classes": np.int64(2 ** 40),
+                                       "samples_per_class": np.int64(2 ** 40),
+                                       "landmark_count": 1}),
+        (generate_synthetic, {"landmark_count": np.int64(2 ** 32),
+                              "feature_dim": np.int64(2 ** 32)}),
+    ], ids=["classes_by_samples", "images_classes_by_samples", "landmarks_by_feature_dim"])
+    def test_numpy_integer_sizes_do_not_wrap_the_budget(self, generate, sizes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="above the budget"):
+                generate(SyntheticSpec(**sizes))
+
+    def test_numpy_integers_stored_as_ints(self):
+        spec = SyntheticSpec(num_classes=np.int64(3), samples_per_class=np.int32(5),
+                             landmark_count=np.uint16(6), feature_dim=np.int64(8),
+                             seed=np.int64(77))
+        fields = (spec.num_classes, spec.samples_per_class, spec.landmark_count,
+                  spec.feature_dim, spec.seed)
+        assert [type(v) for v in fields] == [int] * 5
+        assert spec == SMALL
+
+    @pytest.mark.parametrize("field", ["geometry_displacement_scale",
+                                       "feature_noise_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_noise_scales_are_finite(self, field, value):
+        with pytest.raises(UsageError):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "1", np.int64(-1)],
+                             ids=["negative", "fraction", "bool", "none", "text",
+                                  "numpy_negative"])
+    def test_split_seed_is_a_nonnegative_int(self, seed):
+        with pytest.raises(UsageError, match="seed"):
+            split_indices(generate_synthetic(SMALL), 0.25, seed)
+
+    def test_split_takes_a_numpy_integer_seed(self):
+        dataset = generate_synthetic(SMALL)
+        assert split_indices(dataset, 0.25, np.int64(7)) == split_indices(dataset, 0.25, 7)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,46 @@ class TestReadOnlyCaches:
         assert array is cached()
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] += 1.0
+
+
+class TestSettingBounds:
+    """The encoder's seed is >= 0 and its fields are stored as Python ints; the
+    library refuses a patch over the pixel budget before cutting it."""
+
+    @pytest.mark.parametrize("value", [-1, np.int64(-1)], ids=["int", "numpy"])
+    def test_negative_projection_seed(self, value):
+        with pytest.raises(UsageError, match="^projection_seed must be >= 0, got -1$"):
+            EncoderConfig(projection_seed=value)
+
+    def test_out_dim_below_one_named(self):
+        with pytest.raises(UsageError, match="^out_dim must be >= 1, got 0$"):
+            EncoderConfig(out_dim=0)
+
+    def test_numpy_integers_stored_as_ints(self):
+        config = EncoderConfig(out_dim=np.int64(7), projection_seed=np.uint32(3))
+        assert type(config.out_dim) is int and type(config.projection_seed) is int
+        assert config == EncoderConfig(out_dim=7, projection_seed=3)
+
+    @pytest.mark.parametrize("h, w", [(2 ** 20, 2 ** 20), (np.int64(2 ** 32), np.int64(2 ** 32)),
+                                      (1, 10 ** 30)],
+                             ids=["huge", "numpy_wrap", "one_side"])
+    def test_huge_patch_refused(self, h, w):
+        image, landmarks = np.zeros((8, 8)), np.array([[2.0, 3.0]])
+        budget = features_module.MAX_PATCH_PIXELS
+        with pytest.raises(UsageError, match=f"above the budget of {budget}$"):
+            features_for_sample(image, landmarks, h, w, EncoderConfig())
+        with pytest.raises(UsageError, match=f"above the budget of {budget}$"):
+            extract_patch(image, (2.0, 3.0), h, w)
+
+    def test_patch_at_the_budget_accepted(self):
+        side = math.isqrt(features_module.MAX_PATCH_PIXELS)
+        patch = extract_patch(np.zeros((8, 8)), (2.0, 3.0), side, side)
+        assert patch.shape == (side, side)
+        with pytest.raises(UsageError, match="above the budget"):
+            extract_patch(np.zeros((8, 8)), (2.0, 3.0), side + 1, side)
+
+    @pytest.mark.parametrize("h", [math.nan, 2.5, np.float64(3.0)],
+                             ids=["nan", "fraction", "numpy_float"])
+    def test_patch_size_that_is_not_an_int_refused(self, h):
+        with pytest.raises(UsageError, match="patch"):
+            extract_patch(np.zeros((8, 8)), (2.0, 3.0), h, 3)

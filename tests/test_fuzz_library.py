@@ -1,0 +1,146 @@
+"""A seeded fuzzer of the library's settings boundary.
+
+Each case mutates one argument of one entry point: a field of ``TrainConfig``,
+``EncoderConfig``, ``SyntheticSpec`` or ``GcnConfig``, the test fraction or
+seed of ``split_indices``, or a patch side of ``features_for_sample``. The
+mutation is a negative number, a huge one, a numpy integer, a bool, NaN or an
+infinity. The case then builds the setting and, if it is accepted, uses it on
+a tiny input. Whatever the value, the case must return or raise one of the
+errors named in ``facegraph.errors``, with every warning an error; an
+accepted integer field must be stored as a Python ``int``.
+
+``epochs`` is never mutated to a large value, since no budget bounds it and
+training time grows with it; every other size is bounded by a budget that
+refuses it before any allocation.
+"""
+
+import dataclasses
+import inspect
+import math
+import random
+import warnings
+from numbers import Integral
+
+import numpy as np
+import pytest
+
+from facegraph import (
+    EncoderConfig,
+    GcnConfig,
+    SyntheticSpec,
+    TrainConfig,
+    errors,
+    features_for_sample,
+    generate_synthetic,
+    split_indices,
+    train,
+)
+from facegraph.data import dataset_graphs
+
+CASES = 300
+SEED = 8128
+
+NAMED = tuple(cls for cls in vars(errors).values()
+              if inspect.isclass(cls) and cls.__module__ == errors.__name__)
+MUTATIONS = {
+    "negative": [-1, -2.5, -2 ** 63],
+    "huge": [10 ** 9, 2 ** 63, 10 ** 30, 1e300],
+    "numpy": [np.int64(0), np.int32(3), np.uint8(1), np.int64(-4), np.int64(2 ** 40)],
+    "bool": [True, False],
+    "nan": [math.nan, np.float64("nan")],
+    "inf": [math.inf, -math.inf],
+}
+
+# small, valid arguments every case starts from
+SPEC = {"num_classes": 2, "samples_per_class": 3, "landmark_count": 4, "feature_dim": 4,
+        "geometry_displacement_scale": 12.0, "feature_noise_scale": 0.25, "seed": 5}
+DATASET = generate_synthetic(SyntheticSpec(**SPEC))
+GRAPHS = dataset_graphs(DATASET, 0.5)
+MODEL = {"in_dim": 4, "num_classes": 2, "hidden_dim": 8, "num_layers": 2,
+         "dropout_rate": 0.2}
+IMAGE = np.arange(256, dtype=np.uint8).reshape(16, 16)
+LANDMARKS = np.array([[2.0, 3.0], [15.0, 0.0], [8.0, 8.0]])
+
+
+def _settings(cls, given):
+    """A ``cls`` from ``given``; each integer field it keeps must be a Python int."""
+    settings = cls(**given)
+    ints = [f.name for f in dataclasses.fields(cls) if f.type == "int"]  # string annotations
+    assert ints and all(type(getattr(settings, name)) is int for name in ints), ints
+    return settings
+
+
+def _use_train_config(given):
+    train(GRAPHS, GcnConfig(**MODEL), _settings(TrainConfig, given))
+
+
+def _use_encoder(given):
+    encoder = _settings(EncoderConfig, given)
+    assert features_for_sample(IMAGE, LANDMARKS, 5, 3, encoder).shape == (3, encoder.out_dim)
+
+
+def _use_spec(given):
+    spec = _settings(SyntheticSpec, given)
+    assert len(generate_synthetic(spec).samples) == spec.num_classes * spec.samples_per_class
+
+
+def _use_model(given):
+    train(GRAPHS, _settings(GcnConfig, given), TrainConfig(epochs=1, batch_size=4))
+
+
+def _use_split(given):
+    train_idx, test_idx = split_indices(DATASET, **given)
+    assert sorted(train_idx + test_idx) == list(range(len(DATASET.samples)))
+
+
+def _use_patch(given):
+    assert features_for_sample(IMAGE, LANDMARKS, config=EncoderConfig(out_dim=8),
+                               **given).shape == (3, 8)
+
+
+# entry point -> (its valid arguments, how a case uses them)
+TARGETS = {
+    "TrainConfig": ({"epochs": 1, "batch_size": 4, "lr_init": 1e-3, "lr_min": 1e-4,
+                     "weight_decay": 5e-4, "seed": 7}, _use_train_config),
+    "EncoderConfig": ({"out_dim": 8, "projection_seed": 3}, _use_encoder),
+    "SyntheticSpec": (SPEC, _use_spec),
+    "GcnConfig": (MODEL, _use_model),
+    "split_indices": ({"test_fraction": 0.25, "seed": 7}, _use_split),
+    "features_for_sample": ({"h": 5, "w": 3}, _use_patch),
+}
+
+
+def _values(kind, name):
+    """The values of mutation ``kind`` that argument ``name`` may take."""
+    values = MUTATIONS[kind]
+    if name == "epochs":  # no budget bounds the training time
+        values = [v for v in values if not (isinstance(v, Integral) and v > 3)]
+    return values
+
+
+def _case(index):
+    """Case ``index``: an entry point, the mutation kind, and the arguments
+    with one of them mutated."""
+    rng = random.Random(SEED * CASES + index)
+    target = rng.choice(sorted(TARGETS))
+    valid = TARGETS[target][0]
+    name = rng.choice(sorted(valid))
+    kind = rng.choice([k for k in sorted(MUTATIONS) if _values(k, name)])
+    return target, kind, {**valid, name: rng.choice(_values(kind, name))}
+
+
+@pytest.mark.parametrize("index", range(CASES))
+def test_setting_returns_or_raises_a_named_error(index):
+    target, _, given = _case(index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the case
+        try:
+            TARGETS[target][1](given)
+        except NAMED:
+            pass
+
+
+def test_cases_cover_every_target_and_mutation():
+    cases = [_case(index) for index in range(CASES)]
+    assert {(target, kind) for target, kind, _ in cases} == {
+        (target, kind) for target in TARGETS for kind in MUTATIONS}

@@ -1130,3 +1130,35 @@ class TestEvaluate:
         assert 0.0 <= report.accuracy <= 1.0
         assert report.confusion.sum() == len(graphs)
         assert report.accuracy > 0.8  # easily separable
+
+
+class TestSettingBounds:
+    """Each integer setting has a lower bound and is stored as a Python int;
+    each float setting is finite."""
+
+    @pytest.mark.parametrize("field, value, low", [
+        ("seed", -1, 0), ("epochs", -1, 0), ("batch_size", 0, 1), ("seed", np.int64(-5), 0),
+    ], ids=["seed", "epochs", "batch_size", "numpy_seed"])
+    def test_train_config_below_its_bound(self, field, value, low):
+        with pytest.raises(UsageError, match=f"^{field} must be >= {low}, got {value}$"):
+            TrainConfig(**{"epochs": 1, field: value})
+
+    @pytest.mark.parametrize("given", [
+        {"lr_init": math.nan, "lr_min": math.nan}, {"lr_min": math.nan},
+        {"lr_init": math.inf}, {"lr_init": math.inf, "lr_min": math.inf},
+        {"weight_decay": math.nan}, {"weight_decay": math.inf},
+    ], ids=["lr_both_nan", "lr_min_nan", "lr_init_inf", "lr_both_inf", "decay_nan",
+            "decay_inf"])
+    def test_train_config_floats_are_finite(self, given):
+        with pytest.raises(UsageError):
+            TrainConfig(epochs=1, **given)
+
+    def test_numpy_integers_stored_as_ints(self):
+        config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), seed=np.uint8(5))
+        assert [type(v) for v in (config.epochs, config.batch_size, config.seed)] == [int] * 3
+        assert (config.epochs, config.batch_size, config.seed) == (2, 4, 5)
+
+    @pytest.mark.parametrize("field", ["in_dim", "num_classes", "hidden_dim", "num_layers"])
+    def test_gcn_config_dimension_below_one_named(self, field):
+        with pytest.raises(UsageError, match=f"^{field} must be >= 1, got 0$"):
+            GcnConfig(**{"in_dim": 4, "num_classes": 3, field: 0})
