@@ -30,7 +30,9 @@ from .errors import (
     ManifestParseError,
     MissingFileError,
     UsageError,
+    _as_real,
     _check_ints,
+    _check_reals,
     _is_int,
 )
 from .features import EncoderConfig, _pgm_pixels, features_for_sample, read_pgm, write_pgm
@@ -113,6 +115,7 @@ class SyntheticSpec:
     def __post_init__(self):
         _check_ints(self, 1, "num_classes", "samples_per_class", "landmark_count", "feature_dim")
         _check_ints(self, 0, "seed")
+        _check_reals(self, "geometry_displacement_scale", "feature_noise_scale")
         if not (0 <= self.geometry_displacement_scale < np.inf
                 and 0 <= self.feature_noise_scale < np.inf):
             raise UsageError("synthetic noise scales must be finite and >= 0")
@@ -467,7 +470,7 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
     ``random`` splits stratified per class; ``subject`` keeps whole subjects
     (the sample_id prefix before the first underscore) on one side.
     """
-    if not 0.0 <= test_fraction < 1.0:
+    if not 0.0 <= _as_real("test_fraction", test_fraction) < 1.0:
         raise UsageError("test_fraction must lie in [0, 1)")
     if mode not in ("random", "subject"):
         raise UsageError(f"unknown split mode {mode!r}")

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
-from numbers import Integral as _Integral
+import math
+from numbers import Integral as _Integral, Real as _Real
 
 
 class InvalidInputError(ValueError):
@@ -42,6 +43,29 @@ class NumericError(ArithmeticError):
 def _is_int(value) -> bool:
     """Whether ``value`` is an int or a numpy integer; a bool is neither."""
     return isinstance(value, _Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int, a float or a numpy number; a bool is none."""
+    return isinstance(value, _Real) and not isinstance(value, bool)
+
+
+def _as_real(name: str, value) -> float:
+    """``value`` as a float, or UsageError naming it unless it is a real number.
+    An int beyond the float range becomes the infinity of its sign, as it
+    compares; NaN and the infinities pass: each caller states the range it takes."""
+    if not _is_real(value):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_reals(config, *names: str) -> None:
+    """Store each named field of ``config`` as a float, or raise UsageError."""
+    for name in names:
+        object.__setattr__(config, name, _as_real(name, getattr(config, name)))
 
 
 def _check_ints(config, low: int, *names: str) -> None:

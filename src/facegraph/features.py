@@ -133,9 +133,12 @@ def _pixels(image) -> np.ndarray:
 
 
 def _check_patch(h, w) -> tuple[int, int]:
-    """``(h, w)`` as ints; refuses non-int sides and areas over MAX_PATCH_PIXELS."""
+    """``(h, w)`` as ints; refuses sides that are not positive ints and areas
+    over MAX_PATCH_PIXELS."""
     if not (_is_int(h) and _is_int(w)):
         raise UsageError(f"patch sides must be ints, got {h!r}x{w!r}")
+    if h < 1 or w < 1:
+        raise UsageError(f"patch size must be positive, got {h}x{w}")
     if int(h) * int(w) > MAX_PATCH_PIXELS:
         raise UsageError(f"patch {h}x{w} of {int(h) * int(w)} pixels, above the "
                          f"budget of {MAX_PATCH_PIXELS}")
@@ -145,8 +148,6 @@ def _check_patch(h, w) -> tuple[int, int]:
 def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:
     """Cut one h x w window per (x, y) center into an N x h x w stack."""
     img = _pixels(image)
-    if h < 1 or w < 1:
-        raise InvalidInputError(f"patch size must be positive, got {h}x{w}")
     h, w = _check_patch(h, w)
     if not np.all(np.isfinite(centers)):
         raise InvalidInputError("patch center must be finite")

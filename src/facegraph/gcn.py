@@ -6,10 +6,15 @@ through the identity. A mean-pool readout over nodes feeds an affine softmax
 head, trained with cross-entropy, Adam with decoupled weight decay and a
 cosine learning-rate schedule.
 
-Everything runs in double precision and is deterministic given the seed: the
-same generator drives initialization, epoch shuffling and dropout masks in a
-fixed order, so identical configs and data reproduce identical parameter
-trajectories bit for bit.
+Inference, checkpoints and training with the default ``TrainConfig`` run in
+double precision. ``TrainConfig(precision="float32")`` trains in single
+precision: the Glorot draws, the one-hot labels, and each step's features,
+A_hat and dropout masks are rounded to float32, so every activation, gradient
+and Adam moment is float32, and ``train`` returns the parameters widened to
+float64, which is exact. Either way a run is deterministic given the seed:
+the same generator drives initialization, epoch shuffling and dropout masks
+(drawn in float64 in both precisions) in a fixed order, so identical configs
+and data reproduce identical parameter trajectories bit for bit.
 
 ELU is branch-free: elu(x) = max(expm1(min(0, x)), x) and its derivative is
 exp(min(0, x)). On a contiguous preactivation these give the bits of the
@@ -41,6 +46,7 @@ from .errors import (
     NumericError,
     UsageError,
     _check_ints,
+    _check_reals,
     _is_int,
 )
 from .graphs import GraphSample
@@ -52,6 +58,7 @@ __all__ = [
     "ForwardCache",
     "GcnConfig",
     "GcnModel",
+    "PRECISIONS",
     "TrainConfig",
     "adam_step",
     "backward",
@@ -74,8 +81,12 @@ CHECKPOINT_FORMAT = "facegraph-checkpoint"
 CHECKPOINT_VERSION = 2  # version 1 stored weights as JSON numbers; it still loads
 
 # init_model's budget: parameters plus 64 per layer, for the ~2.5 KB a layer's
-# arrays take beyond their values. Training holds about seven copies, ~1 GiB here.
+# arrays take beyond their values. Training holds about seven copies in its
+# precision plus the float64 result: ~1 GiB here in float64, ~0.6 GiB in float32.
 MAX_PARAMETERS = 2 ** 24
+
+# TrainConfig.precision: the dtype training runs in
+PRECISIONS = ("float64", "float32")
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -108,13 +119,20 @@ def _polevl(x, coefs):
     return out
 
 
+def _as_float(x) -> np.ndarray:
+    """``x`` as an array of float32 if it holds float32, else of float64."""
+    x = np.asarray(x)
+    return x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
+
+
 def _erf(x):
-    """Error function, elementwise, in Cephes' operation order.
+    """Error function, elementwise, in Cephes' operation order, in float32 for
+    float32 ``x`` and in float64 otherwise.
 
     Past |x| = 6 erfc is below 2**-54, so 1 - erfc rounds to exactly 1; the
     clamp keeps both branches finite, and +-inf maps to +-1.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_float(x)
     near = np.clip(x, -1.0, 1.0)
     z = near * near
     near = near * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
@@ -128,7 +146,7 @@ def _relu(x):
 
 
 def _relu_grad(x):
-    return (x > 0.0).astype(float)
+    return (x > 0.0).astype(x.dtype)
 
 
 def _gelu(x):
@@ -180,6 +198,7 @@ class GcnConfig:
             raise UsageError(
                 f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
             )
+        _check_reals(self, "dropout_rate")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise UsageError("dropout_rate must lie in [0, 1)")
 
@@ -208,7 +227,8 @@ class GcnModel:
 
 @dataclass
 class TrainConfig:
-    """Optimizer, schedule and regularization settings."""
+    """Optimizer, schedule and regularization settings, and the precision
+    training runs in: one of :data:`PRECISIONS`, float64 by default."""
 
     epochs: int
     batch_size: int = 16
@@ -216,10 +236,15 @@ class TrainConfig:
     lr_min: float = 1e-4
     weight_decay: float = 5e-4
     seed: int = 1000
+    precision: str = "float64"
 
     def __post_init__(self):
         _check_ints(self, 0, "epochs", "seed")
         _check_ints(self, 1, "batch_size")
+        _check_reals(self, "lr_init", "lr_min", "weight_decay")
+        if self.precision not in PRECISIONS:
+            raise UsageError(f"precision must be one of {list(PRECISIONS)}, "
+                             f"got {self.precision!r}")
         if not 0.0 < self.lr_min <= self.lr_init < math.inf:
             raise UsageError("need 0 < lr_min <= lr_init < inf")
         if not 0.0 <= self.weight_decay < math.inf:
@@ -243,8 +268,9 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
 
 def readout(node_feats: np.ndarray) -> np.ndarray:
-    """Graph-level vector: column-wise mean over nodes (permutation invariant)."""
-    h = np.asarray(node_feats, dtype=float)
+    """Graph-level vector: column-wise mean over nodes (permutation invariant),
+    in float32 for float32 features and in float64 otherwise."""
+    h = _as_float(node_feats)
     if h.ndim != 2 or h.shape[0] < 1:
         raise InvalidInputError("readout needs a nonempty 2-D node feature matrix")
     return h.mean(axis=0)
@@ -300,10 +326,13 @@ def forward(model: GcnModel, sample: GraphSample,
     fully deterministic. The layers multiply by ``norm_adj``, an N x N
     matrix, or by default by :func:`normalize_adjacency` of the sample's
     adjacency, which is computed on every call. The cache keeps that matrix,
-    in C order, for :func:`backward`.
+    in C order, for :func:`backward`. The pass runs in float32 for float32
+    parameters, rounding the features and the matrix to it, and in float64
+    otherwise.
     """
     config = model.config
-    h = np.asarray(sample.features, dtype=float)
+    dtype = _as_float(model.params[0]).dtype
+    h = np.asarray(sample.features, dtype=dtype)
     if h.ndim != 2 or h.shape[1] != config.in_dim:
         raise InvalidInputError(
             f"sample features have shape {h.shape}, model expects N x {config.in_dim}"
@@ -311,7 +340,7 @@ def forward(model: GcnModel, sample: GraphSample,
     use_dropout = rng is not None and config.dropout_rate > 0.0
     if norm_adj is None:
         norm_adj = normalize_adjacency(sample.adjacency)
-    a_hat = np.ascontiguousarray(norm_adj, dtype=float)  # one layout for the BLAS
+    a_hat = np.ascontiguousarray(norm_adj, dtype=dtype)  # one layout for the BLAS
     if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
         raise InvalidInputError("normalized adjacency must be square")
     if len(a_hat) != h.shape[0]:
@@ -329,7 +358,8 @@ def forward(model: GcnModel, sample: GraphSample,
         z = m @ weight
         h = act(z)
         if use_dropout and layer < config.num_layers - 1:
-            mask = (rng.random(h.shape) < keep) / keep
+            # drawn in float64, so both precisions see one random stream
+            mask = ((rng.random(h.shape) < keep) / keep).astype(dtype, copy=False)
             h = h * mask
         else:
             mask = None
@@ -374,11 +404,12 @@ def backward(model: GcnModel, cache: ForwardCache,
     Dropout masks recorded in the cache are reused exactly. The cache must
     come from a forward pass since the last :func:`adam_step`, which updates
     the parameters in place; a stale cache is detected by the update count.
+    Like :func:`forward`, the pass runs in float32 for float32 parameters.
     """
     if cache.updates != model.updates:
         raise CacheMismatchError("forward cache predates the model's last parameter update")
     *layer_weights, readout_weight, _ = model.params
-    dlogits = np.asarray(logit_grad, dtype=float)
+    dlogits = np.asarray(logit_grad, dtype=_as_float(model.params[0]).dtype)
     grad_readout_weight = np.outer(dlogits, cache.embedding)
     grad_readout_bias = dlogits.copy()
 
@@ -492,16 +523,26 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     sample, which normalizes its stored adjacency afresh, so no ``A_hat`` is
     kept between steps. History rows report the mean loss and accuracy over
     the samples as seen during the epoch (dropout active).
+
+    The steps run in ``train_config.precision``: the initial parameters and
+    the one-hot labels are rounded to it once, so the Adam state, the
+    gradient sums and, through :func:`forward` and :func:`backward`, every
+    array of a step share its dtype. The returned parameters are float64
+    either way; widening float32 is exact, so saving, prediction and
+    evaluation run the float64 code.
     A non-finite parameter after any step raises :class:`NumericError`
-    naming the epoch and the batch index, with no numpy overflow warning.
+    naming the epoch and the batch index, with no numpy overflow warning; in
+    float32 that includes a learning rate beyond its range (about 3.4e38).
     """
     if not dataset:
         raise InvalidInputError("training dataset is empty")
     _check_samples(dataset, model_config)
 
+    dtype = np.dtype(train_config.precision)
     rng = np.random.default_rng(train_config.seed)
     model = init_model(model_config, rng)
-    onehots = np.eye(model_config.num_classes)[[s.label for s in dataset]]
+    model.params = [p.astype(dtype, copy=False) for p in model.params]
+    onehots = np.eye(model_config.num_classes, dtype=dtype)[[s.label for s in dataset]]
     state = init_adam(model.params)
 
     n = len(dataset)
@@ -531,6 +572,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
                                    f"batch {start // train_config.batch_size}")
         history.append({"epoch": epoch, "lr": lr, "loss": loss_sum / n,
                         "accuracy": correct / n})
+    model.params = [p.astype(np.float64, copy=False) for p in model.params]
     return model, history
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _is_int
+from .errors import InvalidInputError, UsageError, _as_real, _is_int
 
 __all__ = [
     "GraphSample",
@@ -205,11 +205,16 @@ def threshold_from_weights(weights, tau: float) -> ThresholdStats:
 
 
 def _at_tau(mean: float, std: float, tau: float, equal: bool) -> ThresholdStats:
-    """The statistics with their threshold at ``tau``. Identical weights
-    (``equal``) have their common value as the threshold whatever ``tau`` is,
-    which keeps such a graph edgeless even where ``tau * 0.0`` is NaN."""
+    """The statistics with their threshold at ``tau``, a real number other
+    than NaN; an infinite ``tau`` gives an edgeless or a complete graph.
+    Identical weights (``equal``) have their common value as the threshold
+    whatever ``tau`` is, which keeps such a graph edgeless even where
+    ``tau * 0.0`` is NaN."""
+    tau = _as_real("tau", tau)
+    if math.isnan(tau):
+        raise UsageError("tau must be a number other than NaN")
     threshold = mean if equal else float(mean + tau * std)
-    return ThresholdStats(tau=float(tau), mean=mean, std=std, threshold=threshold)
+    return ThresholdStats(tau=tau, mean=mean, std=std, threshold=threshold)
 
 
 def threshold_stats(raw: np.ndarray, tau: float) -> ThresholdStats:

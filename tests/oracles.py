@@ -221,7 +221,7 @@ def json_dump_checkpoint(path, model, preprocess=None, *, version):
         handle.write("\n")
 
 
-def naive_train(graphs, model_config, train_config, activation):
+def naive_train(graphs, model_config, train_config, activation, dtype=np.float64):
     """Per-sample reference for ``train``: dense ``A_hat @ H`` products on the
     full N x N normalized adjacency, forward and backward, one fresh array per
     expression.
@@ -229,7 +229,10 @@ def naive_train(graphs, model_config, train_config, activation):
     ``activation`` is the (function, derivative) pair to use. Draws from one
     generator seeded by ``train_config.seed`` in the package's order: Glorot
     weights, then per epoch a permutation and, per sample, the dropout masks.
-    Returns (params, history) in the shapes ``train`` returns them.
+    Every array is of ``dtype``: the float64 Glorot draws, the float64
+    normalized adjacency, the features and the float64 dropout masks are
+    rounded to it. Returns (params, history) in the shapes ``train`` returns
+    them, the params of ``dtype``.
     """
     act, act_grad = activation
     rng = np.random.default_rng(train_config.seed)
@@ -239,8 +242,8 @@ def naive_train(graphs, model_config, train_config, activation):
     params = []
     for fan_in, fan_out in shapes:
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        params.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-    params.append(np.zeros(num_classes))
+        params.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype))
+    params.append(np.zeros(num_classes, dtype=dtype))
     first = [np.zeros_like(p) for p in params]
     second = [np.zeros_like(p) for p in params]
     keep = 1.0 - model_config.dropout_rate
@@ -251,7 +254,7 @@ def naive_train(graphs, model_config, train_config, activation):
         return with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
 
     def forward(features, a_hat):
-        h = np.asarray(features, dtype=float)
+        h = np.asarray(features, dtype=dtype)
         aggregated, preactivations, masks = [], [], []
         for layer in range(num_layers):
             m = a_hat @ h
@@ -259,7 +262,7 @@ def naive_train(graphs, model_config, train_config, activation):
             h = act(z)
             mask = None
             if model_config.dropout_rate > 0.0 and layer < num_layers - 1:
-                mask = (rng.random(h.shape) < keep) / keep
+                mask = ((rng.random(h.shape) < keep) / keep).astype(dtype)
                 h = h * mask
             aggregated.append(m)
             preactivations.append(z)
@@ -284,8 +287,8 @@ def naive_train(graphs, model_config, train_config, activation):
                 dh = a_hat.T @ (dz @ params[layer].T)
         return [*grads, np.outer(dlogits, embedding), dlogits.copy()]
 
-    a_hats = [normalize(g.adjacency) for g in graphs]
-    onehots = np.eye(num_classes)[[g.label for g in graphs]]
+    a_hats = [normalize(g.adjacency).astype(dtype) for g in graphs]
+    onehots = np.eye(num_classes, dtype=dtype)[[g.label for g in graphs]]
     n = len(graphs)
     history = []
     step = 0

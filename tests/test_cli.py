@@ -155,6 +155,7 @@ class TestTrain:
         assert code == 3
 
     def test_diverging_train_prints_only_the_failure(self, tmp_path, capsys):
+        # the CLI trains in float32, which cannot hold 1e200: the first batch fails
         dataset = tmp_path / "ds"
         assert main(["synth", "--out-dir", str(dataset)]) == 0
         capsys.readouterr()
@@ -165,7 +166,36 @@ class TestTrain:
                          "--lr", "1e200", "--lr-min", "1e199"])
         assert code == 3
         assert (capsys.readouterr().err
+                == "numeric failure: non-finite parameters at epoch 0, batch 0\n")
+
+    def test_weights_beyond_float32_fail_in_the_second_batch(self, tmp_path, capsys):
+        # 1e30 is a float32 learning rate, but the weights it makes overflow float32
+        dataset = tmp_path / "ds"
+        assert main(["synth", "--out-dir", str(dataset)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--out-dir", str(tmp_path / "o"),
+                         "--dataset", str(dataset), "--hidden", "8",
+                         "--lr", "1e30", "--lr-min", "1e30"])
+        assert code == 3
+        assert (capsys.readouterr().err
                 == "numeric failure: non-finite parameters at epoch 0, batch 1\n")
+
+    def test_config_file_reals_are_stored_as_floats(self, tmp_path):
+        # the library stores a float setting as a float, so an int in a config
+        # file is written back as one: dropout 0 is 0.0 in the checkpoint
+        dataset = synth(tmp_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"dropout": 0, "lr": 1, "lr_min": 1}))
+        out = tmp_path / "o"
+        assert main(["train", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--config", str(config_path), "--epochs", "1", "--hidden", "8"]) == 0
+        checkpoint = (out / "checkpoint.json").read_text()
+        assert '"dropout_rate":0.0' in checkpoint.replace(" ", "")
+        with open(out / "history.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1][1] == "1.0"
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         dataset = synth(tmp_path)
@@ -717,6 +747,7 @@ class TestSweep:
         assert (out / "point_patch_10" / "checkpoint.json").exists()
 
     def test_diverging_point_is_an_error_row_without_warnings(self, tmp_path):
+        # in float32, the CLI's training precision, 1e200 is inf: the first batch fails
         dataset = tmp_path / "ds"
         assert main(["synth", "--out-dir", str(dataset)]) == 0
         out = tmp_path / "dsweep"
@@ -728,7 +759,7 @@ class TestSweep:
         with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert [(row[0], row[-1]) for row in rows[1:]] == [
-            (tau, "error: non-finite parameters at epoch 0, batch 1")
+            (tau, "error: non-finite parameters at epoch 0, batch 0")
             for tau in ("0.3", "0.5")]
 
     @pytest.mark.parametrize("grid, repeated", [("0.5,0.5", "0.5"),

@@ -792,3 +792,29 @@ class TestSettingBounds:
     def test_split_takes_a_numpy_integer_seed(self):
         dataset = generate_synthetic(SMALL)
         assert split_indices(dataset, 0.25, np.int64(7)) == split_indices(dataset, 0.25, 7)
+
+    @pytest.mark.parametrize("field", ["geometry_displacement_scale",
+                                       "feature_noise_scale"])
+    @pytest.mark.parametrize("value", ["0.1", None, True],
+                             ids=["text", "none", "bool"])
+    def test_noise_scales_are_real_numbers(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be a "):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["geometry_displacement_scale",
+                                       "feature_noise_scale"])
+    def test_int_beyond_floats_is_an_infinite_noise_scale(self, field):
+        with pytest.raises(UsageError, match="^synthetic noise scales must be finite"):
+            SyntheticSpec(**{field: 10 ** 400})
+
+    def test_noise_scales_stored_as_floats(self):
+        spec = SyntheticSpec(geometry_displacement_scale=np.float32(12.0),
+                             feature_noise_scale=np.int64(0))
+        assert [type(v) for v in (spec.geometry_displacement_scale,
+                                  spec.feature_noise_scale)] == [float, float]
+
+    @pytest.mark.parametrize("fraction", ["0.25", None, False],
+                             ids=["text", "none", "bool"])
+    def test_split_fraction_is_a_real_number(self, fraction):
+        with pytest.raises(UsageError, match="test_fraction"):
+            split_indices(generate_synthetic(SMALL), fraction, 7)

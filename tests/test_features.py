@@ -411,3 +411,11 @@ class TestSettingBounds:
     def test_patch_size_that_is_not_an_int_refused(self, h):
         with pytest.raises(UsageError, match="patch"):
             extract_patch(np.zeros((8, 8)), (2.0, 3.0), h, 3)
+
+    @pytest.mark.parametrize("h", ["3", None], ids=["text", "none"])
+    def test_patch_size_that_is_not_a_number_refused(self, h):
+        with pytest.raises(UsageError, match="^patch sides must be ints"):
+            extract_patch(np.zeros((8, 8)), (2.0, 3.0), h, 3)
+        with pytest.raises(UsageError, match="^patch sides must be ints"):
+            features_for_sample(np.zeros((8, 8)), np.array([[2.0, 3.0]]), 3, h,
+                                EncoderConfig())

@@ -3,8 +3,8 @@
 Each case mutates one argument of one entry point: a field of ``TrainConfig``,
 ``EncoderConfig``, ``SyntheticSpec`` or ``GcnConfig``, the test fraction or
 seed of ``split_indices``, or a patch side of ``features_for_sample``. The
-mutation is a negative number, a huge one, a numpy integer, a bool, NaN or an
-infinity. The case then builds the setting and, if it is accepted, uses it on
+mutation is a negative number, a huge one, a numpy integer, a bool, NaN, an
+infinity, a string or None. The case then builds the setting and, if it is accepted, uses it on
 a tiny input. Whatever the value, the case must return or raise one of the
 errors named in ``facegraph.errors``, with every warning an error; an
 accepted integer field must be stored as a Python ``int``.
@@ -49,6 +49,7 @@ MUTATIONS = {
     "bool": [True, False],
     "nan": [math.nan, np.float64("nan")],
     "inf": [math.inf, -math.inf],
+    "not_a_number": ["0.1", "3", None],
 }
 
 # small, valid arguments every case starts from

@@ -802,6 +802,33 @@ class TestTrainMatchesOracle:
             assert same_bits(got, want)
         assert history == expected
 
+    @pytest.mark.parametrize("n, width, layers, activation, dropout", [
+        (12, 8, 1, "relu", 0.0),
+        (12, 8, 2, "gelu", 0.2),
+        (12, 8, 3, "elu", 0.2),
+        (68, 8, 1, "elu", 0.2),
+        (68, 8, 2, "relu", 0.2),
+        (68, 8, 3, "gelu", 0.0),
+        (68, 12, 2, "elu", 0.2),
+        (68, 12, 3, "relu", 0.0),
+    ])
+    def test_float32_params_and_history_bit_for_bit(self, n, width, layers, activation,
+                                                   dropout):
+        graphs = oracle_graphs(n, width)
+        config = GcnConfig(in_dim=width, num_classes=3, hidden_dim=2 * width,
+                           num_layers=layers, activation=activation, dropout_rate=dropout)
+        train_config = TrainConfig(epochs=3, batch_size=5, lr_init=0.01, seed=n + layers,
+                                   precision="float32")
+        model, history = train(graphs, config, train_config)
+        params, expected = naive_train(graphs, config, train_config,
+                                       ACTIVATIONS[activation], dtype=np.float32)
+        assert len(model.params) == len(params)
+        for got, want in zip(model.params, params):
+            # trained in float32, returned widened to float64
+            assert want.dtype == np.float32 and got.dtype == np.float64
+            assert same_bits(got, want.astype(np.float64))
+        assert history == expected
+
 
 class TestPredictMatchesOracle:
     """``predict`` gives the bits of a per-sample forward on dense A_hat products."""
@@ -1162,3 +1189,140 @@ class TestSettingBounds:
     def test_gcn_config_dimension_below_one_named(self, field):
         with pytest.raises(UsageError, match=f"^{field} must be >= 1, got 0$"):
             GcnConfig(**{"in_dim": 4, "num_classes": 3, field: 0})
+
+
+class TestPrecision:
+    """``TrainConfig.precision`` is the dtype of every array a training step
+    makes; ``train`` returns float64 parameters in either precision."""
+
+    def test_default_is_float64(self):
+        assert TrainConfig(epochs=1).precision == "float64"
+
+    @pytest.mark.parametrize("precision", ["float16", "double", np.float32, None])
+    def test_unknown_precision_refused(self, precision):
+        with pytest.raises(UsageError, match="^precision must be one of"):
+            TrainConfig(epochs=1, precision=precision)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_every_array_has_the_training_dtype(self, monkeypatch, activation, dropout,
+                                                precision):
+        arrays = []  # (what, array) for every array a step makes or keeps
+        real_forward, real_backward, real_adam = gcn.forward, gcn.backward, gcn.adam_step
+
+        def traced_forward(model, sample, rng=None, norm_adj=None):
+            probs, cache = real_forward(model, sample, rng=rng, norm_adj=norm_adj)
+            arrays.extend([("probabilities", probs), ("logits", cache.logits),
+                           ("a_hat", cache.a_hat), ("embedding", cache.embedding)])
+            arrays.extend(("aggregated", m) for m in cache.aggregated)
+            arrays.extend(("preactivation", z) for z in cache.preactivations)
+            arrays.extend(("dropout mask", mask) for mask in cache.dropout_masks
+                          if mask is not None)
+            return probs, cache
+
+        def traced_backward(model, cache, logit_grad):
+            grads = real_backward(model, cache, logit_grad)
+            arrays.append(("logit gradient", logit_grad))
+            arrays.extend(("gradient", g) for g in grads)
+            return grads
+
+        def traced_adam(model, grads, state, lr, weight_decay):
+            real_adam(model, grads, state, lr, weight_decay)
+            arrays.extend(("accumulated gradient", g) for g in grads)
+            arrays.extend(("parameter", p) for p in model.params)
+            arrays.extend(("first moment", m) for m in state.first_moment)
+            arrays.extend(("second moment", v) for v in state.second_moment)
+            arrays.extend(("adam scratch", a) for pair in state.scratch for a in pair)
+
+        monkeypatch.setattr(gcn, "forward", traced_forward)
+        monkeypatch.setattr(gcn, "backward", traced_backward)
+        monkeypatch.setattr(gcn, "adam_step", traced_adam)
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8, num_layers=2,
+                           activation=activation, dropout_rate=dropout)
+        model, _ = train(separable_graphs(), config,
+                         TrainConfig(epochs=2, batch_size=4, precision=precision))
+        kinds = {what for what, _ in arrays}
+        assert ("dropout mask" in kinds) == (dropout > 0.0)
+        assert len(kinds) == 14 - (dropout == 0.0)
+        assert sorted({what for what, a in arrays if a.dtype != precision}) == []
+        assert [p.dtype for p in model.params] == [np.float64] * 4
+
+    def test_float32_parameters_are_widened_exactly(self):
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        model, _ = train(graphs, config, TrainConfig(epochs=3, precision="float32"))
+        for p in model.params:
+            assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
+        # the widened model runs float64 inference
+        probs, cache = forward(model, graphs[0])
+        assert probs.dtype == cache.a_hat.dtype == np.float64
+
+    def test_float32_model_infers_in_float32(self):
+        graphs = separable_graphs()
+        model = init_model(GcnConfig(in_dim=8, num_classes=2, hidden_dim=8), 3)
+        model.params = [p.astype(np.float32) for p in model.params]
+        probs, cache = forward(model, graphs[0])
+        assert probs.dtype == cache.embedding.dtype == cache.a_hat.dtype == np.float32
+
+    @pytest.mark.parametrize("lr, batch", [(1e200, 0), (1e30, 1)],
+                             ids=["lr_beyond_float32", "overflow_near_3.4e38"])
+    def test_float32_divergence_names_the_batch_without_warnings(self, lr, batch):
+        # 1e200 rounds to inf in float32, so the first step already diverges;
+        # 1e30 is a float32, and the weights it leaves overflow float32 (but
+        # not float64) in the next batch's forward pass
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match=rf"^non-finite parameters at epoch 0, "
+                                                   rf"batch {batch}$"):
+                train(graphs, config, TrainConfig(epochs=2, batch_size=4, lr_init=lr,
+                                                  lr_min=lr / 10, precision="float32"))
+        assert [str(w.message) for w in caught] == []
+        assert np.geterr() == before
+
+    def test_float64_does_not_diverge_where_float32_does(self):
+        graphs = separable_graphs()
+        config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
+        model, _ = train(graphs, config, TrainConfig(epochs=1, batch_size=4, lr_init=1e30,
+                                                     lr_min=1e29))
+        assert all(np.isfinite(p).all() for p in model.params)
+
+
+class TestRealSettings:
+    """A float setting is a real number, stored as a Python float; anything
+    else is a UsageError naming it."""
+
+    @pytest.mark.parametrize("given", [
+        {"lr_init": "1"}, {"lr_min": None}, {"weight_decay": None}, {"weight_decay": "0"},
+        {"lr_init": True},
+    ], ids=["lr_text", "lr_min_none", "decay_none", "decay_text", "lr_bool"])
+    def test_train_config(self, given):
+        (field,) = given
+        with pytest.raises(UsageError, match=f"^{field} must be a "):
+            TrainConfig(epochs=1, **given)
+
+    @pytest.mark.parametrize("given, message", [
+        ({"lr_init": 10 ** 400}, "^need 0 < lr_min <= lr_init < inf"),
+        ({"weight_decay": 10 ** 400}, "^weight_decay must be finite"),
+        ({"weight_decay": -10 ** 400}, "^weight_decay must be finite"),
+    ], ids=["lr", "decay", "negative_decay"])
+    def test_int_beyond_floats_is_infinite(self, given, message):
+        with pytest.raises(UsageError, match=message):
+            TrainConfig(epochs=1, **given)
+
+    @pytest.mark.parametrize("value", [None, "0.2", False], ids=["none", "text", "bool"])
+    def test_gcn_config_dropout(self, value):
+        with pytest.raises(UsageError, match="^dropout_rate must be a "):
+            GcnConfig(in_dim=4, num_classes=2, dropout_rate=value)
+
+    def test_stored_as_floats(self):
+        config = TrainConfig(epochs=1, lr_init=np.float32(0.5), lr_min=np.float64(0.25),
+                             weight_decay=0)
+        values = (config.lr_init, config.lr_min, config.weight_decay)
+        assert [type(v) for v in values] == [float] * 3
+        assert values == (0.5, 0.25, 0.0)
+        model_config = GcnConfig(in_dim=4, num_classes=2, dropout_rate=np.float32(0.5))
+        assert type(model_config.dropout_rate) is float

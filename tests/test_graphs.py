@@ -457,3 +457,49 @@ class TestRethreshold:
                         dataclasses.replace(graph, stats=None)):
             with pytest.raises(InvalidInputError, match="raw weights"):
                 rethreshold(missing, 0.3)
+
+
+class TestTauIsANumber:
+    """``tau`` is a real number other than NaN; the infinities are the limits
+    of an edgeless and a complete graph."""
+
+    BAD = [math.nan, np.float64("nan"), "0.5", None, True, [0.5]]
+    IDS = ["nan", "numpy_nan", "text", "none", "bool", "list"]
+
+    @pytest.mark.parametrize("tau", BAD, ids=IDS)
+    def test_build_graph_refuses(self, tau):
+        points, features = random_instance(np.random.default_rng(7), n=5, d=4)
+        with pytest.raises(InvalidInputError, match="^tau must be a "):
+            build_graph(points, features, tau, 0)
+
+    @pytest.mark.parametrize("tau", BAD, ids=IDS)
+    def test_rethreshold_refuses(self, tau):
+        points, features = random_instance(np.random.default_rng(7), n=5, d=4)
+        graph = build_graph(points, features, 0.5, 0)
+        with pytest.raises(InvalidInputError, match="^tau must be a "):
+            rethreshold(graph, tau)
+
+    @pytest.mark.parametrize("tau", BAD, ids=IDS)
+    def test_equal_weights_refuse_too(self, tau):
+        # identical weights ignore tau's value, not its type
+        with pytest.raises(InvalidInputError, match="^tau must be a "):
+            threshold_from_weights([0.5, 0.5, 0.5], tau)
+
+    @pytest.mark.parametrize("huge, inf", [(10 ** 400, math.inf), (-10 ** 400, -math.inf)],
+                             ids=["positive", "negative"])
+    def test_int_beyond_floats_is_an_infinite_tau(self, huge, inf):
+        points, features = random_instance(np.random.default_rng(7), n=6, d=4)
+        graph = build_graph(points, features, huge, 0)
+        limit = build_graph(points, features, inf, 0)
+        assert np.array_equal(graph.adjacency, limit.adjacency)
+        assert graph.stats == limit.stats and graph.stats.tau == inf
+        assert rethreshold(graph, -huge).stats == rethreshold(limit, -inf).stats
+
+    @pytest.mark.parametrize("tau", [0.5, 2, np.float64(-0.25), np.int64(1)],
+                             ids=["float", "int", "numpy_float", "numpy_int"])
+    def test_finite_tau_keeps_its_bits(self, tau):
+        points, features = random_instance(np.random.default_rng(7), n=6, d=4)
+        graph = build_graph(points, features, tau, 0)
+        _, _, (_, _, threshold), adjacency = naive_graph(points, features, float(tau))
+        assert np.array_equal(graph.adjacency, adjacency)
+        assert float_bits(graph.stats.threshold) == float_bits(threshold)
