@@ -44,6 +44,7 @@ from .features import EncoderConfig, _check_patch
 from .gcn import (
     ACTIVATIONS,
     GcnConfig,
+    GcnModel,
     TrainConfig,
     evaluate,
     load_checkpoint,
@@ -281,10 +282,23 @@ def _merge_preprocess(config: ChainMap, preprocess) -> ChainMap:
     return ChainMap(config.maps[0], pre, DEFAULTS)
 
 
+def _inference_model(model: GcnModel) -> GcnModel:
+    """``model`` with float32 weights if every weight is a float32 value, as
+    CLI training leaves them, so that inference runs in float32; otherwise
+    ``model`` itself, whose inference runs in float64."""
+    with np.errstate(over="ignore"):  # a weight beyond float32's range is not one
+        rounded = [p.astype(np.float32) for p in model.params]
+    if all(np.array_equal(r, p) for r, p in zip(rounded, model.params)):
+        return dataclasses.replace(model, params=rounded)
+    return model
+
+
 def _checkpoint_graphs(config: ChainMap, out_dir: Path):
-    """The checkpoint's model and graphs; config.json is echoed with its settings."""
+    """The checkpoint's model, for inference, and graphs; config.json is
+    echoed with its settings."""
     _require(config, "checkpoint")
     model, preprocess = load_checkpoint(config["checkpoint"])
+    model = _inference_model(model)
     config = _merge_preprocess(config, preprocess)
     write_json(out_dir / "config.json", dict(config))
     dataset, graphs = _load_graphs(config)
@@ -327,7 +341,7 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     save_checkpoint(out_dir / "checkpoint.json", model, preprocess=preprocess)
     columns = ["epoch", "lr", "loss", "accuracy"]
     write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))
-    report = evaluate(model, test_set)
+    report = evaluate(_inference_model(model), test_set)
     write_json(out_dir / "metrics.json", dataclasses.asdict(report))
     return report
 

@@ -34,6 +34,7 @@ from .errors import (
     _check_ints,
     _check_reals,
     _is_int,
+    _show,
 )
 from .features import EncoderConfig, _pgm_pixels, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, _check_node_count, build_graph
@@ -186,7 +187,7 @@ def _check_budget(spec: SyntheticSpec, payload_bytes: int) -> None:
     size = spec.num_classes * spec.samples_per_class * (
         16 * spec.landmark_count + payload_bytes)
     if size > MAX_SYNTHETIC_BYTES:
-        raise UsageError(f"a synthetic dataset of {size} bytes, above the budget "
+        raise UsageError(f"a synthetic dataset of {_show(size)} bytes, above the budget "
                          f"of {MAX_SYNTHETIC_BYTES}")
 
 
@@ -475,7 +476,7 @@ def split_indices(dataset: Dataset, test_fraction: float, seed: int,
     if mode not in ("random", "subject"):
         raise UsageError(f"unknown split mode {mode!r}")
     if not _is_int(seed) or seed < 0:
-        raise UsageError(f"seed must be an int >= 0, got {seed!r}")
+        raise UsageError(f"seed must be an int >= 0, got {_show(seed)}")
     n = len(dataset.samples)
     rng = np.random.default_rng(seed)
     groups: dict = {}  # label or subject -> sample indices

@@ -50,6 +50,21 @@ def _is_real(value) -> bool:
     return isinstance(value, _Real) and not isinstance(value, bool)
 
 
+def _show(value) -> str:
+    """``repr(value)``, but an int with more digits than ``str`` converts
+    (``sys.get_int_max_str_digits()``) as "an int of N digits"."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not _is_int(value):
+            raise
+    magnitude = abs(int(value))
+    digits = max(0, int((magnitude.bit_length() - 1) * math.log10(2)) - 1)  # a lower bound
+    while magnitude >= 10 ** digits:
+        digits += 1
+    return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def _as_real(name: str, value) -> float:
     """``value`` as a float, or UsageError naming it unless it is a real number.
     An int beyond the float range becomes the infinity of its sign, as it
@@ -75,5 +90,5 @@ def _check_ints(config, low: int, *names: str) -> None:
         if not _is_int(value):
             raise UsageError(f"{name} must be an int, got {value!r}")
         if value < low:
-            raise UsageError(f"{name} must be >= {low}, got {value}")
+            raise UsageError(f"{name} must be >= {low}, got {_show(int(value))}")
         object.__setattr__(config, name, int(value))  # frozen dataclasses too

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, InvalidInputError, UsageError, _check_ints, _is_int
+from .errors import DatasetError, InvalidInputError, UsageError, _check_ints, _is_int, _show
 
 __all__ = [
     "EncoderConfig",
@@ -67,7 +67,7 @@ class EncoderConfig:
         _check_ints(self, 1, "out_dim")
         _check_ints(self, 0, "projection_seed")
         if self.out_dim > MAX_ENCODER_DIM:
-            raise UsageError(f"encoder output dimension {self.out_dim}, above the "
+            raise UsageError(f"encoder output dimension {_show(self.out_dim)}, above the "
                              f"budget of {MAX_ENCODER_DIM}")
 
 
@@ -136,13 +136,14 @@ def _check_patch(h, w) -> tuple[int, int]:
     """``(h, w)`` as ints; refuses sides that are not positive ints and areas
     over MAX_PATCH_PIXELS."""
     if not (_is_int(h) and _is_int(w)):
-        raise UsageError(f"patch sides must be ints, got {h!r}x{w!r}")
+        raise UsageError(f"patch sides must be ints, got {_show(h)}x{_show(w)}")
+    h, w = int(h), int(w)
     if h < 1 or w < 1:
-        raise UsageError(f"patch size must be positive, got {h}x{w}")
-    if int(h) * int(w) > MAX_PATCH_PIXELS:
-        raise UsageError(f"patch {h}x{w} of {int(h) * int(w)} pixels, above the "
-                         f"budget of {MAX_PATCH_PIXELS}")
-    return int(h), int(w)
+        raise UsageError(f"patch size must be positive, got {_show(h)}x{_show(w)}")
+    if h * w > MAX_PATCH_PIXELS:
+        raise UsageError(f"patch {_show(h)}x{_show(w)} of {_show(h * w)} pixels, "
+                         f"above the budget of {MAX_PATCH_PIXELS}")
+    return h, w
 
 
 def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:

@@ -6,15 +6,17 @@ through the identity. A mean-pool readout over nodes feeds an affine softmax
 head, trained with cross-entropy, Adam with decoupled weight decay and a
 cosine learning-rate schedule.
 
-Inference, checkpoints and training with the default ``TrainConfig`` run in
-double precision. ``TrainConfig(precision="float32")`` trains in single
-precision: the Glorot draws, the one-hot labels, and each step's features,
-A_hat and dropout masks are rounded to float32, so every activation, gradient
-and Adam moment is float32, and ``train`` returns the parameters widened to
-float64, which is exact. Either way a run is deterministic given the seed:
-the same generator drives initialization, epoch shuffling and dropout masks
-(drawn in float64 in both precisions) in a fixed order, so identical configs
-and data reproduce identical parameter trajectories bit for bit.
+Checkpoints and training with the default ``TrainConfig`` run in double
+precision. ``TrainConfig(precision="float32")`` trains in single precision:
+the Glorot draws, the one-hot labels, and each step's features, A_hat and
+dropout masks are rounded to float32, so every activation, gradient and Adam
+moment is float32, and ``train`` returns the parameters widened to float64,
+which is exact. Inference follows the parameters' dtype: float32 parameters
+run a float32 pass, any others a float64 one. Either way a run is
+deterministic given the seed: the same generator drives initialization,
+epoch shuffling and dropout masks (drawn in float64 in both precisions) in a
+fixed order, so identical configs and data reproduce identical parameter
+trajectories bit for bit.
 
 ELU is branch-free: elu(x) = max(expm1(min(0, x)), x) and its derivative is
 exp(min(0, x)). On a contiguous preactivation these give the bits of the
@@ -25,9 +27,10 @@ than the extra minimum and maximum passes. They never evaluate expm1 or exp
 above 0, so a large finite input does not overflow. (numpy rounds expm1
 and exp in libm rather than SIMD on reversed strides, so on such input the
 branching forms can differ in the last bit; these forms always feed them
-minimum's fresh output.) Adam updates the parameters and its moments in
-place, one operation at a time in the order of the plain expressions, which
-gives the bits of the plain form kept in the tests' oracles.
+minimum's fresh output, and write over it.) Adam updates the parameters and
+its moments in place, one operation at a time in the order of the plain
+expressions, which gives the bits of the plain form kept in the tests'
+oracles.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .errors import (
     _check_ints,
     _check_reals,
     _is_int,
+    _show,
 )
 from .graphs import GraphSample
 from .metrics import MetricsReport, compute_metrics, confusion
@@ -161,11 +165,14 @@ def _gelu_grad(x):
 
 
 def _elu(x):
-    return np.maximum(np.expm1(np.minimum(0.0, x)), x)
+    out = np.minimum(0.0, x)
+    np.expm1(out, out=out)
+    return np.maximum(out, x, out=out)
 
 
 def _elu_grad(x):
-    return np.exp(np.minimum(0.0, x))
+    out = np.minimum(0.0, x)
+    return np.exp(out, out=out)
 
 
 # name -> (function, derivative w.r.t. the pre-activation)
@@ -192,7 +199,7 @@ class GcnConfig:
         dims = [self.in_dim, self.num_classes, self.hidden_dim, self.num_layers]
         if any(type(d) is not int for d in dims):
             raise UsageError(f"in_dim, num_classes, hidden_dim and num_layers must "
-                             f"be ints, got {dims}")
+                             f"be ints, got [{', '.join(map(_show, dims))}]")
         _check_ints(self, 1, "in_dim", "num_classes", "hidden_dim", "num_layers")
         if self.activation not in ACTIVATIONS:
             raise UsageError(
@@ -293,8 +300,8 @@ def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
     h, classes, layers = config.hidden_dim, config.num_classes, config.num_layers
     count = config.in_dim * h + (layers - 1) * h * h + classes * h + classes
     if count + 64 * layers > MAX_PARAMETERS:
-        raise UsageError(f"a model of {count} parameters in {layers} layers, above "
-                         f"the budget of {MAX_PARAMETERS}")
+        raise UsageError(f"a model of {_show(count)} parameters in {_show(layers)} "
+                         f"layers, above the budget of {MAX_PARAMETERS}")
     rng = np.random.default_rng(rng_or_seed)
     *weight_shapes, bias_shape = param_shapes(config)
     params = [_glorot(rng, *shape) for shape in weight_shapes]
@@ -335,7 +342,7 @@ def forward(model: GcnModel, sample: GraphSample,
     h = np.asarray(sample.features, dtype=dtype)
     if h.ndim != 2 or h.shape[1] != config.in_dim:
         raise InvalidInputError(
-            f"sample features have shape {h.shape}, model expects N x {config.in_dim}"
+            f"sample features have shape {h.shape}, model expects N x {_show(config.in_dim)}"
         )
     use_dropout = rng is not None and config.dropout_rate > 0.0
     if norm_adj is None:
@@ -358,9 +365,10 @@ def forward(model: GcnModel, sample: GraphSample,
         z = m @ weight
         h = act(z)
         if use_dropout and layer < config.num_layers - 1:
-            # drawn in float64, so both precisions see one random stream
-            mask = ((rng.random(h.shape) < keep) / keep).astype(dtype, copy=False)
-            h = h * mask
+            # drawn in float64, so both precisions see one random stream; a
+            # kept entry is 1 / keep rounded to dtype
+            mask = (rng.random(h.shape) < keep) * dtype.type(1.0 / keep)
+            h *= mask
         else:
             mask = None
         aggregated.append(m)
@@ -421,11 +429,12 @@ def backward(model: GcnModel, cache: ForwardCache,
     for layer in range(len(layer_weights) - 1, -1, -1):
         mask = cache.dropout_masks[layer]
         if mask is not None:
-            dh = dh * mask
+            dh *= mask  # a fresh product: the last layer's readout row has no mask
         dz = dh * act_grad(cache.preactivations[layer])
         grads[layer] = cache.aggregated[layer].T @ dz
         if layer > 0:
-            dh = cache.a_hat.T @ (dz @ layer_weights[layer].T)
+            # dz @ W.T, as the BLAS computes it faster and with the same bits
+            dh = cache.a_hat.T @ (layer_weights[layer] @ dz.T).T
     return [*grads, grad_readout_weight, grad_readout_bias]
 
 
@@ -488,7 +497,7 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState,
 def lr_schedule(epoch: int, total_epochs: int, config: TrainConfig) -> float:
     """Cosine annealing from lr_init at epoch 0 down to lr_min at the last epoch."""
     if not 0 <= epoch < total_epochs:
-        raise InvalidInputError(f"epoch {epoch} outside [0, {total_epochs})")
+        raise InvalidInputError(f"epoch {_show(epoch)} outside [0, {_show(total_epochs)})")
     if total_epochs == 1:
         return config.lr_init
     span = config.lr_init - config.lr_min
@@ -502,13 +511,13 @@ def _check_samples(samples: list[GraphSample], config: GcnConfig) -> None:
         shape = np.shape(sample.features)
         if shape[1:] != (config.in_dim,):
             raise InvalidInputError(f"sample {k} has features of shape {shape}, "
-                                    f"model expects N x {config.in_dim}")
+                                    f"model expects N x {_show(config.in_dim)}")
         if not _is_int(sample.label):
             raise InvalidInputError(f"sample {k} has label {sample.label!r}, "
                                     f"not an integer class index")
         if not 0 <= sample.label < config.num_classes:
-            raise InvalidInputError(f"sample {k} has label {sample.label}, "
-                                    f"outside [0, {config.num_classes})")
+            raise InvalidInputError(f"sample {k} has label {_show(int(sample.label))}, "
+                                    f"outside [0, {_show(config.num_classes)})")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divergence ends in NumericError alone
@@ -528,8 +537,8 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     the one-hot labels are rounded to it once, so the Adam state, the
     gradient sums and, through :func:`forward` and :func:`backward`, every
     array of a step share its dtype. The returned parameters are float64
-    either way; widening float32 is exact, so saving, prediction and
-    evaluation run the float64 code.
+    either way; widening float32 is exact, so saving writes the trained
+    values.
     A non-finite parameter after any step raises :class:`NumericError`
     naming the epoch and the batch index, with no numpy overflow warning; in
     float32 that includes a learning rate beyond its range (about 3.4e38).
@@ -579,6 +588,10 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
 def predict(model: GcnModel, samples: list[GraphSample]):
     """Predicted class indices, the probability matrix and the readout
     embeddings, one row per sample, without dropout.
+
+    Like :func:`forward`, the pass runs in float32 for float32 parameters and
+    in float64 otherwise; the probabilities and embeddings come back as
+    float64 either way, which widens float32 exactly.
 
     Ties in the probabilities resolve to the lowest class index. The first
     sample whose logits overflow (or are NaN) raises :class:`NumericError`.

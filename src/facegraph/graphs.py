@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UsageError, _as_real, _is_int
+from .errors import InvalidInputError, UsageError, _as_real, _is_int, _show
 
 __all__ = [
     "GraphSample",
@@ -253,7 +253,7 @@ def build_graph(landmarks: np.ndarray, features: np.ndarray, tau: float,
     if pts.shape[0] < 2:
         raise InvalidInputError("need at least 2 landmarks to build a graph")
     if not _is_int(label) or label < 0:
-        raise InvalidInputError(f"label must be a nonnegative class index, got {label!r}")
+        raise InvalidInputError(f"label must be a nonnegative class index, got {_show(label)}")
     normalized = l2_normalize_rows(features)
     raw = raw_adjacency(normalized, pts)
     weights = raw[_upper_mask(pts.shape[0])]

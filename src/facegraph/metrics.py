@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _show
 
 __all__ = ["MetricsReport", "compute_metrics", "confusion", "format_report", "report_row"]
 
@@ -41,7 +41,7 @@ def confusion(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
         if labels.dtype.kind not in "iub" and not np.all(labels == np.trunc(labels)):
             raise InvalidInputError(f"{which} labels must be whole numbers")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            raise InvalidInputError(f"{which} labels outside [0, {num_classes})")
+            raise InvalidInputError(f"{which} labels outside [0, {_show(num_classes)})")
     matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(matrix, (truth.astype(int), preds.astype(int)), 1)
     return matrix

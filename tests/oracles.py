@@ -321,24 +321,26 @@ def naive_train(graphs, model_config, train_config, activation, dtype=np.float64
     return params, history
 
 
-def naive_predict(graphs, params, activation):
+def naive_predict(graphs, params, activation, dtype=np.float64):
     """Per-sample reference for ``predict``: a dense forward pass on the full
     N x N normalized adjacency, with its own mean readout and softmax, one
     fresh array per expression.
 
     ``params`` is laid out as ``GcnModel.params`` and ``activation`` is the
-    (function, derivative) pair to use. Returns (labels, probabilities,
-    embeddings), one row per graph; ties go to the lowest class index.
+    (function, derivative) pair to use. Every array is of ``dtype``: the
+    parameters, the features and the float64 normalized adjacency are rounded
+    to it. Returns (labels, probabilities, embeddings), one row per graph, the
+    last two of ``dtype``; ties go to the lowest class index.
     """
     act, _ = activation
-    *layer_weights, readout_weight, readout_bias = params
+    *layer_weights, readout_weight, readout_bias = [np.asarray(p, dtype=dtype) for p in params]
     probs, embeddings = [], []
     for graph in graphs:
         adjacency = np.asarray(graph.adjacency, dtype=float)
         with_loops = adjacency + np.eye(len(adjacency))
         inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
-        a_hat = with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)
-        h = np.asarray(graph.features, dtype=float)
+        a_hat = (with_loops * np.outer(inv_sqrt_degree, inv_sqrt_degree)).astype(dtype)
+        h = np.asarray(graph.features, dtype=dtype)
         for weight in layer_weights:
             h = act((a_hat @ h) @ weight)
         embedding = h.mean(axis=0)

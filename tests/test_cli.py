@@ -1,5 +1,6 @@
 import base64
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -408,6 +409,71 @@ class TestOlderCheckpoint:
                          "--checkpoint", str(checkpoint)]) == 0
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestInferencePrecision:
+    """Inference runs in float32 on a checkpoint whose every weight is a
+    float32 value, as CLI training writes them, and in float64 otherwise."""
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_cli_checkpoint_runs_forward_in_float32(self, tmp_path, monkeypatch, command):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset)
+        dtypes = []
+
+        def spy(model, *args, **kwargs):
+            dtypes.append(model.params[0].dtype)
+            return forward(model, *args, **kwargs)
+
+        forward = facegraph.gcn.forward
+        monkeypatch.setattr(facegraph.gcn, "forward", spy)
+        assert main([command, "--out-dir", str(tmp_path / "out"), "--dataset", str(dataset),
+                     "--checkpoint", str(run / "checkpoint.json")]) == 0
+        assert dtypes == [np.float32] * 12
+
+    def test_train_reports_on_float32_weights_and_saves_float64(self, tmp_path, monkeypatch):
+        dataset = synth(tmp_path)
+        dtypes = []
+
+        def spy(model, samples):
+            dtypes.extend(p.dtype for p in model.params)
+            return evaluate(model, samples)
+
+        evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", spy)
+        run = quick_train(tmp_path, dataset)
+        assert dtypes == [np.float32] * 4
+        model, _ = facegraph.load_checkpoint(run / "checkpoint.json")
+        assert all(p.dtype == np.float64 for p in model.params)
+
+    def test_float64_checkpoint_evaluates_as_float64(self, tmp_path):
+        """``eval`` of a checkpoint trained by the library in float64 writes
+        the bytes of float64 ``evaluate`` on its weights."""
+        dataset = synth(tmp_path)
+        graphs = facegraph.dataset_graphs(facegraph.load_dataset(dataset), 0.5)
+        config = facegraph.GcnConfig(in_dim=8, num_classes=2, hidden_dim=16)
+        model, _ = facegraph.train(graphs, config, facegraph.TrainConfig(epochs=3))
+        assert not all(np.array_equal(p.astype(np.float32), p) for p in model.params)
+        checkpoint = tmp_path / "float64.json"
+        facegraph.save_checkpoint(checkpoint, model)
+        want = tmp_path / "want.json"
+        facegraph.data.write_json(want, dataclasses.asdict(facegraph.evaluate(model, graphs)))
+        out = tmp_path / "ev"
+        assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--checkpoint", str(checkpoint)]) == 0
+        assert (out / "metrics.json").read_bytes() == want.read_bytes()
+
+    def test_two_evals_write_identical_files(self, tmp_path):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset)
+        trees = []
+        for name in ("first", "second"):
+            out = tmp_path / name
+            assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                         "--checkpoint", str(run / "checkpoint.json")]) == 0
+            trees.append(file_tree(out))
+        assert trees[0] == trees[1] and set(trees[0]) == {Path("config.json"),
+                                                          Path("metrics.json")}
 
 
 class TestBadCheckpoint:

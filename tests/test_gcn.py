@@ -858,6 +858,31 @@ class TestPredictMatchesOracle:
         assert same_bits(got[1], want[1])
         assert same_bits(got[2], want[2])
 
+    @pytest.mark.parametrize("n, in_dim, hidden, layers, activation", [
+        (12, 12, 20, 1, "relu"),
+        (12, 64, 32, 2, "gelu"),
+        (12, 12, 24, 3, "elu"),
+        (68, 12, 36, 3, "gelu"),
+        (68, 64, 40, 2, "elu"),
+        (68, 64, 256, 2, "relu"),
+    ])
+    def test_float32_weights_bit_for_bit(self, n, in_dim, hidden, layers, activation):
+        """On float32 weights the pass runs in float32, and ``predict`` returns
+        its probabilities and embeddings widened to float64, which is exact."""
+        graphs = oracle_graphs(n, in_dim)
+        config = GcnConfig(in_dim=in_dim, num_classes=3, hidden_dim=hidden,
+                           num_layers=layers, activation=activation)
+        model = init_model(config, n + in_dim + layers)
+        model.params[-2] *= 50.0
+        model.params = [p.astype(np.float32) for p in model.params]
+        got = predict(model, graphs)
+        want = naive_predict(graphs, model.params, ACTIVATIONS[activation],
+                             dtype=np.float32)
+        assert want[1].dtype == want[2].dtype == np.float32
+        assert np.array_equal(got[0], want[0])
+        assert same_bits(got[1], want[1].astype(np.float64))
+        assert same_bits(got[2], want[2].astype(np.float64))
+
 
 class TestPredict:
     def test_single_class(self):
