@@ -284,8 +284,8 @@ def _merge_preprocess(config: ChainMap, preprocess) -> ChainMap:
 
 def _inference_model(model: GcnModel) -> GcnModel:
     """``model`` with float32 weights if every weight is a float32 value, as
-    CLI training leaves them, so that inference runs in float32; otherwise
-    ``model`` itself, whose inference runs in float64."""
+    in every checkpoint CLI training writes, so that inference runs in
+    float32; otherwise ``model`` itself, whose inference runs in float64."""
     with np.errstate(over="ignore"):  # a weight beyond float32's range is not one
         rounded = [p.astype(np.float32) for p in model.params]
     if all(np.array_equal(r, p) for r, p in zip(rounded, model.params)):
@@ -333,7 +333,7 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     test_set = [graphs[i] for i in test_idx] or train_set
     model_config = _build(GcnConfig, config, in_dim=graphs[0].features.shape[1],
                           num_classes=dataset.num_classes)
-    # float32 steps take ~40% less time; the returned float64 weights are exact
+    # float32 steps take ~40% less time; the checkpoint stores the weights exactly
     train_config = _build(TrainConfig, config, epochs=config["epochs"], precision="float32")
     model, history = train(train_set, model_config, train_config)
     preprocess = {key: config[key] for key in _PREPROCESS}
@@ -341,7 +341,7 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     save_checkpoint(out_dir / "checkpoint.json", model, preprocess=preprocess)
     columns = ["epoch", "lr", "loss", "accuracy"]
     write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))
-    report = evaluate(_inference_model(model), test_set)
+    report = evaluate(model, test_set)
     write_json(out_dir / "metrics.json", dataclasses.asdict(report))
     return report
 
@@ -398,6 +398,9 @@ def cmd_sweep(config: ChainMap, out_dir: Path) -> int:
             point_dir.mkdir(parents=True, exist_ok=True)
             if dataset is None:
                 dataset = _load(point_config)
+            if param == "patch" and all(s.features is not None for s in dataset.samples):
+                raise DatasetError("every sample has stored features, "
+                                   "so the patch size changes nothing")
             if param == "tau" and graphs is not None:
                 # in place, so that one point's adjacencies are alive at a time
                 for i, graph in enumerate(graphs):

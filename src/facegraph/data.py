@@ -39,6 +39,7 @@ from .errors import (
 from .features import EncoderConfig, _pgm_pixels, features_for_sample, read_pgm, write_pgm
 from .graphs import GraphSample, _check_node_count, build_graph
 from .gcn import GcnModel, predict
+from .metrics import MAX_CLASSES
 
 __all__ = [
     "Dataset",
@@ -183,12 +184,16 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 def _check_budget(spec: SyntheticSpec, payload_bytes: int) -> None:
     """Refuse, before any allocation, a dataset over :data:`MAX_SYNTHETIC_BYTES`
-    whose samples each hold their landmarks and ``payload_bytes``."""
+    whose samples each hold their landmarks and ``payload_bytes``, or over
+    :data:`~facegraph.metrics.MAX_CLASSES` classes."""
     size = spec.num_classes * spec.samples_per_class * (
         16 * spec.landmark_count + payload_bytes)
     if size > MAX_SYNTHETIC_BYTES:
         raise UsageError(f"a synthetic dataset of {_show(size)} bytes, above the budget "
                          f"of {MAX_SYNTHETIC_BYTES}")
+    if spec.num_classes > MAX_CLASSES:
+        raise UsageError(f"a synthetic dataset of {spec.num_classes} classes, above the "
+                         f"budget of {MAX_CLASSES}")
 
 
 def _synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator,
@@ -383,6 +388,9 @@ def _parse_manifest(doc, manifest_path: Path, read_side) -> Dataset:
     class_names = doc["class_names"]
     if not (isinstance(class_names, list) and all(isinstance(n, str) for n in class_names)):
         raise ManifestParseError(f"{manifest_path}: class_names must be a list of strings")
+    if len(class_names) > MAX_CLASSES:
+        raise DatasetError(f"{manifest_path}: {len(class_names)} classes, above the "
+                           f"budget of {MAX_CLASSES}")
     for key in ("feature_dim", "landmark_count"):
         if type(doc[key]) is not int:
             raise ManifestParseError(f"{manifest_path}: {key} must be an int, got {doc[key]!r}")

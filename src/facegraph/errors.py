@@ -3,6 +3,8 @@
 import math
 from numbers import Integral as _Integral, Real as _Real
 
+import numpy as np
+
 
 class InvalidInputError(ValueError):
     """An operation received arguments outside its documented domain."""
@@ -75,6 +77,15 @@ def _as_real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value)``, or InvalidInputError naming ``name`` where numpy
+    makes no array of it, as of a ragged nested list."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise InvalidInputError(f"{name}: not one array ({exc})") from None
 
 
 def _check_reals(config, *names: str) -> None:

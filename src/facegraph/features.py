@@ -176,7 +176,7 @@ def extract_patch(image: np.ndarray, center, h: int, w: int) -> np.ndarray:
     return _cut_windows(image, centers, h, w)[0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)  # a command encodes with one (seed, dim)
 def _projection_matrix(seed: int, out_dim: int) -> np.ndarray:
     # Generated once per (seed, dim) and treated as read-only afterwards.
     rng = np.random.default_rng(seed)
@@ -185,7 +185,7 @@ def _projection_matrix(seed: int, out_dim: int) -> np.ndarray:
     return matrix
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)  # a sweep point cuts patches of one or two sides
 def _pool_cells(size: int) -> np.ndarray:
     """8 x size 0/1 matrix: row i marks cell i's pixels, [r0, max(r0 + 1, r1))."""
     starts = np.arange(POOL_GRID) * size // POOL_GRID

@@ -6,13 +6,14 @@ through the identity. A mean-pool readout over nodes feeds an affine softmax
 head, trained with cross-entropy, Adam with decoupled weight decay and a
 cosine learning-rate schedule.
 
-Checkpoints and training with the default ``TrainConfig`` run in double
-precision. ``TrainConfig(precision="float32")`` trains in single precision:
-the Glorot draws, the one-hot labels, and each step's features, A_hat and
-dropout masks are rounded to float32, so every activation, gradient and Adam
-moment is float32, and ``train`` returns the parameters widened to float64,
-which is exact. Inference follows the parameters' dtype: float32 parameters
-run a float32 pass, any others a float64 one. Either way a run is
+A model computes in its parameters' dtype: float32 parameters run a
+float32 pass, any others a float64 one. Training with the default
+``TrainConfig`` runs in double precision; ``TrainConfig(precision="float32")``
+trains in single precision: the Glorot draws, the one-hot labels, and each
+step's features, A_hat and dropout masks are rounded to float32, so every
+activation, gradient and Adam moment is float32, and so are the parameters
+``train`` returns. Checkpoints store float64, which holds float32 weights
+exactly, and load as float64. Either way a run is
 deterministic given the seed: the same generator drives initialization,
 epoch shuffling and dropout masks (drawn in float64 in both precisions) in a
 fixed order, so identical configs and data reproduce identical parameter
@@ -48,13 +49,14 @@ from .errors import (
     InvalidInputError,
     NumericError,
     UsageError,
+    _as_array,
     _check_ints,
     _check_reals,
     _is_int,
     _show,
 )
 from .graphs import GraphSample
-from .metrics import MetricsReport, compute_metrics, confusion
+from .metrics import MAX_CLASSES, MetricsReport, compute_metrics, confusion
 
 __all__ = [
     "ACTIVATIONS",
@@ -86,7 +88,7 @@ CHECKPOINT_VERSION = 2  # version 1 stored weights as JSON numbers; it still loa
 
 # init_model's budget: parameters plus 64 per layer, for the ~2.5 KB a layer's
 # arrays take beyond their values. Training holds about seven copies in its
-# precision plus the float64 result: ~1 GiB here in float64, ~0.6 GiB in float32.
+# precision: ~0.9 GiB here in float64, ~0.45 GiB in float32.
 MAX_PARAMETERS = 2 ** 24
 
 # TrainConfig.precision: the dtype training runs in
@@ -263,11 +265,19 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 
     Degrees come from the self-looped adjacency, so they are at least 1 and
     isolated nodes are safe. The outer-product form keeps the result exactly
-    symmetric for symmetric input.
+    symmetric for symmetric input. A weight matrix other than a bool one must
+    hold numbers >= 0 whose row sums are finite.
     """
-    adj = np.asarray(adjacency, dtype=float)
+    adj = _as_array("adjacency", adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise InvalidInputError("adjacency must be square")
+    if adj.dtype != bool:  # as every GraphSample holds: degrees in [1, N], no scan
+        if adj.dtype.kind not in "iuf":
+            raise InvalidInputError(f"adjacency must hold numbers, got dtype {adj.dtype}")
+        with np.errstate(over="ignore"):
+            degree = (adj + np.eye(adj.shape[0])).sum(axis=1)
+        if not (np.all(adj >= 0) and np.isfinite(degree).all()):
+            raise InvalidInputError("adjacency weights must be >= 0 with finite row sums")
     with_loops = adj + np.eye(adj.shape[0])
     inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
     with_loops *= inv_sqrt_degree[:, None] * inv_sqrt_degree
@@ -294,9 +304,19 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _check_classes(config: GcnConfig) -> None:
+    """Refuse a model of more than :data:`~facegraph.metrics.MAX_CLASSES`
+    classes, before any of its C x C arrays is allocated."""
+    if config.num_classes > MAX_CLASSES:
+        raise UsageError(f"a model of {_show(config.num_classes)} classes, above the "
+                         f"budget of {MAX_CLASSES}")
+
+
 def init_model(config: GcnConfig, rng_or_seed) -> GcnModel:
     """Glorot-uniform initialized model; biases start at zero. A model over the
-    :data:`MAX_PARAMETERS` budget raises :class:`UsageError` before any allocation."""
+    class budget or the :data:`MAX_PARAMETERS` budget raises
+    :class:`UsageError` before any allocation."""
+    _check_classes(config)
     h, classes, layers = config.hidden_dim, config.num_classes, config.num_layers
     count = config.in_dim * h + (layers - 1) * h * h + classes * h + classes
     if count + 64 * layers > MAX_PARAMETERS:
@@ -536,9 +556,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     The steps run in ``train_config.precision``: the initial parameters and
     the one-hot labels are rounded to it once, so the Adam state, the
     gradient sums and, through :func:`forward` and :func:`backward`, every
-    array of a step share its dtype. The returned parameters are float64
-    either way; widening float32 is exact, so saving writes the trained
-    values.
+    array of a step share its dtype, and so do the returned parameters.
     A non-finite parameter after any step raises :class:`NumericError`
     naming the epoch and the batch index, with no numpy overflow warning; in
     float32 that includes a learning rate beyond its range (about 3.4e38).
@@ -581,7 +599,6 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
                                    f"batch {start // train_config.batch_size}")
         history.append({"epoch": epoch, "lr": lr, "loss": loss_sum / n,
                         "accuracy": correct / n})
-    model.params = [p.astype(np.float64, copy=False) for p in model.params]
     return model, history
 
 
@@ -594,8 +611,10 @@ def predict(model: GcnModel, samples: list[GraphSample]):
     float64 either way, which widens float32 exactly.
 
     Ties in the probabilities resolve to the lowest class index. The first
-    sample whose logits overflow (or are NaN) raises :class:`NumericError`.
+    sample whose logits overflow (or are NaN) raises :class:`NumericError`,
+    and a model over the class budget :class:`UsageError`.
     """
+    _check_classes(model.config)
     probs = np.empty((len(samples), model.config.num_classes))
     embeddings = np.empty((len(samples), model.config.hidden_dim))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -660,7 +679,8 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
 
     Each matrix is ``{"data": ..., "shape": [...]}``, where ``data`` is the
     base64 (RFC 4648, padded, one line) of its row-major little-endian
-    float64 bytes, so save then load reproduces every weight bit for bit. The
+    float64 bytes, so save then load reproduces every weight bit for bit; a
+    float32 weight comes back as the float64 of the same value. The
     byte stream is deterministic for identical weights: it is
     ``json.dump(doc, sort_keys=True, separators=(",", ":"))`` plus a
     newline. A non-finite weight or ``preprocess`` value raises
@@ -712,6 +732,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unsupported version {version!r}")
     try:
         config = GcnConfig(**doc["config"])
+        _check_classes(config)
     except (KeyError, TypeError, InvalidInputError) as exc:
         raise CheckpointError(f"{path}: malformed config section ({exc})") from exc
     # before param_shapes, whose per-layer list a huge count would not fit

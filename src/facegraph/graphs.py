@@ -96,7 +96,7 @@ class GraphSample:
         return int(self.landmarks.shape[0])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)  # a command builds graphs of one size
 def _upper_mask(n: int) -> np.ndarray:
     """Read-only n x n boolean mask of the strict upper triangle. Boolean
     indexing walks it in row-major order, the order of ``np.triu_indices``."""
@@ -109,7 +109,8 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     """Scale every row to unit Euclidean norm.
 
     Rows whose norm is at most 1e-12 are returned as exact zeros rather than
-    divided by a vanishing value.
+    divided by a vanishing value. A row whose squared norm overflows (values
+    near 1e154 or larger) raises :class:`InvalidInputError`.
     """
     feats = np.asarray(features, dtype=float)
     if feats.ndim != 2:
@@ -118,7 +119,12 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     if not finite.all():
         row = int(np.argmin(finite))
         raise InvalidInputError(f"feature row {row} contains non-finite values")
-    norms = np.sqrt(np.vecdot(feats, feats))[:, None]
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(feats, feats)
+    if np.isinf(squares).any():
+        row = int(np.argmax(np.isinf(squares)))
+        raise InvalidInputError(f"feature row {row} has a norm beyond the float range")
+    norms = np.sqrt(squares)[:, None]
     # same memory layout as the input: the BLAS dot kernel depends on row strides
     out = np.zeros_like(feats)
     np.divide(feats, norms, out=out, where=norms > 1e-12)

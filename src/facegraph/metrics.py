@@ -14,9 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _show
+from .errors import InvalidInputError, _as_array, _as_real, _is_int, _show
 
 __all__ = ["MetricsReport", "compute_metrics", "confusion", "format_report", "report_row"]
+
+# The largest class count. A C x C array (the confusion matrix, the one-hot
+# identity of training and evaluation) takes 8 MiB at the budget.
+MAX_CLASSES = 2 ** 10
+
+# The largest total a confusion matrix may count: every sum of its entries is
+# then exact in int64 and in float64.
+_MAX_COUNT = 2 ** 53
 
 
 @dataclass
@@ -32,29 +40,56 @@ class MetricsReport:
 
 def confusion(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
     """C x C count matrix; entry (t, p) counts true class t predicted as p.
-    Every label must be a whole number in [0, num_classes)."""
-    truth, preds = np.asarray(true_labels), np.asarray(predicted_labels)
+    Every label must be a whole number in [0, num_classes), and num_classes
+    an int in [1, :data:`MAX_CLASSES`]."""
+    if not _is_int(num_classes):
+        raise InvalidInputError(f"num_classes must be an int, got {num_classes!r}")
+    truth = _as_array("true labels", true_labels)
+    preds = _as_array("predicted labels", predicted_labels)
     if truth.shape != preds.shape or truth.ndim != 1:
         raise InvalidInputError("label arrays must be 1-D and the same length")
     for which, labels in (("true", truth), ("predicted", preds)):
+        if labels.dtype.kind not in "biuf":
+            raise InvalidInputError(f"{which} labels must be numbers, got dtype {labels.dtype}")
         # nan != nan, so a NaN fails the first check; +-inf fails the second
-        if labels.dtype.kind not in "iub" and not np.all(labels == np.trunc(labels)):
+        if labels.dtype.kind == "f" and not np.all(labels == np.trunc(labels)):
             raise InvalidInputError(f"{which} labels must be whole numbers")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInputError(f"{which} labels outside [0, {_show(num_classes)})")
+    if not 1 <= num_classes <= MAX_CLASSES:
+        raise InvalidInputError(f"{_show(num_classes)} classes, outside the budget "
+                                f"of [1, {MAX_CLASSES}]")
     matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(matrix, (truth.astype(int), preds.astype(int)), 1)
     return matrix
 
 
 def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
-    """Derive the full report from a confusion matrix plus a loss value."""
-    counts = np.asarray(matrix, dtype=np.int64)
+    """Derive the full report from a confusion matrix plus a loss value.
+
+    The matrix holds whole counts >= 0 of a bool, int, uint or float dtype,
+    at least one and at most 2**53 in all; the loss is a finite number >= 0.
+    """
+    counts = _as_array("confusion matrix", matrix)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] < 1:
         raise InvalidInputError("confusion matrix must be square and nonempty")
-    total = int(counts.sum())
+    if counts.dtype.kind not in "biuf":
+        raise InvalidInputError(f"confusion matrix must hold numbers, got dtype {counts.dtype}")
+    # NaN fails the first comparison, +inf the second
+    if not (np.all(counts >= 0) and np.all(counts <= _MAX_COUNT)
+            and (counts.dtype.kind != "f" or np.all(counts == np.trunc(counts)))):
+        raise InvalidInputError(f"confusion matrix entries must be whole numbers "
+                                f"in [0, {_MAX_COUNT}]")
+    total = counts.sum(dtype=np.float64)  # entries of at most _MAX_COUNT cannot overflow
     if total < 1:
         raise InvalidInputError("confusion matrix holds no samples")
+    if total > _MAX_COUNT:
+        raise InvalidInputError(f"confusion matrix counts more than {_MAX_COUNT} samples")
+    loss = _as_real("loss", loss)
+    if not 0.0 <= loss < np.inf:
+        raise InvalidInputError(f"loss must be a finite number >= 0, got {loss!r}")
+    counts = counts.astype(np.int64, copy=False)
+    total = int(total)
     num_classes = counts.shape[0]
     diagonal = np.diag(counts)
     row_sums = counts.sum(axis=1)
@@ -74,7 +109,7 @@ def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
     # a running sum in class order; np.sum would add pairwise and change bits
     macro_f1 = np.cumsum(f1)[-1] / num_classes
 
-    return MetricsReport(loss=float(loss), accuracy=accuracy, macro_f1=macro_f1,
+    return MetricsReport(loss=loss, accuracy=accuracy, macro_f1=macro_f1,
                          war=war, uar=uar, per_class_recall=recalls,
                          confusion=counts)
 

@@ -17,6 +17,7 @@ import pytest
 import facegraph
 from facegraph import cli
 from facegraph.cli import main
+from facegraph.metrics import MAX_CLASSES
 
 TINY = ["--classes", "2", "--per-class", "6", "--landmarks", "6",
         "--feature-dim", "8", "--feature-noise", "0.05"]
@@ -476,6 +477,48 @@ class TestInferencePrecision:
                                                           Path("metrics.json")}
 
 
+class TestClassBudget:
+    """A dataset or checkpoint of more than MAX_CLASSES classes is a data error,
+    and a synthetic one a usage error, before anything C-sized exists."""
+
+    def test_manifest_of_200000_classes_exits_2(self, tmp_path, capsys):
+        # 2 MB of class names; training would allocate 149 GiB of one-hot labels
+        root = tmp_path / "wide"
+        root.mkdir()
+        samples = [{"sample_id": f"s{k}", "label": k, "landmarks": [[0, 0], [5, 0], [0, 5]],
+                    "features": [[1, 0], [0, 1], [1, 1]], "image": None} for k in range(8)]
+        (root / "manifest.json").write_text(json.dumps({
+            "format": "facegraph-dataset", "version": 1, "feature_dim": 2,
+            "landmark_count": 3, "class_names": [f"c{k}" for k in range(200_000)],
+            "samples": samples}))
+        out = tmp_path / "run"
+        assert main(["train", "--out-dir", str(out), "--dataset", str(root),
+                     "--epochs", "1", "--hidden", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.endswith(
+            f"200000 classes, above the budget of {MAX_CLASSES}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+    def test_synth_past_the_budget_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["synth", "--out-dir", str(out), "--classes", str(MAX_CLASSES + 1)]) == 1
+        assert capsys.readouterr().err == (f"usage error: a synthetic dataset of "
+                                           f"{MAX_CLASSES + 1} classes, above the budget "
+                                           f"of {MAX_CLASSES}\n")
+        assert not (out / "manifest.json").exists()
+
+    def test_checkpoint_past_the_budget_exits_2(self, tmp_path, capsys):
+        dataset = synth(tmp_path)
+        checkpoint = quick_train(tmp_path, dataset) / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text())
+        doc["config"]["num_classes"] = MAX_CLASSES + 1
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--out-dir", str(tmp_path / "ev"), "--dataset", str(dataset),
+                     "--checkpoint", str(checkpoint)]) == 2
+        assert f"above the budget of {MAX_CLASSES}" in capsys.readouterr().err
+
+
 class TestBadCheckpoint:
     """Hand-edited checkpoints end in a data error (exit 2), not a traceback."""
 
@@ -811,6 +854,34 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().strip().split("\n")
         assert len(lines) == 3
         assert (out / "point_patch_10" / "checkpoint.json").exists()
+
+    def test_patch_sweep_on_stored_features_is_error_rows(self, tmp_path):
+        # stored features take precedence over patches: every point would
+        # train the same graphs
+        dataset = synth(tmp_path)
+        out = tmp_path / "psweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--param", "patch", "--grid", "10,20", "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            _, *rows = csv.reader(handle)
+        assert [(row[0], row[-1]) for row in rows] == [
+            (size, "error: every sample has stored features, so the patch size "
+                   "changes nothing") for size in ("10", "20")]
+        assert not list(out.rglob("checkpoint.json"))
+
+    def test_patch_sweep_on_a_mixed_dataset(self, tmp_path):
+        # one sample holds stored features, the others only images
+        dataset = facegraph.load_dataset(synth(tmp_path, "imgds", extra=["--with-images"]))
+        dataset.samples[0].features = np.ones((6, 8), dtype=np.float32)
+        facegraph.save_dataset(dataset, tmp_path / "mixed")
+        out = tmp_path / "msweep"
+        assert main(["sweep", "--out-dir", str(out), "--dataset", str(tmp_path / "mixed"),
+                     "--param", "patch", "--grid", "10,20", "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8", "--encoder-dim", "8"]) == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as handle:
+            _, *rows = csv.reader(handle)
+        assert [(row[0], row[-1]) for row in rows] == [("10", "ok"), ("20", "ok")]
 
     def test_diverging_point_is_an_error_row_without_warnings(self, tmp_path):
         # in float32, the CLI's training precision, 1e200 is inf: the first batch fails

@@ -37,6 +37,7 @@ from facegraph import (
     write_pgm,
 )
 from facegraph.gcn import GcnConfig
+from facegraph.metrics import MAX_CLASSES
 
 from oracles import nearest_prototype_accuracy
 
@@ -818,3 +819,47 @@ class TestSettingBounds:
     def test_split_fraction_is_a_real_number(self, fraction):
         with pytest.raises(UsageError, match="test_fraction"):
             split_indices(generate_synthetic(SMALL), fraction, 7)
+
+
+def class_manifest(root, class_count, features):
+    """A one-sample manifest declaring ``class_count`` classes; the sample's
+    features are ``features``, inline values or a side-file path."""
+    root.mkdir(parents=True, exist_ok=True)
+    doc = {"format": "facegraph-dataset", "version": 1,
+           "class_names": [f"c{k}" for k in range(class_count)],
+           "feature_dim": 2, "landmark_count": 3,
+           "samples": [{"sample_id": "a", "label": class_count - 1,
+                        "landmarks": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                        "features": features, "image": None}]}
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return root
+
+
+class TestClassBudget:
+    """No dataset declares more than MAX_CLASSES classes."""
+
+    def test_manifest_at_the_budget_loads(self, tmp_path):
+        root = class_manifest(tmp_path, MAX_CLASSES, [[1.0, 0.0]] * 3)
+        assert load_dataset(root).num_classes == MAX_CLASSES
+
+    def test_manifest_past_the_budget_is_refused_before_side_files(self, tmp_path):
+        # at the budget the missing side file is what fails; past it, the count
+        with pytest.raises(MissingFileError):
+            load_dataset(class_manifest(tmp_path / "at", MAX_CLASSES, "missing.fgf"))
+        root = class_manifest(tmp_path / "past", MAX_CLASSES + 1, "missing.fgf")
+        with pytest.raises(DatasetError, match=f"{MAX_CLASSES + 1} classes, above the "
+                                               f"budget of {MAX_CLASSES}$"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("generate, sizes", [
+        (generate_synthetic, {"landmark_count": 2, "feature_dim": 1}),
+        (generate_synthetic_imageset, {"landmark_count": 1}),
+    ], ids=["features", "images"])
+    def test_synthetic_at_and_past_the_budget(self, generate, sizes):
+        spec = SyntheticSpec(num_classes=MAX_CLASSES, samples_per_class=1, **sizes)
+        if generate is generate_synthetic:  # 1,024 images take 51 MB
+            assert generate(spec).num_classes == MAX_CLASSES
+        with pytest.raises(UsageError, match=f"^a synthetic dataset of {MAX_CLASSES + 1} "
+                                             f"classes, above the budget of {MAX_CLASSES}$"):
+            generate(SyntheticSpec(num_classes=MAX_CLASSES + 1, samples_per_class=1,
+                                   **sizes))

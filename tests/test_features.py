@@ -369,6 +369,16 @@ class TestReadOnlyCaches:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] += 1.0
 
+    @pytest.mark.parametrize("cached, fill", [
+        (_projection_matrix, lambda k: _projection_matrix(k, 4)),
+        (_pool_cells, lambda k: _pool_cells(k + 1)),
+    ], ids=["projection", "pool_cells"])
+    def test_cache_is_bounded(self, cached, fill):
+        for key in range(100):
+            fill(key)
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize < 100
+
 
 class TestSettingBounds:
     """The encoder's seed is >= 0 and its fields are stored as Python ints; the

@@ -1,6 +1,6 @@
-"""A seeded fuzzer of the library's settings boundary.
+"""A seeded fuzzer of the library's settings and array boundary.
 
-Each case mutates one argument of one entry point: a field of ``TrainConfig``,
+Each settings case mutates one argument of one entry point: a field of ``TrainConfig``,
 ``EncoderConfig``, ``SyntheticSpec`` or ``GcnConfig``, the test fraction or
 seed of ``split_indices``, or a patch side of ``features_for_sample``. The
 mutation is a negative number, a huge one, a numpy integer, a bool, NaN, an
@@ -8,6 +8,13 @@ infinity, a string or None. The case then builds the setting and, if it is accep
 a tiny input. Whatever the value, the case must return or raise one of the
 errors named in ``facegraph.errors``, with every warning an error; an
 accepted integer field must be stored as a Python ``int``.
+
+Each array case does the same to ``compute_metrics``, ``confusion`` or
+``normalize_adjacency``, but puts the value in place of one entry of an
+array argument (a confusion matrix, a label list, an adjacency) or of a
+scalar one (the loss, the class count). An accepted matrix must be reported
+as the counts it holds, an accepted label list counted in full, and an
+accepted adjacency normalized to finite weights >= 0.
 
 ``epochs`` is never mutated to a large value, since no budget bounds it and
 training time grows with it; every other size is bounded by a budget that
@@ -29,9 +36,12 @@ from facegraph import (
     GcnConfig,
     SyntheticSpec,
     TrainConfig,
+    compute_metrics,
+    confusion,
     errors,
     features_for_sample,
     generate_synthetic,
+    normalize_adjacency,
     split_indices,
     train,
 )
@@ -39,6 +49,8 @@ from facegraph.data import dataset_graphs
 
 CASES = 300
 SEED = 8128
+ARRAY_CASES = 150
+ARRAY_SEED = 6174
 
 NAMED = tuple(cls for cls in vars(errors).values()
               if inspect.isclass(cls) and cls.__module__ == errors.__name__)
@@ -111,6 +123,36 @@ TARGETS = {
 }
 
 
+def _use_metrics(given):
+    report = compute_metrics(**given)
+    assert report.confusion.dtype == np.int64
+    assert np.array_equal(report.confusion, given["matrix"])
+    assert (report.confusion >= 0).all()
+    assert all(0.0 <= rate <= 1.0 for rate in (report.accuracy, report.macro_f1,
+                                                report.war, report.uar))
+
+
+def _use_confusion(given):
+    matrix = confusion(**given)
+    assert matrix.shape == (given["num_classes"],) * 2
+    assert matrix.sum() == len(given["true_labels"])
+
+
+def _use_adjacency(given):
+    normalized = normalize_adjacency(**given)
+    assert normalized.shape == (3, 3) and (normalized >= 0).all()
+    assert np.isfinite(normalized).all()
+
+
+ARRAYS = {
+    "compute_metrics": ({"matrix": [[3, 1], [0, 2]], "loss": 0.5}, _use_metrics),
+    "confusion": ({"true_labels": [0, 1, 1], "predicted_labels": [0, 1, 0],
+                   "num_classes": 2}, _use_confusion),
+    "normalize_adjacency": ({"adjacency": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]},
+                            _use_adjacency),
+}
+
+
 def _values(kind, name):
     """The values of mutation ``kind`` that argument ``name`` may take."""
     values = MUTATIONS[kind]
@@ -119,15 +161,25 @@ def _values(kind, name):
     return values
 
 
-def _case(index):
-    """Case ``index``: an entry point, the mutation kind, and the arguments
-    with one of them mutated."""
-    rng = random.Random(SEED * CASES + index)
-    target = rng.choice(sorted(TARGETS))
-    valid = TARGETS[target][0]
+def _placed(valid, value, rng):
+    """``value`` in place of one entry, drawn by ``rng``, of a (nested) list
+    ``valid``; ``value`` itself where ``valid`` is no list."""
+    if not isinstance(valid, list):
+        return value
+    k = rng.randrange(len(valid))
+    return [*valid[:k], _placed(valid[k], value, rng), *valid[k + 1:]]
+
+
+def _case(index, targets=TARGETS, seed=SEED, cases=CASES):
+    """Case ``index`` of ``targets``: an entry point, the mutation kind, and
+    the arguments with one of them mutated."""
+    rng = random.Random(seed * cases + index)
+    target = rng.choice(sorted(targets))
+    valid = targets[target][0]
     name = rng.choice(sorted(valid))
     kind = rng.choice([k for k in sorted(MUTATIONS) if _values(k, name)])
-    return target, kind, {**valid, name: rng.choice(_values(kind, name))}
+    value = rng.choice(_values(kind, name))
+    return target, kind, {**valid, name: _placed(valid[name], value, rng)}
 
 
 @pytest.mark.parametrize("index", range(CASES))
@@ -141,7 +193,24 @@ def test_setting_returns_or_raises_a_named_error(index):
             pass
 
 
+@pytest.mark.parametrize("index", range(ARRAY_CASES))
+def test_array_returns_or_raises_a_named_error(index):
+    target, _, given = _case(index, ARRAYS, ARRAY_SEED, ARRAY_CASES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ARRAYS[target][1](given)
+        except NAMED:
+            pass
+
+
 def test_cases_cover_every_target_and_mutation():
     cases = [_case(index) for index in range(CASES)]
     assert {(target, kind) for target, kind, _ in cases} == {
         (target, kind) for target in TARGETS for kind in MUTATIONS}
+
+
+def test_array_cases_cover_every_target_and_mutation():
+    cases = [_case(index, ARRAYS, ARRAY_SEED, ARRAY_CASES) for index in range(ARRAY_CASES)]
+    assert {(target, kind) for target, kind, _ in cases} == {
+        (target, kind) for target in ARRAYS for kind in MUTATIONS}

@@ -40,6 +40,7 @@ from facegraph import (
     save_checkpoint,
     train,
 )
+from facegraph.metrics import MAX_CLASSES
 from oracles import (
     json_dump_checkpoint,
     naive_adam_step,
@@ -166,6 +167,29 @@ class TestNormalizeAdjacency:
     def test_not_square(self):
         with pytest.raises(InvalidInputError):
             normalize_adjacency(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("adjacency, message", [
+        ([[0, -1], [-1, 0]], "must be >= 0"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "must be >= 0"),
+        ([[0.0, np.inf], [np.inf, 0.0]], "finite row sums"),
+        ([[0.0, -np.inf], [-np.inf, 0.0]], "must be >= 0"),
+        ([[1e308, 1e308], [0.0, 0.0]], "finite row sums"),
+        ([["0", "1"], ["1", "0"]], "must hold numbers, got dtype <U1"),
+        ([[None, 1], [1, 0]], "must hold numbers, got dtype object"),
+        ([[0, 1], [1]], "not one array (setting an array element"),
+    ], ids=["negative", "nan", "inf", "negative_inf", "row_sum_overflows", "strings",
+            "none", "ragged"])
+    def test_weights_that_give_no_degree_are_refused(self, adjacency, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^adjacency.*{re.escape(message)}"):
+                normalize_adjacency(adjacency)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, np.float64])
+    def test_weights_of_every_number_dtype(self, dtype):
+        adjacency = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]], dtype=dtype)
+        want = normalize_adjacency(adjacency.astype(np.float64))
+        assert same_bits(normalize_adjacency(adjacency), want)
 
     @pytest.mark.parametrize("n", [12, 68])
     @pytest.mark.parametrize("tau", [-0.5, 0.0, 0.5, 1.0, 1e6])
@@ -392,6 +416,47 @@ class TestModelBudget:
     def test_wide_real_face_model_fits(self):
         config = GcnConfig(in_dim=64, num_classes=7, hidden_dim=1024, num_layers=4)
         assert [p.shape for p in init_model(config, 0).params] == gcn.param_shapes(config)
+
+
+class TestClassBudget:
+    """A model of more than MAX_CLASSES classes is refused before any of its
+    C x C arrays exists: by init_model (and so train), predict (and so
+    evaluate) and load_checkpoint."""
+
+    def test_model_at_the_budget(self, tmp_path):
+        model = init_model(GcnConfig(in_dim=1, num_classes=MAX_CLASSES, hidden_dim=1), 0)
+        assert model.params[-1].shape == (MAX_CLASSES,)
+        save_checkpoint(tmp_path / "model.json", model)
+        loaded, _ = load_checkpoint(tmp_path / "model.json")
+        assert loaded.config.num_classes == MAX_CLASSES
+        samples = [toy_sample(np.random.default_rng(0), d=1, label=MAX_CLASSES - 1)]
+        assert evaluate(model, samples).confusion.shape == (MAX_CLASSES, MAX_CLASSES)
+
+    @pytest.mark.parametrize("classes", [MAX_CLASSES + 1, 200_000])
+    def test_init_model_and_train_past_the_budget(self, classes):
+        # at 200,000 classes the one-hot labels alone would take 298 GiB
+        config = GcnConfig(in_dim=8, num_classes=classes, hidden_dim=1)
+        message = f"^a model of {classes} classes, above the budget of {MAX_CLASSES}$"
+        with pytest.raises(UsageError, match=message):
+            init_model(config, 0)
+        with pytest.raises(UsageError, match=message):
+            train(separable_graphs(), config, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("infer", [predict, evaluate])
+    def test_inference_past_the_budget(self, infer):
+        model = GcnModel(GcnConfig(in_dim=8, num_classes=200_000, hidden_dim=1), [])
+        with pytest.raises(UsageError, match="^a model of 200000 classes, above the budget"):
+            infer(model, separable_graphs())
+
+    def test_checkpoint_past_the_budget(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_model(GcnConfig(in_dim=1, num_classes=2, hidden_dim=1), 0))
+        doc = json.loads(path.read_text())
+        doc["config"]["num_classes"] = MAX_CLASSES + 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"a model of {MAX_CLASSES + 1} classes, "
+                                                  f"above the budget of {MAX_CLASSES}"):
+            load_checkpoint(path)
 
 
 class TestCrossEntropy:
@@ -824,9 +889,9 @@ class TestTrainMatchesOracle:
                                        ACTIVATIONS[activation], dtype=np.float32)
         assert len(model.params) == len(params)
         for got, want in zip(model.params, params):
-            # trained in float32, returned widened to float64
-            assert want.dtype == np.float32 and got.dtype == np.float64
-            assert same_bits(got, want.astype(np.float64))
+            # trained and returned in float32
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         assert history == expected
 
 
@@ -1218,7 +1283,7 @@ class TestSettingBounds:
 
 class TestPrecision:
     """``TrainConfig.precision`` is the dtype of every array a training step
-    makes; ``train`` returns float64 parameters in either precision."""
+    makes and of the parameters ``train`` returns."""
 
     def test_default_is_float64(self):
         assert TrainConfig(epochs=1).precision == "float64"
@@ -1271,17 +1336,21 @@ class TestPrecision:
         assert ("dropout mask" in kinds) == (dropout > 0.0)
         assert len(kinds) == 14 - (dropout == 0.0)
         assert sorted({what for what, a in arrays if a.dtype != precision}) == []
-        assert [p.dtype for p in model.params] == [np.float64] * 4
+        assert [p.dtype for p in model.params] == [np.dtype(precision)] * 4
 
-    def test_float32_parameters_are_widened_exactly(self):
+    def test_float32_parameters_are_widened_exactly(self, tmp_path):
         graphs = separable_graphs()
         config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
         model, _ = train(graphs, config, TrainConfig(epochs=3, precision="float32"))
-        for p in model.params:
-            assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
-        # the widened model runs float64 inference
+        # saving widens the float32 weights; loading gives those values as float64
+        save_checkpoint(tmp_path / "model.json", model)
+        loaded, _ = load_checkpoint(tmp_path / "model.json")
+        for p, q in zip(model.params, loaded.params, strict=True):
+            assert p.dtype == np.float32 and q.dtype == np.float64
+            assert np.array_equal(q, p) and np.array_equal(q.astype(np.float32), p)
+        # the trained model runs float32 inference
         probs, cache = forward(model, graphs[0])
-        assert probs.dtype == cache.a_hat.dtype == np.float64
+        assert probs.dtype == cache.embedding.dtype == cache.a_hat.dtype == np.float32
 
     def test_float32_model_infers_in_float32(self):
         graphs = separable_graphs()

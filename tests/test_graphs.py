@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ class TestNormalizeRows:
     def test_tiny_norm_zeroed(self):
         out = l2_normalize_rows(np.array([[1e-13, 0.0]]))
         assert np.array_equal(out, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("value", [1e308, 1.4e154, -1e200])
+    def test_norm_beyond_floats_names_row(self, value):
+        # finite values whose squares overflow; build_graph refuses them too
+        features = np.array([[1.0, 0.0], [0.0, 1.0], [value, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match="^feature row 2 has a norm beyond the float range$"):
+                l2_normalize_rows(features)
+            with pytest.raises(InvalidInputError, match="^feature row 2 has a norm"):
+                build_graph(np.eye(3, 2), features, 0.5, 0)
+
+    def test_norm_just_within_floats(self):
+        out = l2_normalize_rows(np.array([[1e154, 0.0], [3e153, 4e153]]))
+        assert np.allclose(out, [[1.0, 0.0], [0.6, 0.8]], atol=1e-15)
 
 
 class TestSimilarityKernel:
@@ -228,6 +245,12 @@ class TestReadOnlyCaches:
         assert _upper_mask(n) is mask
         with pytest.raises(ValueError, match="read-only"):
             mask[0] = mask[0]
+
+    def test_cache_is_bounded(self):
+        for n in range(2, 102):
+            _upper_mask(n)
+        info = _upper_mask.cache_info()
+        assert info.currsize == info.maxsize < 100
 
 
 class TestThresholdStats:

@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from facegraph import InvalidInputError, compute_metrics, confusion, format_report
-from facegraph.metrics import report_row
+from facegraph.metrics import MAX_CLASSES, report_row
 
 from oracles import naive_metrics
 
@@ -53,6 +54,37 @@ class TestConfusion:
         matrix = confusion([0.0, 1.0, 1.0], np.array([1, 1, 0], dtype=np.uint8), 2)
         assert matrix.dtype == np.int64
         assert np.array_equal(matrix, [[0, 1], [1, 1]])
+
+    def test_class_count_at_the_budget(self):
+        matrix = confusion([0, MAX_CLASSES - 1], [MAX_CLASSES - 1, 0], MAX_CLASSES)
+        assert matrix.shape == (MAX_CLASSES, MAX_CLASSES) and matrix.sum() == 2
+
+    @pytest.mark.parametrize("num_classes", [MAX_CLASSES + 1, 10 ** 9, 0])
+    def test_class_count_outside_the_budget(self, num_classes):
+        with pytest.raises(InvalidInputError, match=f"^{num_classes} classes, outside "
+                                                    f"the budget of \\[1, {MAX_CLASSES}\\]$"):
+            confusion([], [], num_classes)
+
+    @pytest.mark.parametrize("num_classes", [2.0, "2", None, True])
+    def test_class_count_must_be_an_int(self, num_classes):
+        with pytest.raises(InvalidInputError, match="^num_classes must be an int"):
+            confusion([0], [1], num_classes)
+
+    @pytest.mark.parametrize("truth, preds", [
+        (["0", "1"], [0, 1]), ([0, 1], [None, 1]), ([0, 1], [0, 1 + 0j]),
+    ], ids=["strings", "none", "complex"])
+    def test_labels_must_be_numbers(self, truth, preds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="labels must be numbers, got dtype"):
+                confusion(truth, preds, 2)
+
+    @pytest.mark.parametrize("truth, preds, which", [
+        ([0, [1]], [0, 1], "true"), ([0, 1], [[0], 1], "predicted"),
+    ])
+    def test_ragged_labels(self, truth, preds, which):
+        with pytest.raises(InvalidInputError, match=f"^{which} labels: not one array"):
+            confusion(truth, preds, 2)
 
 
 class TestComputeMetrics:
@@ -128,6 +160,41 @@ class TestComputeMetrics:
             compute_metrics(np.zeros((2, 2), dtype=int), loss=0.0)
         with pytest.raises(InvalidInputError):
             compute_metrics(np.zeros((0, 0), dtype=int), loss=0.0)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0.5, 2], [0, 1]], "entries must be whole numbers in [0, "),
+        ([[-1, 2], [0, 1]], "entries must be whole numbers in [0, "),
+        ([[np.nan, 2], [0, 1]], "entries must be whole numbers in [0, "),
+        ([[np.inf, 2], [0, 1]], "entries must be whole numbers in [0, "),
+        ([[2.0 ** 60, 2], [0, 1]], "entries must be whole numbers in [0, "),
+        ([[2 ** 53, 2], [0, 1]], f"counts more than {2 ** 53} samples"),
+        ([["1", "2"], ["0", "1"]], "must hold numbers, got dtype <U1"),
+        ([[None, 2], [0, 1]], "must hold numbers, got dtype object"),
+        ([[10 ** 30, 2], [0, 1]], "must hold numbers, got dtype object"),
+        ([[1, 2], [3]], "confusion matrix: not one array (setting an array element"),
+    ], ids=["fraction", "negative", "nan", "inf", "beyond_2**53", "total_beyond_2**53",
+            "strings", "none", "python_int_beyond_int64", "ragged"])
+    def test_matrix_that_is_no_counts_is_refused(self, matrix, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                compute_metrics(matrix, 0.1)
+
+    @pytest.mark.parametrize("loss", [-0.5, np.nan, np.inf, "0.1", None, True])
+    def test_loss_that_is_no_cross_entropy_is_refused(self, loss):
+        with pytest.raises(InvalidInputError, match="^loss must be a"):
+            compute_metrics(np.array([[3, 0], [1, 0]]), loss)
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[3.0, 0.0], [1.0, 0.0]]), np.array([[3, 0], [1, 0]], dtype=np.uint8),
+        [[3, 0], [1, 0]], np.array([[True, False], [True, False]]),
+    ], ids=["whole_floats", "uint8", "list", "bool"])
+    def test_whole_counts_of_any_number_dtype(self, matrix):
+        report = compute_metrics(matrix, np.float32(0.25))
+        assert report.confusion.dtype == np.int64 and type(report.loss) is float
+        assert np.array_equal(report.confusion, np.asarray(matrix, dtype=np.int64))
+        counts = np.asarray(matrix, dtype=np.int64)
+        assert report.accuracy == np.trace(counts) / counts.sum()
 
 
 class TestRendering:
