@@ -30,6 +30,7 @@ from .errors import (
     ManifestParseError,
     MissingFileError,
     UsageError,
+    _as_array,
     _as_real,
     _check_ints,
     _check_reals,
@@ -141,9 +142,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_feature_blob(path, features: np.ndarray) -> None:
-    array = np.ascontiguousarray(features, dtype="<f4")
-    if array.ndim != 2:
-        raise InvalidInputError("feature blob payload must be 2-D")
+    array = np.ascontiguousarray(_as_array("feature blob payload", features, "<f4", (None, None)))
     with open(path, "wb") as handle:
         handle.write(FEATURE_MAGIC)
         handle.write(struct.pack("<III", FEATURE_VERSION, array.shape[0], array.shape[1]))
@@ -462,7 +461,7 @@ def dataset_graphs(dataset: Dataset, tau: float, patch_size=(30, 30),
     for sample in dataset.samples:
         _check_node_count(len(sample.landmarks))  # before a patch is encoded
         if sample.features is not None:
-            feats = np.asarray(sample.features, dtype=float)
+            feats = _as_array(f"sample {sample.sample_id!r} features", sample.features, float)
         elif sample.image is not None:
             feats = features_for_sample(sample.image, sample.landmarks,
                                         patch_size[0], patch_size[1], encoder)
@@ -532,11 +531,13 @@ def export_embeddings(model: GcnModel, dataset: Dataset, graphs, path) -> None:
 
 
 def _edge_list(sample: GraphSample):
-    return np.argwhere(np.triu(np.asarray(sample.adjacency), 1)).tolist()
+    adjacency = _as_array("adjacency", sample.adjacency, shape=(None, None))
+    return np.argwhere(np.triu(adjacency, 1)).tolist()
 
 
 def write_graph_json(sample: GraphSample, path) -> None:
     """Plotter-friendly node/edge description of one graph."""
+    points = _as_array("landmarks", sample.landmarks, float, (None, 2))
     edges = _edge_list(sample)
     doc = {
         "format": "facegraph-graph",
@@ -545,7 +546,7 @@ def write_graph_json(sample: GraphSample, path) -> None:
         "num_nodes": sample.num_nodes,
         "num_edges": len(edges),
         "nodes": [{"id": i, "x": float(x), "y": float(y)}
-                  for i, (x, y) in enumerate(np.asarray(sample.landmarks, dtype=float))],
+                  for i, (x, y) in enumerate(points)],
         "edges": edges,
     }
     write_json(path, doc)
@@ -554,7 +555,7 @@ def write_graph_json(sample: GraphSample, path) -> None:
 def write_graph_dot(sample: GraphSample, path) -> None:
     """Graphviz rendering of one graph; node positions carry pixel coordinates."""
     lines = ["graph landmarks {", "  node [shape=point];"]
-    for i, (x, y) in enumerate(np.asarray(sample.landmarks, dtype=float)):
+    for i, (x, y) in enumerate(_as_array("landmarks", sample.landmarks, float, (None, 2))):
         lines.append(f'  n{i} [pos="{x},{y}!"];')
     for i, j in _edge_list(sample):
         lines.append(f"  n{i} -- n{j};")

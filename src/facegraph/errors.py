@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them.
+
+The public functions that take arrays (graph building, patch encoding, the
+GCN passes, the metrics and the graph and feature writers) take them through
+:func:`_as_array`, which converts them as ``np.asarray`` does and checks
+their shape, so a malformed array argument (a ragged nested list, strings or
+objects where numbers belong, an int beyond the float range, a complex array
+where a real one belongs, or the wrong shape) is an :class:`InvalidInputError`
+whose message starts with the argument's name, never a bare numpy error or
+warning.
+"""
 
 import math
 from numbers import Integral as _Integral, Real as _Real
@@ -79,13 +89,26 @@ def _as_real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _as_array(name: str, value) -> np.ndarray:
-    """``np.asarray(value)``, or InvalidInputError naming ``name`` where numpy
-    makes no array of it, as of a ragged nested list."""
+def _as_array(name: str, value, dtype=None, shape=None) -> np.ndarray:
+    """``np.asarray(value, dtype)``, bit for bit, of a shape that matches the
+    pattern ``shape``, in which None matches any size; else InvalidInputError
+    naming ``name``. A complex ``value`` is refused where ``dtype`` is given,
+    since the cast would drop its imaginary part."""
     try:
-        return np.asarray(value)
-    except ValueError as exc:
+        array = np.asarray(value)
+        if dtype is not None and array.dtype.kind != "c":
+            array = array.astype(dtype, copy=False)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"{name}: not one array ({exc})") from None
+    if dtype is not None and array.dtype.kind == "c":
+        raise InvalidInputError(f"{name} must hold real numbers, got dtype {array.dtype}")
+    if shape is not None and (array.ndim != len(shape) or any(
+            size not in (None, got) for size, got in zip(shape, array.shape))):
+        sizes = ", ".join("NMK"[axis] if size is None else str(size)
+                          for axis, size in enumerate(shape))
+        raise InvalidInputError(f"{name} must be {len(shape)}-D of shape ({sizes}), "
+                                f"got shape {array.shape}")
+    return array
 
 
 def _check_reals(config, *names: str) -> None:

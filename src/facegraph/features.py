@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, InvalidInputError, UsageError, _check_ints, _is_int, _show
+from .errors import (DatasetError, InvalidInputError, UsageError, _as_array, _check_ints,
+                     _is_int, _show)
 
 __all__ = [
     "EncoderConfig",
@@ -119,9 +120,7 @@ def _pgm_pixels(image) -> np.ndarray:
 def _pixels(image) -> np.ndarray:
     """Check that an image or patch is a non-empty 2-D grid of finite bool,
     int, uint or float pixels."""
-    img = np.asarray(image)
-    if img.ndim != 2:
-        raise InvalidInputError("image must be a 2-D intensity grid")
+    img = _as_array("image", image, shape=(None, None))
     if img.size == 0:
         raise InvalidInputError(f"image must have pixels, got shape {img.shape}")
     if img.dtype.kind not in "biuf":
@@ -172,8 +171,7 @@ def extract_patch(image: np.ndarray, center, h: int, w: int) -> np.ndarray:
     falling outside the image are clamped to the nearest valid pixel, so the
     output shape is always exactly h x w.
     """
-    centers = np.array([[float(center[0]), float(center[1])]])
-    return _cut_windows(image, centers, h, w)[0]
+    return _cut_windows(image, _as_array("center", center, float, (2,))[None], h, w)[0]
 
 
 @functools.lru_cache(maxsize=4)  # a command encodes with one (seed, dim)
@@ -217,7 +215,5 @@ def encode_patch_toy(patch: np.ndarray, config: EncoderConfig) -> np.ndarray:
 def features_for_sample(image: np.ndarray, landmarks: np.ndarray, h: int, w: int,
                         config: EncoderConfig) -> np.ndarray:
     """Encode one patch per landmark; row i belongs to landmark i."""
-    points = np.asarray(landmarks, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InvalidInputError("landmark array must have shape (N, 2)")
+    points = _as_array("landmarks", landmarks, float, (None, 2))
     return _encode(_cut_windows(image, points, h, w), config)

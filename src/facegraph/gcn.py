@@ -125,10 +125,10 @@ def _polevl(x, coefs):
     return out
 
 
-def _as_float(x) -> np.ndarray:
-    """``x`` as an array of float32 if it holds float32, else of float64."""
-    x = np.asarray(x)
-    return x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
+def _as_float(name: str, x) -> np.ndarray:
+    """``x``, named ``name``, as an array of float32 if it holds float32, else of float64."""
+    x = _as_array(name, x)
+    return x if x.dtype in (np.float32, np.float64) else _as_array(name, x, np.float64)
 
 
 def _erf(x):
@@ -138,7 +138,7 @@ def _erf(x):
     Past |x| = 6 erfc is below 2**-54, so 1 - erfc rounds to exactly 1; the
     clamp keeps both branches finite, and +-inf maps to +-1.
     """
-    x = _as_float(x)
+    x = _as_float("x", x)
     near = np.clip(x, -1.0, 1.0)
     z = near * near
     near = near * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
@@ -287,7 +287,7 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
 def readout(node_feats: np.ndarray) -> np.ndarray:
     """Graph-level vector: column-wise mean over nodes (permutation invariant),
     in float32 for float32 features and in float64 otherwise."""
-    h = _as_float(node_feats)
+    h = _as_float("node features", node_feats)
     if h.ndim != 2 or h.shape[0] < 1:
         raise InvalidInputError("readout needs a nonempty 2-D node feature matrix")
     return h.mean(axis=0)
@@ -358,8 +358,8 @@ def forward(model: GcnModel, sample: GraphSample,
     otherwise.
     """
     config = model.config
-    dtype = _as_float(model.params[0]).dtype
-    h = np.asarray(sample.features, dtype=dtype)
+    dtype = _as_float("params", model.params[0]).dtype
+    h = _as_array("sample features", sample.features, dtype)
     if h.ndim != 2 or h.shape[1] != config.in_dim:
         raise InvalidInputError(
             f"sample features have shape {h.shape}, model expects N x {_show(config.in_dim)}"
@@ -367,7 +367,7 @@ def forward(model: GcnModel, sample: GraphSample,
     use_dropout = rng is not None and config.dropout_rate > 0.0
     if norm_adj is None:
         norm_adj = normalize_adjacency(sample.adjacency)
-    a_hat = np.ascontiguousarray(norm_adj, dtype=dtype)  # one layout for the BLAS
+    a_hat = np.ascontiguousarray(_as_array("norm_adj", norm_adj, dtype))  # one BLAS layout
     if a_hat.ndim != 2 or a_hat.shape[0] != a_hat.shape[1]:
         raise InvalidInputError("normalized adjacency must be square")
     if len(a_hat) != h.shape[0]:
@@ -410,12 +410,8 @@ def forward(model: GcnModel, sample: GraphSample,
 
 def cross_entropy(labels_onehot: np.ndarray, probabilities: np.ndarray) -> float:
     """Mean negative log-likelihood; probabilities clamped to [1e-12, 1]."""
-    y = np.asarray(labels_onehot, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    if y.shape != p.shape or y.ndim != 2:
-        raise InvalidInputError(
-            f"label matrix {y.shape} and prediction matrix {p.shape} must match"
-        )
+    y = _as_array("one-hot labels", labels_onehot, float, (None, None))
+    p = _as_array("probabilities", probabilities, float, y.shape)
     clamped = np.clip(p, 1e-12, 1.0)
     return float(-np.mean(np.sum(y * np.log(clamped), axis=1)))
 
@@ -437,7 +433,7 @@ def backward(model: GcnModel, cache: ForwardCache,
     if cache.updates != model.updates:
         raise CacheMismatchError("forward cache predates the model's last parameter update")
     *layer_weights, readout_weight, _ = model.params
-    dlogits = np.asarray(logit_grad, dtype=_as_float(model.params[0]).dtype)
+    dlogits = _as_array("logit_grad", logit_grad, _as_float("params", model.params[0]).dtype)
     grad_readout_weight = np.outer(dlogits, cache.embedding)
     grad_readout_bias = dlogits.copy()
 
@@ -528,7 +524,7 @@ def _check_samples(samples: list[GraphSample], config: GcnConfig) -> None:
     """Sample k, in turn, has N x in_dim features and an integer label in
     [0, num_classes)."""
     for k, sample in enumerate(samples):
-        shape = np.shape(sample.features)
+        shape = _as_array(f"sample {k} features", sample.features).shape
         if shape[1:] != (config.in_dim,):
             raise InvalidInputError(f"sample {k} has features of shape {shape}, "
                                     f"model expects N x {_show(config.in_dim)}")
@@ -686,7 +682,9 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
     newline. A non-finite weight or ``preprocess`` value raises
     :class:`NumericError` naming its matrix or key before the file is
     opened, since :func:`load_checkpoint` or a strict JSON reader would
-    refuse the file.
+    refuse the file. A ``preprocess`` that is no dict, or has a key that is
+    no string or a value JSON cannot hold, raises :class:`InvalidInputError`
+    before the file is opened too, since it would not load back as given.
     """
     *layer_docs, weight_doc, bias_doc = map(
         _matrix_doc, _param_names(len(model.params) - 2), model.params)
@@ -699,7 +697,16 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
         "readout_bias": bias_doc,
     }
     if preprocess is not None:
+        if not isinstance(preprocess, dict):
+            raise InvalidInputError(f"cannot save preprocess: a "
+                                    f"{type(preprocess).__name__}, not a dict")
         for key, value in preprocess.items():
+            if not isinstance(key, str):  # JSON would write it as a string
+                raise InvalidInputError(f"cannot save preprocess {key!r}: its key is no string")
+            try:  # a set or an object, a value that contains itself or nests too deep
+                json.dumps(value, sort_keys=True)
+            except (TypeError, ValueError, RecursionError) as exc:
+                raise InvalidInputError(f"cannot save preprocess {key!r}: {exc}") from None
             try:
                 json.dumps(value, allow_nan=False)
             except ValueError:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UsageError, _as_real, _is_int, _show
+from .errors import InvalidInputError, UsageError, _as_array, _as_real, _is_int, _show
 
 __all__ = [
     "GraphSample",
@@ -93,7 +93,7 @@ class GraphSample:
 
     @property
     def num_nodes(self) -> int:
-        return int(self.landmarks.shape[0])
+        return len(self.landmarks)
 
 
 @functools.lru_cache(maxsize=4)  # a command builds graphs of one size
@@ -112,9 +112,7 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     divided by a vanishing value. A row whose squared norm overflows (values
     near 1e154 or larger) raises :class:`InvalidInputError`.
     """
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2:
-        raise InvalidInputError("feature matrix must be 2-D")
+    feats = _as_array("feature matrix", features, float, (None, None))
     finite = np.isfinite(feats).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -140,12 +138,8 @@ def raw_adjacency(features: np.ndarray, points: np.ndarray) -> np.ndarray:
     diagonal is forced to zero so self-similarity never enters the threshold
     statistics; self-loops are added later by the GCN normalization instead.
     """
-    feats = np.asarray(features, dtype=float)
-    pts = np.asarray(points, dtype=float)
-    if feats.ndim != 2:
-        raise InvalidInputError("feature matrix must be 2-D")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidInputError("landmark array must have shape (N, 2)")
+    feats = _as_array("feature matrix", features, float, (None, None))
+    pts = _as_array("landmarks", points, float, (None, 2))
     if feats.shape[0] != pts.shape[0]:
         raise InvalidInputError(
             f"feature rows ({feats.shape[0]}) and landmarks ({pts.shape[0]}) disagree"
@@ -197,7 +191,7 @@ def threshold_from_weights(weights, tau: float) -> ThresholdStats:
     mean can land an ulp off the common value, which would corrupt the
     degenerate all-equal case that must stay exactly edgeless.
     """
-    values = np.asarray(weights, dtype=float)
+    values = _as_array("weights", weights, float, (None,))
     count = len(values)
     if count < 1:
         raise InvalidInputError("cannot compute threshold statistics of no weights")
@@ -229,7 +223,7 @@ def threshold_stats(raw: np.ndarray, tau: float) -> ThresholdStats:
     The diagonal is structurally constant and excluded; the standard
     deviation is the population one (division by the entry count).
     """
-    weights = np.asarray(raw, dtype=float)
+    weights = _as_array("weight matrix", raw, float)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise InvalidInputError("weight matrix must be square")
     n = weights.shape[0]
@@ -245,7 +239,7 @@ def binarize(raw: np.ndarray, threshold: float) -> np.ndarray:
     Equality yields False. The diagonal is forced to False regardless of the
     threshold's sign.
     """
-    adjacency = np.asarray(raw, dtype=float) > float(threshold)
+    adjacency = _as_array("weight matrix", raw, float, (None, None)) > float(threshold)
     np.fill_diagonal(adjacency, False)
     return adjacency
 
@@ -253,9 +247,7 @@ def binarize(raw: np.ndarray, threshold: float) -> np.ndarray:
 def build_graph(landmarks: np.ndarray, features: np.ndarray, tau: float,
                 label: int) -> GraphSample:
     """Full graph construction: normalize, weight, threshold, binarize."""
-    pts = np.asarray(landmarks, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidInputError("landmark array must have shape (N, 2)")
+    pts = _as_array("landmarks", landmarks, float, (None, 2))
     if pts.shape[0] < 2:
         raise InvalidInputError("need at least 2 landmarks to build a graph")
     if not _is_int(label) or label < 0:
@@ -281,13 +273,15 @@ def rethreshold(graph: GraphSample, tau: float) -> GraphSample:
     weights, stats = graph.weights, graph.stats
     if weights is None or stats is None:
         raise InvalidInputError("graph keeps no raw weights to re-threshold")
+    n = len(_as_array("landmarks", graph.landmarks, float, (None, 2)))
+    weights = _as_array("graph weights", weights, float, (n * (n - 1) // 2,))
     # the off-diagonal entries are all equal exactly when the triangle's are
     stats = _at_tau(stats.mean, stats.std, tau, bool(np.all(weights == weights[0])))
-    raw = _symmetric(weights, graph.num_nodes)
+    raw = _symmetric(weights, n)
     return dataclasses.replace(graph, adjacency=binarize(raw, stats.threshold),
                                stats=stats)
 
 
 def edge_count(adjacency: np.ndarray) -> int:
     """Number of undirected edges in a binary adjacency matrix."""
-    return int(np.asarray(adjacency).sum()) // 2
+    return int(_as_array("adjacency", adjacency, float).sum()) // 2

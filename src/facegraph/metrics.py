@@ -44,10 +44,8 @@ def confusion(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
     an int in [1, :data:`MAX_CLASSES`]."""
     if not _is_int(num_classes):
         raise InvalidInputError(f"num_classes must be an int, got {num_classes!r}")
-    truth = _as_array("true labels", true_labels)
-    preds = _as_array("predicted labels", predicted_labels)
-    if truth.shape != preds.shape or truth.ndim != 1:
-        raise InvalidInputError("label arrays must be 1-D and the same length")
+    truth = _as_array("true labels", true_labels, shape=(None,))
+    preds = _as_array("predicted labels", predicted_labels, shape=truth.shape)
     for which, labels in (("true", truth), ("predicted", preds)):
         if labels.dtype.kind not in "biuf":
             raise InvalidInputError(f"{which} labels must be numbers, got dtype {labels.dtype}")

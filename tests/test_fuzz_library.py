@@ -16,6 +16,15 @@ scalar one (the loss, the class count). An accepted matrix must be reported
 as the counts it holds, an accepted label list counted in full, and an
 accepted adjacency normalized to finite weights >= 0.
 
+Each input case mutates one array argument of one of the library's array
+entry points (graph construction, the patch encoders, ``forward``,
+``train``, ``predict``, ``evaluate`` and ``cross_entropy``; a
+``GraphSample``'s features, adjacency, landmarks or weights count as
+arguments): one entry becomes a list (a ragged list), a complex number, an
+int beyond the float range, NaN or an object, or the whole argument becomes
+a matrix of strings, a complex array, an object or an array of another
+shape. The property is the same.
+
 ``epochs`` is never mutated to a large value, since no budget bounds it and
 training time grows with it; every other size is bounded by a budget that
 refuses it before any allocation.
@@ -36,13 +45,25 @@ from facegraph import (
     GcnConfig,
     SyntheticSpec,
     TrainConfig,
+    binarize,
+    build_graph,
     compute_metrics,
     confusion,
+    cross_entropy,
     errors,
+    evaluate,
+    extract_patch,
     features_for_sample,
+    forward,
     generate_synthetic,
+    init_model,
+    l2_normalize_rows,
     normalize_adjacency,
+    predict,
+    raw_adjacency,
+    rethreshold,
     split_indices,
+    threshold_stats,
     train,
 )
 from facegraph.data import dataset_graphs
@@ -51,6 +72,8 @@ CASES = 300
 SEED = 8128
 ARRAY_CASES = 150
 ARRAY_SEED = 6174
+INPUT_CASES = 600
+INPUT_SEED = 1729
 
 NAMED = tuple(cls for cls in vars(errors).values()
               if inspect.isclass(cls) and cls.__module__ == errors.__name__)
@@ -214,3 +237,117 @@ def test_array_cases_cover_every_target_and_mutation():
     cases = [_case(index, ARRAYS, ARRAY_SEED, ARRAY_CASES) for index in range(ARRAY_CASES)]
     assert {(target, kind) for target, kind, _ in cases} == {
         (target, kind) for target in ARRAYS for kind in MUTATIONS}
+
+
+def _mapped(valid, function):
+    """``function`` of every entry of a (nested) list ``valid``."""
+    if not isinstance(valid, list):
+        return function(valid)
+    return [_mapped(entry, function) for entry in valid]
+
+
+def _reshaped(valid, rng):
+    """``valid`` with an axis more or fewer, or one entry fewer along its first."""
+    return rng.choice([[valid], valid[0], valid[:-1], _mapped(valid, lambda entry: [entry])])
+
+
+# mutation kind -> how a case mutates a valid (nested) list, drawing from rng
+DEFECTS = {
+    "ragged": lambda valid, rng: _placed(valid, [0.5] * rng.randrange(3), rng),
+    "string": lambda valid, rng: _mapped(valid, rng.choice([repr, lambda entry: "x"])),
+    "object": lambda valid, rng: rng.choice([object(), None, _placed(valid, object(), rng)]),
+    "complex": lambda valid, rng: rng.choice([_placed(valid, 1 + 2j, rng),
+                                              np.asarray(valid) + 1j]),
+    "huge_int": lambda valid, rng: _placed(valid, rng.choice([10 ** 400, -10 ** 400]), rng),
+    "shape": _reshaped,
+    "nan": lambda valid, rng: _placed(valid, math.nan, rng),
+}
+
+SAMPLE = GRAPHS[0]
+FITTED = init_model(GcnConfig(**MODEL), 3)
+
+
+def _sample(given):
+    """``SAMPLE`` with the given fields in place of its own."""
+    return dataclasses.replace(SAMPLE, **given)
+
+
+def _use_build_graph(given):
+    graph = build_graph(given["landmarks"], given["features"], 0.5, 1)
+    assert graph.adjacency.shape == (graph.num_nodes,) * 2
+
+
+def _use_forward(given):
+    probabilities, _ = forward(FITTED, _sample(given))
+    assert probabilities.shape == (MODEL["num_classes"],)
+
+
+def _use_train(given):
+    train([_sample(given), *GRAPHS[1:]], GcnConfig(**MODEL), TrainConfig(epochs=1, batch_size=4))
+
+
+def _use_predict(given):
+    assert len(predict(FITTED, [_sample(given), *GRAPHS[1:]])[0]) == len(GRAPHS)
+
+
+def _use_evaluate(given):
+    assert evaluate(FITTED, [_sample(given), *GRAPHS[1:]]).confusion.sum() == len(GRAPHS)
+
+
+SAMPLE_ARRAYS = {"features": SAMPLE.features.tolist(), "adjacency": SAMPLE.adjacency.tolist()}
+INPUTS = {
+    "build_graph": ({"landmarks": SAMPLE.landmarks.tolist(),
+                     "features": DATASET.samples[0].features.tolist()}, _use_build_graph),
+    "rethreshold": ({"weights": SAMPLE.weights.tolist(), "landmarks": SAMPLE.landmarks.tolist()},
+                    lambda given: rethreshold(_sample(given), 0.25)),
+    "l2_normalize_rows": ({"features": DATASET.samples[0].features.tolist()},
+                          lambda given: l2_normalize_rows(**given)),
+    "raw_adjacency": ({"features": SAMPLE.features.tolist(),
+                       "points": SAMPLE.landmarks.tolist()},
+                      lambda given: raw_adjacency(**given)),
+    "threshold_stats": ({"raw": raw_adjacency(SAMPLE.features, SAMPLE.landmarks).tolist()},
+                        lambda given: threshold_stats(tau=0.5, **given)),
+    "binarize": ({"raw": raw_adjacency(SAMPLE.features, SAMPLE.landmarks).tolist()},
+                 lambda given: binarize(threshold=0.1, **given)),
+    "features_for_sample": ({"image": IMAGE.tolist(), "landmarks": LANDMARKS.tolist()},
+                            lambda given: features_for_sample(h=5, w=3,
+                                                              config=EncoderConfig(out_dim=8),
+                                                              **given)),
+    "extract_patch": ({"image": IMAGE.tolist(), "center": [2.0, 3.0]},
+                      lambda given: extract_patch(h=3, w=5, **given)),
+    "forward": (SAMPLE_ARRAYS, _use_forward),
+    "train": (SAMPLE_ARRAYS, _use_train),
+    "predict": (SAMPLE_ARRAYS, _use_predict),
+    "evaluate": (SAMPLE_ARRAYS, _use_evaluate),
+    "cross_entropy": ({"labels_onehot": [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+                       "probabilities": [[0.75, 0.25], [0.5, 0.5], [0.125, 0.875]]},
+                      lambda given: cross_entropy(**given)),
+}
+
+
+def _input_case(index):
+    """Input case ``index``: an entry point, the mutation kind, and the
+    arguments with one array argument mutated."""
+    rng = random.Random(INPUT_SEED * INPUT_CASES + index)
+    target = rng.choice(sorted(INPUTS))
+    valid = INPUTS[target][0]
+    name = rng.choice(sorted(valid))
+    kind = rng.choice(sorted(DEFECTS))
+    return target, kind, {**valid, name: DEFECTS[kind](valid[name], rng)}
+
+
+@pytest.mark.parametrize("index", range(INPUT_CASES))
+def test_input_returns_or_raises_a_named_error(index):
+    target, _, given = _input_case(index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning fails the case
+        try:
+            INPUTS[target][1](given)
+        except NAMED:
+            pass
+
+
+def test_input_cases_cover_every_target_and_mutation():
+    cases = [_input_case(index) for index in range(INPUT_CASES)]
+    assert {(target, kind) for target, kind, _ in cases} == {
+        (target, kind) for target in INPUTS for kind in DEFECTS}
