@@ -89,11 +89,27 @@ def _as_real(name: str, value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _fits(got: tuple, shape: tuple) -> bool:
+    """Whether the shape ``got`` matches the pattern ``shape``, in which None
+    matches any size. A plain loop: half the cost of ``all()`` over a generator."""
+    if len(got) != len(shape):
+        return False
+    for size, n in zip(shape, got):
+        if size is not None and size != n:
+            return False
+    return True
+
+
 def _as_array(name: str, value, dtype=None, shape=None) -> np.ndarray:
     """``np.asarray(value, dtype)``, bit for bit, of a shape that matches the
     pattern ``shape``, in which None matches any size; else InvalidInputError
     naming ``name``. A complex ``value`` is refused where ``dtype`` is given,
-    since the cast would drop its imaginary part."""
+    since the cast would drop its imaginary part. A real ``np.ndarray`` that
+    already has the dtype and fits the pattern is returned as is, which is
+    what the conversion returns for it, without the conversion's cost."""
+    if type(value) is np.ndarray and (shape is None or _fits(value.shape, shape)) and (
+            dtype is None or (value.dtype == dtype and value.dtype.kind != "c")):
+        return value
     try:
         array = np.asarray(value)
         if dtype is not None and array.dtype.kind != "c":
@@ -102,8 +118,7 @@ def _as_array(name: str, value, dtype=None, shape=None) -> np.ndarray:
         raise InvalidInputError(f"{name}: not one array ({exc})") from None
     if dtype is not None and array.dtype.kind == "c":
         raise InvalidInputError(f"{name} must hold real numbers, got dtype {array.dtype}")
-    if shape is not None and (array.ndim != len(shape) or any(
-            size not in (None, got) for size, got in zip(shape, array.shape))):
+    if shape is not None and not _fits(array.shape, shape):
         sizes = ", ".join("NMK"[axis] if size is None else str(size)
                           for axis, size in enumerate(shape))
         raise InvalidInputError(f"{name} must be {len(shape)}-D of shape ({sizes}), "

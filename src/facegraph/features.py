@@ -159,7 +159,16 @@ def _cut_windows(image, centers: np.ndarray, h: int, w: int) -> np.ndarray:
     # each pixel index to the image would.
     cx = np.rint(np.clip(centers[:, 0], w // 2 - w, width + w // 2)).astype(np.int64)
     cy = np.rint(np.clip(centers[:, 1], h // 2 - h, height + h // 2)).astype(np.int64)
-    padded = np.pad(img, ((h, h), (w, w)), mode="edge")
+    # edge padding as np.pad(img, ((h, h), (w, w)), mode="edge") makes it,
+    # without np.pad's generic path: the image, its edge columns, then the
+    # top and bottom rows, corners included, copied from the padded edge rows
+    padded = np.empty((height + 2 * h, width + 2 * w), img.dtype)
+    rows = slice(h, h + height)
+    padded[rows, w:w + width] = img
+    padded[rows, :w] = img[:, :1]
+    padded[rows, w + width:] = img[:, -1:]
+    padded[:h] = padded[h]
+    padded[h + height:] = padded[h + height - 1]
     windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w))
     return windows[cy - h // 2 + h, cx - w // 2 + w]
 

@@ -352,10 +352,11 @@ def forward(model: GcnModel, sample: GraphSample,
     except the final layer's, drawing masks from it; without one the pass is
     fully deterministic. The layers multiply by ``norm_adj``, an N x N
     matrix, or by default by :func:`normalize_adjacency` of the sample's
-    adjacency, which is computed on every call. The cache keeps that matrix,
-    in C order, for :func:`backward`. The pass runs in float32 for float32
-    parameters, rounding the features and the matrix to it, and in float64
-    otherwise.
+    adjacency, which is then computed on every call; :func:`train` passes
+    each sample's matrix, computed once per call. The cache keeps that
+    matrix, in C order, for :func:`backward`. The pass runs in float32 for
+    float32 parameters, rounding the features and the matrix to it, and in
+    float64 otherwise.
     """
     config = model.config
     dtype = _as_float("params", model.params[0]).dtype
@@ -468,6 +469,10 @@ class AdamState:
 
 
 def init_adam(params: list[np.ndarray]) -> AdamState:
+    """Zero moments and scratch arrays shaped and typed like each parameter;
+    a parameter that is not one array is an InvalidInputError naming
+    ``params[k]``."""
+    params = [_as_array(f"params[{k}]", p) for k, p in enumerate(params)]
     return AdamState(step=0,
                      first_moment=[np.zeros_like(p) for p in params],
                      second_moment=[np.zeros_like(p) for p in params],
@@ -481,13 +486,21 @@ def adam_step(model: GcnModel, grads: list[np.ndarray], state: AdamState,
     Decay shrinks the parameters by lr * weight_decay before the moment-based
     update, so it never enters the Adam moments. Updates the parameters and the
     moments in place through the state's scratch arrays, and advances both counts.
+    Gradient k must be an array of real numbers of parameter k's shape, else
+    an InvalidInputError naming ``grads[k]`` is raised before anything changes.
     """
     if len(model.params) != len(grads):
         raise InvalidInputError("params and grads must be parallel lists")
+    checked = []
+    for k, (p, g) in enumerate(zip(model.params, grads)):
+        g = _as_array(f"grads[{k}]", g, shape=_as_array(f"params[{k}]", p).shape)
+        if g.dtype.kind not in "biuf":
+            raise InvalidInputError(f"grads[{k}] must hold real numbers, got dtype {g.dtype}")
+        checked.append(g)
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.step
     bias2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v, (temp, update) in zip(model.params, grads, state.first_moment,
+    for p, g, m, v, (temp, update) in zip(model.params, checked, state.first_moment,
                                           state.second_moment, state.scratch):
         # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g^2,
         # rounded as in that form
@@ -544,15 +557,19 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     Every epoch shuffles with the seeded generator, walks the batches in
     order, accumulates per-sample gradients sequentially and applies one Adam
     step per batch at the scheduled learning rate. The batch loss is the mean
-    cross-entropy over the batch. Each sample-step runs :func:`forward` on the
-    sample, which normalizes its stored adjacency afresh, so no ``A_hat`` is
-    kept between steps. History rows report the mean loss and accuracy over
-    the samples as seen during the epoch (dropout active).
+    cross-entropy over the batch. Each sample's ``A_hat``, the
+    :func:`normalize_adjacency` of its adjacency, is computed once per call,
+    before the first step, and every sample-step hands it to :func:`forward`
+    as ``norm_adj``; it is the matrix ``forward`` would compute, so the bits
+    are those of normalizing afresh on every step. History rows report the
+    mean loss and accuracy over the samples as seen during the epoch (dropout
+    active).
 
-    The steps run in ``train_config.precision``: the initial parameters and
-    the one-hot labels are rounded to it once, so the Adam state, the
-    gradient sums and, through :func:`forward` and :func:`backward`, every
-    array of a step share its dtype, and so do the returned parameters.
+    The steps run in ``train_config.precision``: the initial parameters, the
+    one-hot labels and each ``A_hat`` are rounded to it once, so the Adam
+    state, the gradient sums and, through :func:`forward` and
+    :func:`backward`, every array of a step share its dtype, and so do the
+    returned parameters.
     A non-finite parameter after any step raises :class:`NumericError`
     naming the epoch and the batch index, with no numpy overflow warning; in
     float32 that includes a learning rate beyond its range (about 3.4e38).
@@ -566,6 +583,8 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
     model = init_model(model_config, rng)
     model.params = [p.astype(dtype, copy=False) for p in model.params]
     onehots = np.eye(model_config.num_classes, dtype=dtype)[[s.label for s in dataset]]
+    # C order, as forward would make it: one N x N array per sample while training runs
+    a_hats = [normalize_adjacency(s.adjacency).astype(dtype, copy=False) for s in dataset]
     state = init_adam(model.params)
 
     n = len(dataset)
@@ -582,7 +601,7 @@ def train(dataset: list[GraphSample], model_config: GcnConfig,
             for total in grad_total:
                 total.fill(0.0)
             for idx in batch:
-                probs, cache = forward(model, dataset[idx], rng=rng)
+                probs, cache = forward(model, dataset[idx], rng=rng, norm_adj=a_hats[idx])
                 label = dataset[idx].label
                 loss_sum += -math.log(max(float(probs[label]), 1e-12))
                 correct += int(np.argmax(probs) == label)

@@ -22,6 +22,11 @@ __all__ = ["MetricsReport", "compute_metrics", "confusion", "format_report", "re
 # identity of training and evaluation) takes 8 MiB at the budget.
 MAX_CLASSES = 2 ** 10
 
+# The largest class count format_report prints a confusion table for. The
+# table has C + 1 lines of C columns: 11.6 MB at MAX_CLASSES. Past this count
+# one line points to metrics.json, which the CLI writes with the whole matrix.
+MAX_TABLE_CLASSES = 32
+
 # The largest total a confusion matrix may count: every sum of its entries is
 # then exact in int64 and in float64.
 _MAX_COUNT = 2 ** 53
@@ -113,7 +118,9 @@ def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
 
 
 def format_report(report: MetricsReport, class_names=None) -> str:
-    """Human-readable rendering of a metrics report."""
+    """Human-readable rendering of a metrics report. Past
+    :data:`MAX_TABLE_CLASSES` classes one line stands in for the confusion
+    table."""
     num_classes = report.confusion.shape[0]
     names = ([f"class_{c}" for c in range(num_classes)] if class_names is None
              else list(class_names))
@@ -131,6 +138,10 @@ def format_report(report: MetricsReport, class_names=None) -> str:
     for name, recall in zip(names, report.per_class_recall):
         lines.append(f"  {name:<12} {100.0 * recall:.2f}%")
     lines.append("")
+    if num_classes > MAX_TABLE_CLASSES:
+        lines.append(f"confusion: {num_classes} x {num_classes}, above the "
+                     f"{MAX_TABLE_CLASSES} classes printed; see metrics.json")
+        return "\n".join(lines)
     lines.append("confusion (rows true, columns predicted):")
     width = max(5, max(len(n) for n in names) + 1)
     header = " " * width + "".join(f"{n[:width - 1]:>{width}}" for n in names)

@@ -8,7 +8,8 @@ that stage's metrics read 0 without an error. These tests fail instead.
 ``bench/run.py`` also divides by counts the worker takes from those spans:
 ``gcn.train_steps`` is the number of ``gcn.forward`` spans under ``gcn.train``.
 So ``train`` must keep calling the module-level ``forward`` and ``backward``
-once per sample and step; ``forward`` calls ``normalize_adjacency`` each time.
+once per sample and step. It calls ``normalize_adjacency`` once per training
+sample per call and passes each result to ``forward`` as ``norm_adj``.
 """
 
 import importlib
@@ -64,5 +65,4 @@ def test_train_runs_the_traced_steps_once_per_sample_step(monkeypatch):
     graphs = dataset_graphs(generate_synthetic(spec), 0.5)
     gcn.train(graphs, GcnConfig(in_dim=4, num_classes=2, hidden_dim=4),
               TrainConfig(epochs=2, batch_size=4))
-    assert calls == {"forward": 2 * 10, "backward": 2 * 10,
-                     "normalize_adjacency": 2 * 10}
+    assert calls == {"forward": 2 * 10, "backward": 2 * 10, "normalize_adjacency": 10}

@@ -17,7 +17,7 @@ import pytest
 import facegraph
 from facegraph import cli
 from facegraph.cli import main
-from facegraph.metrics import MAX_CLASSES
+from facegraph.metrics import MAX_CLASSES, MetricsReport
 
 TINY = ["--classes", "2", "--per-class", "6", "--landmarks", "6",
         "--feature-dim", "8", "--feature-noise", "0.05"]
@@ -506,6 +506,20 @@ class TestClassBudget:
                                            f"{MAX_CLASSES + 1} classes, above the budget "
                                            f"of {MAX_CLASSES}\n")
         assert not (out / "manifest.json").exists()
+
+    def test_report_at_the_budget_is_bounded(self, tmp_path, capsys):
+        dataset = synth(tmp_path, extra=["--classes", str(MAX_CLASSES), "--per-class", "2",
+                                         "--landmarks", "4", "--feature-dim", "2"])
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--out-dir", str(out), "--dataset", str(dataset),
+                     "--epochs", "1", "--hidden", "1"]) == 0
+        printed = capsys.readouterr().out
+        assert len(printed.encode()) < 100_000
+        assert printed.endswith("see metrics.json\n")
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert sorted(metrics) == sorted(f.name for f in dataclasses.fields(MetricsReport))
+        assert np.array(metrics["confusion"]).shape == (MAX_CLASSES, MAX_CLASSES)
 
     def test_checkpoint_past_the_budget_exits_2(self, tmp_path, capsys):
         dataset = synth(tmp_path)

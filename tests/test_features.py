@@ -143,6 +143,18 @@ class TestExtractPatch:
                 assert patch.shape == (h, w)
                 assert np.array_equal(patch, naive_patch(image, center, h, w))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64, bool])
+    def test_patch_larger_than_image_past_each_corner(self, dtype):
+        rng = np.random.default_rng(8)
+        image = rng.integers(0, 2 if dtype is bool else 256, size=(5, 7)).astype(dtype)
+        corners = [(-3.0, -2.0), (9.0, -2.0), (-3.0, 6.0), (9.0, 6.0),
+                   (-40.0, -40.0), (40.0, -40.0), (-40.0, 40.0), (40.0, 40.0)]
+        for center in corners:
+            for h, w in [(9, 12), (6, 8), (13, 3)]:
+                patch = extract_patch(image, center, h, w)
+                assert patch.dtype == image.dtype
+                assert np.array_equal(patch, naive_patch(image, center, h, w))
+
     @pytest.mark.parametrize("center", [(1e300, 5.0), (-1e300, 5.0), (5.0, 1e300),
                                         (5.0, -1e300), (-1e300, 1e300)])
     def test_huge_center_clamped(self, center):

@@ -597,6 +597,29 @@ class TestAdam:
         with pytest.raises(InvalidInputError, match="parallel"):
             adam_step(adam_model(params), [np.ones(3)], init_adam(params), 1e-3, 0.0)
 
+    @pytest.mark.parametrize("grad", [[[1.0, 2.0], [1.0]], np.ones(3), np.ones((2, 1)),
+                                      1.0, [["a", "b"], ["c", "d"]], np.ones((2, 2)) + 1j],
+                             ids=["ragged", "too_long", "wrong_columns", "scalar",
+                                  "strings", "complex"])
+    def test_bad_gradient_named(self, grad):
+        params = [np.ones(2), np.ones((2, 2))]
+        state = init_adam(params)
+        before = [p.copy() for p in params]
+        with pytest.raises(InvalidInputError, match=r"^grads\[1\]"):
+            adam_step(adam_model(params), [np.zeros(2), grad], state, 1e-3, 0.0)
+        assert all(np.array_equal(p, b) for p, b in zip(params, before))
+
+    def test_ragged_parameter_named(self):
+        with pytest.raises(InvalidInputError, match=r"^params\[0\]"):
+            init_adam([[[1.0, 2.0], [1.0]]])
+
+    def test_gradient_list_is_taken_as_its_array(self):
+        params, lists = [np.ones((2, 2))], [np.ones((2, 2))]
+        grads = [[[0.5, -1.0], [2.0, 0.0]]]
+        adam_step(adam_model(params), grads, init_adam(params), 1e-3, 5e-4)
+        adam_step(adam_model(lists), [np.array(grads[0])], init_adam(lists), 1e-3, 5e-4)
+        assert same_bits(params[0], lists[0])
+
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_matches_oracle_over_steps(self, weight_decay):
         rng = np.random.default_rng(31)

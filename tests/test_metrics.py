@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from facegraph import InvalidInputError, compute_metrics, confusion, format_report
+from facegraph.metrics import MAX_CLASSES, MAX_TABLE_CLASSES
 from facegraph.metrics import MAX_CLASSES, report_row
 
 from oracles import naive_metrics
@@ -232,6 +233,38 @@ class TestRendering:
         head = format_report(report, ["happy", "sad"]).split("\n")[:5]
         assert head == ["loss      0.250000", "Acc       75.00%", "F1-Score  42.86%",
                         "WAR       75.00%", "UAR       50.00%"]
+
+    def test_six_class_report_bytes(self):
+        matrix = np.array([[5, 1, 0, 0, 0, 0], [0, 4, 2, 0, 0, 0], [0, 0, 6, 0, 0, 0],
+                           [1, 0, 0, 3, 1, 1], [0, 0, 0, 0, 6, 0], [0, 2, 0, 0, 0, 4]])
+        names = ["anger", "disgust", "fear", "happy", "sad", "surprise"]
+        assert format_report(compute_metrics(matrix, 0.5), names) == "\n".join([
+            "loss      0.500000", "Acc       77.78%", "F1-Score  77.05%",
+            "WAR       77.78%", "UAR       77.78%", "",
+            "per-class recall:",
+            "  anger        83.33%", "  disgust      66.67%", "  fear         100.00%",
+            "  happy        50.00%", "  sad          100.00%", "  surprise     66.67%", "",
+            "confusion (rows true, columns predicted):",
+            "             anger  disgust     fear    happy      sad surprise",
+            "anger            5        1        0        0        0        0",
+            "disgust          0        4        2        0        0        0",
+            "fear             0        0        6        0        0        0",
+            "happy            1        0        0        3        1        1",
+            "sad              0        0        0        0        6        0",
+            "surprise         0        2        0        0        0        4"])
+
+    def test_confusion_table_up_to_the_bound(self):
+        at = format_report(compute_metrics(np.eye(MAX_TABLE_CLASSES), 0.1)).split("\n")
+        assert at[-MAX_TABLE_CLASSES - 2] == "confusion (rows true, columns predicted):"
+        assert len(at) == 5 + 2 + MAX_TABLE_CLASSES + 1 + 2 + MAX_TABLE_CLASSES
+
+    @pytest.mark.parametrize("classes", [MAX_TABLE_CLASSES + 1, MAX_CLASSES])
+    def test_one_line_past_the_bound(self, classes):
+        report = compute_metrics(np.eye(classes), 0.1)
+        lines = format_report(report).split("\n")
+        assert len(lines) == 5 + 2 + classes + 1 + 1
+        assert lines[-1] == (f"confusion: {classes} x {classes}, above the "
+                             f"{MAX_TABLE_CLASSES} classes printed; see metrics.json")
 
     def test_report_row_percentages(self):
         report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
