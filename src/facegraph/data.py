@@ -32,6 +32,7 @@ from .errors import (
     UsageError,
     _as_array,
     _as_real,
+    _atomic_open,
     _check_ints,
     _check_reals,
     _is_int,
@@ -76,6 +77,10 @@ CIRCLE_CENTER = (112.0, 112.0)
 # per landmark (two float64 coordinates) plus 8 per float64 feature or 1 per
 # uint8 pixel. Writing the manifest takes about 8 times the coordinates' share.
 MAX_SYNTHETIC_BYTES = 2 ** 27
+
+# A synthetic image's landmark budget: each landmark's blob takes about 27 us
+# to render, so an image at the budget takes about 0.1 s.
+MAX_IMAGE_LANDMARKS = 2 ** 12
 
 # Sample ids name output files, so they may not hold a path separator or
 # start with a dot.
@@ -127,7 +132,7 @@ class SyntheticSpec:
 def write_json(path, doc) -> None:
     """Write ``doc`` as JSON with sorted keys, a one-space indent and a final
     newline; a numpy array is written as its ``tolist()``."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with _atomic_open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, indent=1, default=np.ndarray.tolist)
         handle.write("\n")
 
@@ -135,7 +140,7 @@ def write_json(path, doc) -> None:
 def write_csv(path, header, rows) -> None:
     """Write ``header`` then ``rows`` as CSV with "\n" line ends: each value is
     ``str(value)`` (a float's ``repr``), quoted where it holds a comma or quote."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _atomic_open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -143,7 +148,7 @@ def write_csv(path, header, rows) -> None:
 
 def write_feature_blob(path, features: np.ndarray) -> None:
     array = np.ascontiguousarray(_as_array("feature blob payload", features, "<f4", (None, None)))
-    with open(path, "wb") as handle:
+    with _atomic_open(path, "wb") as handle:
         handle.write(FEATURE_MAGIC)
         handle.write(struct.pack("<III", FEATURE_VERSION, array.shape[0], array.shape[1]))
         handle.write(array.tobytes())
@@ -265,9 +270,13 @@ def generate_synthetic_imageset(spec: SyntheticSpec) -> Dataset:
 
     Each sample holds a rendered image and no precomputed features, so
     downstream code encodes patches. The class signal is the per-landmark
-    blob brightness.
+    blob brightness. A spec of more than :data:`MAX_IMAGE_LANDMARKS`
+    landmarks is a :class:`UsageError` before anything is rendered.
     """
     _check_budget(spec, IMAGE_SIZE ** 2)
+    if spec.landmark_count > MAX_IMAGE_LANDMARKS:
+        raise UsageError(f"a synthetic image of {spec.landmark_count} landmarks, above "
+                         f"the budget of MAX_IMAGE_LANDMARKS = {MAX_IMAGE_LANDMARKS}")
     rng = np.random.default_rng(spec.seed)
     class_geometry = rng.normal(size=(spec.num_classes, spec.landmark_count, 2))
     amplitudes = rng.uniform(60.0, 220.0, size=(spec.num_classes, spec.landmark_count))
@@ -560,5 +569,5 @@ def write_graph_dot(sample: GraphSample, path) -> None:
     for i, j in _edge_list(sample):
         lines.append(f"  n{i} -- n{j};")
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as handle:
+    with _atomic_open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

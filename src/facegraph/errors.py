@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the checks that raise them.
+"""Exception types shared across the package, the checks that raise them, and
+the one opener every file writer uses, :func:`_atomic_open`.
 
 The public functions that take arrays (graph building, patch encoding, the
 GCN passes, the metrics and the graph and feature writers) take them through
@@ -10,7 +11,9 @@ whose message starts with the argument's name, never a bare numpy error or
 warning.
 """
 
+import contextlib
 import math
+import os
 from numbers import Integral as _Integral, Real as _Real
 
 import numpy as np
@@ -141,3 +144,22 @@ def _check_ints(config, low: int, *names: str) -> None:
         if value < low:
             raise UsageError(f"{name} must be >= {low}, got {_show(int(value))}")
         object.__setattr__(config, name, int(value))  # frozen dataclasses too
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode: str = "w", **kwargs):
+    """``open(path, mode, **kwargs)`` for a writer, published whole or not at
+    all: the file is written under a fresh temporary name in the same
+    directory and moved onto ``path`` by ``os.replace`` when the block ends.
+    On any exception the temporary is removed, so ``path`` is left as it was,
+    never truncated, and no temporary file stays behind."""
+    head, tail = os.path.split(os.fspath(path))
+    temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    handle = open(temporary, mode.replace("w", "x"), **kwargs)
+    try:
+        with handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise

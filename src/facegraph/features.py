@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DatasetError, InvalidInputError, UsageError, _as_array, _check_ints,
-                     _is_int, _show)
+from .errors import (DatasetError, InvalidInputError, UsageError, _as_array, _atomic_open,
+                     _check_ints, _is_int, _show)
 
 __all__ = [
     "EncoderConfig",
@@ -104,7 +104,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     """Write an H x W array of whole numbers in [0, 255] as a binary (P5) PGM
     file; any other pixel, or an empty image, is an :class:`InvalidInputError`."""
     pixels = _pgm_pixels(image)
-    with open(path, "wb") as handle:
+    with _atomic_open(path, "wb") as handle:
         handle.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii"))
         handle.write(pixels.tobytes())
 

@@ -50,6 +50,7 @@ from .errors import (
     NumericError,
     UsageError,
     _as_array,
+    _atomic_open,
     _check_ints,
     _check_reals,
     _is_int,
@@ -90,6 +91,10 @@ CHECKPOINT_VERSION = 2  # version 1 stored weights as JSON numbers; it still loa
 # arrays take beyond their values. Training holds about seven copies in its
 # precision: ~0.9 GiB here in float64, ~0.45 GiB in float32.
 MAX_PARAMETERS = 2 ** 24
+
+# The deepest lists and dicts may nest in a checkpoint's preprocess value, far
+# below the recursion limit that reading the file back meets.
+MAX_PREPROCESS_DEPTH = 64
 
 # TrainConfig.precision: the dtype training runs in
 PRECISIONS = ("float64", "float32")
@@ -271,15 +276,15 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     adj = _as_array("adjacency", adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise InvalidInputError("adjacency must be square")
-    if adj.dtype != bool:  # as every GraphSample holds: degrees in [1, N], no scan
-        if adj.dtype.kind not in "iuf":
-            raise InvalidInputError(f"adjacency must hold numbers, got dtype {adj.dtype}")
-        with np.errstate(over="ignore"):
-            degree = (adj + np.eye(adj.shape[0])).sum(axis=1)
-        if not (np.all(adj >= 0) and np.isfinite(degree).all()):
-            raise InvalidInputError("adjacency weights must be >= 0 with finite row sums")
-    with_loops = adj + np.eye(adj.shape[0])
-    inv_sqrt_degree = 1.0 / np.sqrt(with_loops.sum(axis=1))
+    weighted = adj.dtype != bool  # a bool one, as every GraphSample holds, needs no scan
+    if weighted and adj.dtype.kind not in "iuf":
+        raise InvalidInputError(f"adjacency must hold numbers, got dtype {adj.dtype}")
+    with np.errstate(over="ignore"):
+        with_loops = adj + np.eye(adj.shape[0])
+        degree = with_loops.sum(axis=1)
+    if weighted and not (np.all(adj >= 0) and np.isfinite(degree).all()):
+        raise InvalidInputError("adjacency weights must be >= 0 with finite row sums")
+    inv_sqrt_degree = 1.0 / np.sqrt(degree)
     with_loops *= inv_sqrt_degree[:, None] * inv_sqrt_degree
     return with_loops
 
@@ -450,8 +455,7 @@ def backward(model: GcnModel, cache: ForwardCache,
         dz = dh * act_grad(cache.preactivations[layer])
         grads[layer] = cache.aggregated[layer].T @ dz
         if layer > 0:
-            # dz @ W.T, as the BLAS computes it faster and with the same bits
-            dh = cache.a_hat.T @ (layer_weights[layer] @ dz.T).T
+            dh = cache.a_hat.T @ (dz @ layer_weights[layer].T)
     return [*grads, grad_readout_weight, grad_readout_bias]
 
 
@@ -659,11 +663,12 @@ def _param_names(num_layers: int) -> list[str]:
             "readout_weight", "readout_bias"]
 
 
-def _matrix_doc(name: str, array: np.ndarray) -> dict:
-    if not np.isfinite(array).all():
+def _matrix_doc(name: str, array: np.ndarray, shape: tuple[int, ...]) -> dict:
+    values = _as_array(name, array, float, shape)
+    if not np.isfinite(values).all():
         raise NumericError(f"cannot save matrix {name!r}: it holds a non-finite value")
-    values = np.ascontiguousarray(array, dtype="<f8")  # b64encode reads its buffer
-    return {"data": base64.b64encode(values).decode("ascii"), "shape": list(array.shape)}
+    values = np.ascontiguousarray(values, dtype="<f8")  # b64encode reads its buffer
+    return {"data": base64.b64encode(values).decode("ascii"), "shape": list(shape)}
 
 
 def _matrix_from_doc(doc, name: str, shape: tuple[int, ...], version: int) -> np.ndarray:
@@ -689,6 +694,16 @@ def _matrix_from_doc(doc, name: str, shape: tuple[int, ...], version: int) -> np
     return array
 
 
+def _nesting(value) -> int:
+    """How deep lists and dicts nest in a JSON value, counted a level at a time
+    rather than by recursion."""
+    depth, level = 0, [value]
+    while level := [item for v in level if isinstance(v, (list, dict))
+                    for item in (v.values() if isinstance(v, dict) else v)]:
+        depth += 1
+    return depth
+
+
 def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> None:
     """Write model weights (and optionally graph settings) as versioned JSON.
 
@@ -701,12 +716,19 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
     newline. A non-finite weight or ``preprocess`` value raises
     :class:`NumericError` naming its matrix or key before the file is
     opened, since :func:`load_checkpoint` or a strict JSON reader would
-    refuse the file. A ``preprocess`` that is no dict, or has a key that is
-    no string or a value JSON cannot hold, raises :class:`InvalidInputError`
-    before the file is opened too, since it would not load back as given.
+    refuse the file. A weight that is not an array of real numbers of the
+    shape :func:`param_shapes` gives for the config, or a ``preprocess``
+    that is no dict, has a key that is no string, or a value JSON would
+    not load back as given (a tuple, a key inside it that is no string, a
+    nesting deeper than :data:`MAX_PREPROCESS_DEPTH`), raises
+    :class:`InvalidInputError` before the file is opened too.
     """
+    num_layers = model.config.num_layers
+    if len(model.params) != num_layers + 2:  # before param_shapes: see load_checkpoint
+        raise InvalidInputError(f"{len(model.params)} parameters for a model of "
+                                f"{_show(num_layers)} layers, which has {num_layers + 2}")
     *layer_docs, weight_doc, bias_doc = map(
-        _matrix_doc, _param_names(len(model.params) - 2), model.params)
+        _matrix_doc, _param_names(num_layers), model.params, param_shapes(model.config))
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -723,7 +745,8 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
             if not isinstance(key, str):  # JSON would write it as a string
                 raise InvalidInputError(f"cannot save preprocess {key!r}: its key is no string")
             try:  # a set or an object, a value that contains itself or nests too deep
-                json.dumps(value, sort_keys=True)
+                loaded = json.loads(json.dumps(value, sort_keys=True))
+                same = loaded == value
             except (TypeError, ValueError, RecursionError) as exc:
                 raise InvalidInputError(f"cannot save preprocess {key!r}: {exc}") from None
             try:
@@ -731,8 +754,14 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
             except ValueError:
                 raise NumericError(f"cannot save preprocess {key!r}: "
                                    f"it holds a non-finite value") from None
+            if not same:  # a tuple, or a key inside that is no string
+                raise InvalidInputError(f"cannot save preprocess {key!r}: "
+                                        f"JSON would load it back as another value")
+            if _nesting(loaded) > MAX_PREPROCESS_DEPTH:
+                raise InvalidInputError(f"cannot save preprocess {key!r}: it nests deeper "
+                                        f"than MAX_PREPROCESS_DEPTH = {MAX_PREPROCESS_DEPTH}")
         doc["preprocess"] = preprocess
-    with open(path, "w", encoding="utf-8") as handle:
+    with _atomic_open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
         handle.write("\n")
 

@@ -170,13 +170,14 @@ def _check_node_count(n: int) -> None:
 
 
 def _symmetric(weights: np.ndarray, n: int) -> np.ndarray:
-    """The n x n matrix with ``weights`` on both triangles and a zero diagonal.
+    """The n x n matrix of ``weights``' dtype with ``weights`` on both
+    triangles and a zero (False) diagonal.
 
     Boolean indexing walks the mask in row-major order, the order of the
     weights; through the transpose it fills the lower triangle.
     """
     mask = _upper_mask(n)
-    out = np.zeros((n, n))
+    out = np.zeros((n, n), dtype=weights.dtype)
     out[mask] = weights
     out.T[mask] = weights
     return out
@@ -277,8 +278,7 @@ def rethreshold(graph: GraphSample, tau: float) -> GraphSample:
     weights = _as_array("graph weights", weights, float, (n * (n - 1) // 2,))
     # the off-diagonal entries are all equal exactly when the triangle's are
     stats = _at_tau(stats.mean, stats.std, tau, bool(np.all(weights == weights[0])))
-    raw = _symmetric(weights, n)
-    return dataclasses.replace(graph, adjacency=binarize(raw, stats.threshold),
+    return dataclasses.replace(graph, adjacency=_symmetric(weights > stats.threshold, n),
                                stats=stats)
 
 

@@ -67,12 +67,10 @@ def confusion(true_labels, predicted_labels, num_classes: int) -> np.ndarray:
     return matrix
 
 
-def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
-    """Derive the full report from a confusion matrix plus a loss value.
-
-    The matrix holds whole counts >= 0 of a bool, int, uint or float dtype,
-    at least one and at most 2**53 in all; the loss is a finite number >= 0.
-    """
+def _counts(matrix) -> tuple[np.ndarray, int]:
+    """A confusion matrix as int64 counts, and their total; InvalidInputError
+    unless it is square and holds whole counts >= 0 of a bool, int, uint or
+    float dtype, at least one and at most 2**53 in all."""
     counts = _as_array("confusion matrix", matrix)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] < 1:
         raise InvalidInputError("confusion matrix must be square and nonempty")
@@ -88,11 +86,19 @@ def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
         raise InvalidInputError("confusion matrix holds no samples")
     if total > _MAX_COUNT:
         raise InvalidInputError(f"confusion matrix counts more than {_MAX_COUNT} samples")
+    return counts.astype(np.int64, copy=False), int(total)
+
+
+def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
+    """Derive the full report from a confusion matrix plus a loss value.
+
+    The matrix holds whole counts >= 0 of a bool, int, uint or float dtype,
+    at least one and at most 2**53 in all; the loss is a finite number >= 0.
+    """
+    counts, total = _counts(matrix)
     loss = _as_real("loss", loss)
     if not 0.0 <= loss < np.inf:
         raise InvalidInputError(f"loss must be a finite number >= 0, got {loss!r}")
-    counts = counts.astype(np.int64, copy=False)
-    total = int(total)
     num_classes = counts.shape[0]
     diagonal = np.diag(counts)
     row_sums = counts.sum(axis=1)
@@ -120,8 +126,12 @@ def compute_metrics(matrix: np.ndarray, loss: float) -> MetricsReport:
 def format_report(report: MetricsReport, class_names=None) -> str:
     """Human-readable rendering of a metrics report. Past
     :data:`MAX_TABLE_CLASSES` classes one line stands in for the confusion
-    table."""
-    num_classes = report.confusion.shape[0]
+    table. The report's confusion matrix must pass :func:`compute_metrics`'s
+    checks, its per-class recall hold one real number per class, and its
+    other fields be real numbers; else InvalidInputError."""
+    counts, _ = _counts(report.confusion)
+    num_classes = counts.shape[0]
+    recalls = _as_array("per-class recall", report.per_class_recall, float, (num_classes,))
     names = ([f"class_{c}" for c in range(num_classes)] if class_names is None
              else list(class_names))
     if len(names) != num_classes:
@@ -135,7 +145,7 @@ def format_report(report: MetricsReport, class_names=None) -> str:
         "",
         "per-class recall:",
     ]
-    for name, recall in zip(names, report.per_class_recall):
+    for name, recall in zip(names, recalls):
         lines.append(f"  {name:<12} {100.0 * recall:.2f}%")
     lines.append("")
     if num_classes > MAX_TABLE_CLASSES:
@@ -146,17 +156,21 @@ def format_report(report: MetricsReport, class_names=None) -> str:
     width = max(5, max(len(n) for n in names) + 1)
     header = " " * width + "".join(f"{n[:width - 1]:>{width}}" for n in names)
     lines.append(header)
-    for name, row in zip(names, report.confusion):
+    for name, row in zip(names, counts):
         lines.append(f"{name:<{width}}" + "".join(f"{int(v):>{width}}" for v in row))
     return "\n".join(lines)
 
 
 def report_row(report: MetricsReport) -> dict:
-    """Machine-readable row with the sweep table's metric columns (percent)."""
+    """Machine-readable row with the sweep table's metric columns (percent).
+    Each field must be a real number; else :class:`UsageError` naming it."""
+    def percent(name):
+        return f"{100.0 * _as_real(name, getattr(report, name)):.2f}"
+
     return {
-        "Acc": f"{100.0 * report.accuracy:.2f}",
-        "F1-Score": f"{100.0 * report.macro_f1:.2f}",
-        "WAR": f"{100.0 * report.war:.2f}",
-        "UAR": f"{100.0 * report.uar:.2f}",
-        "loss": f"{report.loss:.6f}",
+        "Acc": percent("accuracy"),
+        "F1-Score": percent("macro_f1"),
+        "WAR": percent("war"),
+        "UAR": percent("uar"),
+        "loss": f"{_as_real('loss', report.loss):.6f}",
     }

@@ -658,6 +658,14 @@ class TestBadHeaders:
         assert "a graph of 2049 nodes" in capsys.readouterr().err
 
 
+    def test_image_landmarks_over_render_budget(self, tmp_path, capsys):
+        landmarks = str(facegraph.data.MAX_IMAGE_LANDMARKS + 1)
+        assert main(["synth", "--out-dir", str(tmp_path / "ds"), "--classes", "1",
+                     "--per-class", "1", "--landmarks", landmarks, "--with-images"]) == 1
+        assert "above the budget of MAX_IMAGE_LANDMARKS" in capsys.readouterr().err
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+
+
 class TestConfigFile:
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "absent.json"

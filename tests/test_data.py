@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import facegraph.data as data_module
+import facegraph.errors as errors_module
 from facegraph import (
     DatasetError,
     DimensionMismatchError,
@@ -36,7 +38,8 @@ from facegraph import (
     write_graph_json,
     write_pgm,
 )
-from facegraph.gcn import GcnConfig
+from facegraph.data import write_csv, write_json
+from facegraph.gcn import GcnConfig, save_checkpoint
 from facegraph.metrics import MAX_CLASSES
 
 from oracles import nearest_prototype_accuracy
@@ -214,6 +217,17 @@ class TestSynthetic:
     def test_huge_size_refused(self, generate, field):
         with pytest.raises(UsageError, match="above the budget"):
             generate(SyntheticSpec(**{field: 10 ** 9}))
+
+    def test_image_landmarks_at_and_past_the_budget(self, monkeypatch):
+        budget = data_module.MAX_IMAGE_LANDMARKS
+        spec = SyntheticSpec(num_classes=1, samples_per_class=1, landmark_count=budget)
+        assert generate_synthetic_imageset(spec).samples[0].image.shape == (224, 224)
+        monkeypatch.setattr(data_module, "_render_image", None)  # must not be reached
+        with pytest.raises(UsageError, match=f"^a synthetic image of {budget + 1} landmarks, "
+                                             f"above the budget of MAX_IMAGE_LANDMARKS = "
+                                             f"{budget}$"):
+            generate_synthetic_imageset(
+                SyntheticSpec(num_classes=1, samples_per_class=1, landmark_count=budget + 1))
 
     def test_imageset_renders_per_sample(self):
         spec = SyntheticSpec(num_classes=2, samples_per_class=3, landmark_count=5,
@@ -737,6 +751,75 @@ class TestExports:
         dot = (tmp_path / "g.dot").read_text()
         assert dot.count(" -- ") == 2
         assert "n0" in dot and 'pos="0.0,1.0!"' in dot
+
+
+def _graph():
+    return build_graph(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.eye(3), 0.0, 1)
+
+
+WRITERS = {
+    "write_json": lambda path: write_json(path, {"a": 1, "b": [0.5, 2.0, None]}),
+    "write_csv": lambda path: write_csv(path, ["a", "b"], [[1, "x,y"], [2.5, "z"]]),
+    "write_feature_blob": lambda path: write_feature_blob(path, np.ones((3, 4), np.float32)),
+    "write_graph_dot": lambda path: write_graph_dot(_graph(), path),
+    "write_pgm": lambda path: write_pgm(path, np.arange(20, dtype=np.uint8).reshape(4, 5)),
+    "save_checkpoint": lambda path: save_checkpoint(
+        path, init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 0), {"tau": 0.5}),
+}
+
+
+class TestAtomicWrites:
+    """Each writer publishes its file whole or not at all: a write that fails
+    part-way leaves the old file, or none, and no temporary file."""
+
+    @staticmethod
+    def fill_disk(monkeypatch):
+        """Make every write through the writers' opener write half its data,
+        then fail as a full disk does."""
+        def open_then_fail(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+
+            def half_then_fail(data):
+                write(data[:len(data) // 2])
+                handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            handle.write = half_then_fail
+            return handle
+
+        monkeypatch.setattr(errors_module, "open", open_then_fail, raising=False)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_failed_first_write_leaves_no_file(self, tmp_path, writer, monkeypatch):
+        self.fill_disk(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            WRITERS[writer](tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_failed_rewrite_leaves_the_old_file(self, tmp_path, writer, monkeypatch):
+        WRITERS[writer](tmp_path / "out")
+        before = (tmp_path / "out").read_bytes()
+        WRITERS[writer](tmp_path / "again")
+        assert (tmp_path / "again").read_bytes() == before  # same bytes, no temporary left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again", "out"]
+        self.fill_disk(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            WRITERS[writer](tmp_path / "out")
+        assert (tmp_path / "out").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again", "out"]
+
+    def test_rows_that_fail_part_way_leave_the_old_csv(self, tmp_path):
+        def rows():
+            yield [1, 2]
+            raise RuntimeError("row 2")
+
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[3, 4]])
+        with pytest.raises(RuntimeError, match="row 2"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], rows())
+        assert (tmp_path / "t.csv").read_text() == "a,b\n3,4\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 class TestSettingBounds:

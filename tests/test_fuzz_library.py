@@ -25,6 +25,17 @@ int beyond the float range, NaN or an object, or the whole argument becomes
 a matrix of strings, a complex array, an object or an array of another
 shape. The property is the same.
 
+Each round-trip case saves a model with ``save_checkpoint`` and loads it
+back with ``load_checkpoint``: float32 and float64 weights of random shapes,
+scales and extreme or non-finite entries, some of a shape other than the
+config's, beside a random ``preprocess`` block (random keys, JSON values,
+tuples, sets, numpy scalars and nesting near the recursion limit). The save
+must raise a named error and write no file, or the load must give back
+every weight as its float64 value and an equal ``preprocess``. Each report
+case formats a random ``MetricsReport``, from ``compute_metrics`` or with
+one field mutated, under random class names: ``format_report`` must return
+a string or raise a named error.
+
 ``epochs`` is never mutated to a large value, since no budget bounds it and
 training time grows with it; every other size is bounded by a budget that
 refuses it before any allocation.
@@ -41,8 +52,11 @@ import numpy as np
 import pytest
 
 from facegraph import (
+    ACTIVATIONS,
     EncoderConfig,
     GcnConfig,
+    GcnModel,
+    MetricsReport,
     SyntheticSpec,
     TrainConfig,
     binarize,
@@ -54,19 +68,23 @@ from facegraph import (
     evaluate,
     extract_patch,
     features_for_sample,
+    format_report,
     forward,
     generate_synthetic,
     init_model,
     l2_normalize_rows,
+    load_checkpoint,
     normalize_adjacency,
     predict,
     raw_adjacency,
     rethreshold,
+    save_checkpoint,
     split_indices,
     threshold_stats,
     train,
 )
 from facegraph.data import dataset_graphs
+from facegraph.gcn import MAX_PREPROCESS_DEPTH, param_shapes
 
 CASES = 300
 SEED = 8128
@@ -74,6 +92,8 @@ ARRAY_CASES = 150
 ARRAY_SEED = 6174
 INPUT_CASES = 600
 INPUT_SEED = 1729
+ROUND_TRIP_CASES = 400
+ROUND_TRIP_SEED = 2718
 
 NAMED = tuple(cls for cls in vars(errors).values()
               if inspect.isclass(cls) and cls.__module__ == errors.__name__)
@@ -351,3 +371,135 @@ def test_input_cases_cover_every_target_and_mutation():
     cases = [_input_case(index) for index in range(INPUT_CASES)]
     assert {(target, kind) for target, kind, _ in cases} == {
         (target, kind) for target in INPUTS for kind in DEFECTS}
+
+
+def _nested(value, depth):
+    """``value`` inside ``depth`` one-entry lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _json_value(rng, depth=0):
+    """A random ``preprocess`` value: mostly what JSON holds, sometimes not."""
+    kind = rng.choice(["scalar"] * 6 + ["list", "dict", "tuple", "set", "numpy", "deep"])
+    if kind == "scalar" or depth > 2:
+        return rng.choice([0, -7, 2 ** 70, 10 ** 5000, 0.5, -0.0, 5e-324, 1.7976931348623157e308,
+                           math.nan, math.inf, -math.inf, True, None, "", "tau", "\u00e9\n\"",
+                           "\ud800"])
+    if kind == "list":
+        return [_json_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    if kind == "dict":
+        keys = rng.sample(["a", "b", "", 1, None, 2.5], rng.randrange(3))
+        return {key: _json_value(rng, depth + 1) for key in keys}
+    if kind == "tuple":
+        return tuple(_json_value(rng, depth + 1) for _ in range(rng.randrange(1, 3)))
+    if kind == "set":
+        return {1, 2}
+    if kind == "numpy":
+        return rng.choice([np.float64(0.25), np.float32(0.5), np.int64(3), np.bool_(True)])
+    depth = rng.choice([0, 1, rng.randrange(900 - MAX_PREPROCESS_DEPTH, 1010)])
+    return _nested(rng.choice([1, "x", {}]), MAX_PREPROCESS_DEPTH + depth)
+
+
+def _weights(rng, shape, np_rng):
+    """Random weights of ``shape`` in float32 or float64 at a random scale
+    within the dtype's range, subnormals included."""
+    dtype = rng.choice([np.float32, np.float64])
+    scale = 10.0 ** rng.choice([0, -40, 30] if dtype == np.float32 else [0, -310, 300])
+    return (np_rng.standard_normal(shape) * scale).astype(dtype)
+
+
+def _checkpoint_case(rng):
+    config = GcnConfig(in_dim=rng.randint(1, 4), num_classes=rng.randint(1, 4),
+                       hidden_dim=rng.randint(1, 5), num_layers=rng.randint(1, 3),
+                       activation=rng.choice(sorted(ACTIVATIONS)),
+                       dropout_rate=rng.choice([0.0, 0.2]))
+    np_rng = np.random.default_rng(rng.randrange(2 ** 32))
+    shapes = param_shapes(config)
+    if rng.random() < 0.15:  # one weight of a shape other than the config's
+        k = rng.randrange(len(shapes))
+        shapes[k] = rng.choice([(shapes[k][0] + 1, *shapes[k][1:]), shapes[k][::-1] + (1,)])
+    params = [_weights(rng, shape, np_rng) for shape in shapes]
+    if rng.random() < 0.3:  # one extreme or non-finite entry; float32 rounds 1.8e308 to inf
+        weights = rng.choice(params)
+        with np.errstate(over="ignore"):
+            weights.flat[rng.randrange(weights.size)] = rng.choice(
+                [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308])
+    if rng.random() < 0.2:
+        preprocess = None
+    else:
+        keys = rng.sample(["tau", "patch_h", "encoder_dim", "", "\u00e9", "\ud800"],
+                          rng.randrange(4))
+        if rng.random() < 0.1:
+            keys.append(rng.choice([1, None]))
+        preprocess = {key: _json_value(rng) for key in keys}
+    return GcnModel(config=config, params=params), preprocess
+
+
+def _use_checkpoint(case, path):
+    model, preprocess = case
+    try:
+        save_checkpoint(path, model, preprocess)
+    except NAMED:
+        assert not path.exists()
+        return
+    try:  # a saved file loads: the save refuses what would not
+        loaded, loaded_preprocess = load_checkpoint(path)
+    except NAMED as exc:
+        pytest.fail(f"saved, but the load raised {exc!r}")
+    assert loaded.config == model.config
+    assert len(loaded.params) == len(model.params)
+    for got, want in zip(loaded.params, model.params):
+        assert got.dtype == np.float64 and got.tobytes() == want.astype(np.float64).tobytes()
+    assert loaded_preprocess == preprocess
+
+
+REPORT_FIELDS = {
+    "loss": [math.nan, math.inf, -1.0, 10 ** 400, "0.1", None, np.float32(0.5), [0.5]],
+    "accuracy": [math.nan, 1e300, "1", None, np.int64(1), 1 + 2j],
+    "per_class_recall": [None, "x", [0.5], [[0.5, 0.5]], [math.nan] * 3, [1 + 1j] * 3],
+    "confusion": [None, [[1, 0], [0, 1]], np.eye(2), np.ones(3), np.ones((2, 3)),
+                  np.array(7), np.full((2, 2), math.nan), np.full((2, 2), 1e30),
+                  np.array([["a", "b"], ["c", "d"]]), np.eye(2) + 1j, np.full((2, 2), -1)],
+}
+CLASS_NAMES = [None, ["a"], ["a", "b", "c"], ("x", "y"), np.array(["p", "q", "r"]), [1, 2, 3],
+               ["", "\n", "\u00e9" * 40], "abc", ["a", None, "c"], []]
+
+
+def _report_case(rng):
+    num_classes = rng.choice([1, 2, 3, 32, 33])
+    np_rng = np.random.default_rng(rng.randrange(2 ** 32))
+    matrix = np_rng.integers(0, 5, size=(num_classes, num_classes))
+    matrix[0, 0] += 1
+    report = compute_metrics(matrix, rng.choice([0.0, 0.5, 1e300]))
+    if rng.random() < 0.7:
+        field = rng.choice(sorted(REPORT_FIELDS))
+        report = dataclasses.replace(report, **{field: rng.choice(REPORT_FIELDS[field])})
+    return report, rng.choice(CLASS_NAMES)
+
+
+def _use_report(case, path):
+    assert isinstance(format_report(*case), str)
+
+
+ROUND_TRIPS = {"checkpoint": (_checkpoint_case, _use_checkpoint),
+               "format_report": (_report_case, _use_report)}
+
+
+def _round_trip_case(index):
+    """Round-trip case ``index``: its target and the arguments drawn for it."""
+    rng = random.Random(ROUND_TRIP_SEED * ROUND_TRIP_CASES + index)
+    target = rng.choice(sorted(ROUND_TRIPS))
+    return target, ROUND_TRIPS[target][0](rng)
+
+
+@pytest.mark.parametrize("index", range(ROUND_TRIP_CASES))
+def test_round_trip_returns_or_raises_a_named_error(index, tmp_path):
+    target, case = _round_trip_case(index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ROUND_TRIPS[target][1](case, tmp_path / "checkpoint.json")
+        except NAMED:
+            pass

@@ -1,10 +1,15 @@
 import base64
 import json
 import math
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -918,6 +923,27 @@ class TestTrainMatchesOracle:
         assert history == expected
 
 
+def _numpy_blas_is_x86_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and platform.machine() in ("x86_64", "AMD64")
+
+
+@pytest.mark.skipif(not _numpy_blas_is_x86_openblas(),
+                    reason="OPENBLAS_CORETYPE selects kernels of OpenBLAS on x86-64 only")
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_train_matches_oracle_on_other_openblas_kernels(coretype):
+    """OpenBLAS picks its kernels from the CPU at run time, so the oracle's
+    bits must hold on the kernels of an AVX2-only Intel host and of an AMD
+    one too. The variable acts on the child pytest alone."""
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).name}::TestTrainMatchesOracle"],
+        cwd=root / "tests", env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-3000:]
+
+
 class TestPredictMatchesOracle:
     """``predict`` gives the bits of a per-sample forward on dense A_hat products."""
 
@@ -1200,6 +1226,25 @@ class TestCheckpoint:
         model.params[index].ravel()[-1] = value
         path = tmp_path / "model.json"
         with pytest.raises(NumericError, match=re.escape(repr(name))):
+            save_checkpoint(path, model)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.__setitem__(0, np.zeros((4, 4))),
+         r"layer_weights\[0\] must be 2-D of shape \(3, 4\), got shape \(4, 4\)"),
+        (lambda params: params.__setitem__(3, np.zeros((2, 1))),
+         r"readout_bias must be 1-D of shape \(2\), got shape \(2, 1\)"),
+        (lambda params: params.__setitem__(2, [[1.0, 2.0, 3.0, 4.0], [0.5]]),
+         "readout_weight: not one array"),
+        (lambda params: params.pop(1), "3 parameters for a model of 2 layers, which has 4"),
+        (lambda params: params.append(np.zeros(2)), "5 parameters for a model of 2 layers"),
+    ], ids=["layer_shape", "bias_shape", "ragged", "one_fewer", "one_more"])
+    def test_weights_the_config_does_not_fit_refused(self, tmp_path, edit, message):
+        # the load would refuse such a file: it checks every shape against the config
+        model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
+        edit(model.params)
+        path = tmp_path / "model.json"
+        with pytest.raises(InvalidInputError, match=message):
             save_checkpoint(path, model)
         assert not path.exists()
 

@@ -38,6 +38,7 @@ from facegraph import (
     dataset_graphs,
     readout,
     rethreshold,
+    load_checkpoint,
     save_checkpoint,
     threshold_from_weights,
     threshold_stats,
@@ -47,6 +48,7 @@ from facegraph import (
     write_graph_json,
 )
 from facegraph.errors import _as_array
+from facegraph.gcn import MAX_PREPROCESS_DEPTH
 
 RAGGED = [[1.0, 0.0], [1.0]]
 GRAPH = build_graph([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]],
@@ -212,3 +214,32 @@ class TestCheckpointPreprocess:
         save_checkpoint(tmp_path / "model.json", MODEL, preprocess=preprocess)
         doc = json.loads((tmp_path / "model.json").read_text())
         assert doc["preprocess"] == preprocess
+
+    @pytest.mark.parametrize("value", [(20, 20), [{"a": (1,)}], {"inner": {1: 2.0}},
+                                       [{None: 0}]],
+                             ids=["tuple", "nested_tuple", "int_key_inside", "none_key_inside"])
+    def test_value_that_loads_back_as_another_refused(self, tmp_path, value):
+        # JSON writes a tuple as a list and an inner key as a string
+        path = tmp_path / "model.json"
+        with pytest.raises(InvalidInputError, match="^cannot save preprocess 'grid': JSON "
+                                                    "would load it back as another value$"):
+            save_checkpoint(path, MODEL, preprocess={"tau": 0.5, "grid": value})
+        assert not path.exists()
+
+    def test_nesting_is_bounded_below_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, MODEL, preprocess={"deep": nested(MAX_PREPROCESS_DEPTH)})
+        assert load_checkpoint(path)[1] == {"deep": nested(MAX_PREPROCESS_DEPTH)}
+        # near the recursion limit a value could be written that no load reads
+        for depth in [MAX_PREPROCESS_DEPTH + 1, *range(900, 1000)]:
+            with pytest.raises(InvalidInputError, match="^cannot save preprocess 'deep': "):
+                save_checkpoint(path, MODEL, preprocess={"deep": nested(depth)})
+            assert load_checkpoint(path)[1] == {"deep": nested(MAX_PREPROCESS_DEPTH)}
+
+
+def nested(depth):
+    """A list nested ``depth`` deep."""
+    value = [0]
+    for _ in range(depth - 1):
+        value = [value]
+    return value

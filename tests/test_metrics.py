@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -265,6 +266,30 @@ class TestRendering:
         assert len(lines) == 5 + 2 + classes + 1 + 1
         assert lines[-1] == (f"confusion: {classes} x {classes}, above the "
                              f"{MAX_TABLE_CLASSES} classes printed; see metrics.json")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("confusion", [[1, 0], [0, 1]], None),
+        ("confusion", np.array(7), "confusion matrix must be square"),
+        ("confusion", np.ones((2, 3)), "confusion matrix must be square"),
+        ("confusion", np.full((2, 2), np.nan), "whole numbers"),
+        ("confusion", np.array([["a", "b"], ["c", "d"]]), "must hold numbers"),
+        ("per_class_recall", None, "per-class recall"),
+        ("per_class_recall", [0.5], "per-class recall"),
+        ("per_class_recall", [[0.5, 0.5]], "per-class recall"),
+        ("loss", "0.1", "loss must be a real number"),
+        ("loss", [0.5], "loss must be a real number"),
+        ("loss", 10 ** 400, None),
+        ("accuracy", None, "accuracy must be a real number"),
+        ("uar", 1 + 2j, "uar must be a real number"),
+    ])
+    def test_format_report_checks_a_hand_built_report(self, field, value, message):
+        report = compute_metrics(np.array([[3, 0], [1, 2]]), loss=0.25)
+        report = dataclasses.replace(report, **{field: value})
+        if message is None:  # a list matrix and an int beyond the float range are fine
+            assert "confusion (rows true" in format_report(report, ["a", "b"])
+            return
+        with pytest.raises(InvalidInputError, match=message):
+            format_report(report, ["a", "b"])
 
     def test_report_row_percentages(self):
         report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
