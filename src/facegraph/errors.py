@@ -14,6 +14,7 @@ warning.
 import contextlib
 import math
 import os
+import stat
 from numbers import Integral as _Integral, Real as _Real
 
 import numpy as np
@@ -152,14 +153,30 @@ def _atomic_open(path, mode: str = "w", **kwargs):
     all: the file is written under a fresh temporary name in the same
     directory and moved onto ``path`` by ``os.replace`` when the block ends.
     On any exception the temporary is removed, so ``path`` is left as it was,
-    never truncated, and no temporary file stays behind."""
-    head, tail = os.path.split(os.fspath(path))
+    never truncated, and no temporary file stays behind.
+
+    A symlink is followed, so the file it names is the one replaced, and an
+    existing file's permission bits carry over to the new one. A target that
+    exists but is no regular file (a device such as ``/dev/null``, a FIFO)
+    cannot be replaced without removing it, so it is written in place."""
+    target = os.path.realpath(path)
+    try:
+        old_mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        old_mode = None
+    if old_mode is not None and not stat.S_ISREG(old_mode):
+        with open(target, mode, **kwargs) as handle:
+            yield handle
+        return
+    head, tail = os.path.split(target)
     temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     handle = open(temporary, mode.replace("w", "x"), **kwargs)
     try:
         with handle:
+            if old_mode is not None:
+                os.chmod(temporary, stat.S_IMODE(old_mode))
             yield handle
-        os.replace(temporary, path)
+        os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise

@@ -276,14 +276,16 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     adj = _as_array("adjacency", adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise InvalidInputError("adjacency must be square")
-    weighted = adj.dtype != bool  # a bool one, as every GraphSample holds, needs no scan
-    if weighted and adj.dtype.kind not in "iuf":
+    if adj.dtype.kind not in "biuf":
         raise InvalidInputError(f"adjacency must hold numbers, got dtype {adj.dtype}")
-    with np.errstate(over="ignore"):
-        with_loops = adj + np.eye(adj.shape[0])
+    with_loops = adj + np.eye(adj.shape[0])
+    if adj.dtype == bool:  # as every GraphSample holds: degrees in [1, N], no scan
         degree = with_loops.sum(axis=1)
-    if weighted and not (np.all(adj >= 0) and np.isfinite(degree).all()):
-        raise InvalidInputError("adjacency weights must be >= 0 with finite row sums")
+    else:
+        with np.errstate(over="ignore"):  # a row sum past the float range is refused below
+            degree = with_loops.sum(axis=1)
+        if not (np.all(adj >= 0) and np.isfinite(degree).all()):
+            raise InvalidInputError("adjacency weights must be >= 0 with finite row sums")
     inv_sqrt_degree = 1.0 / np.sqrt(degree)
     with_loops *= inv_sqrt_degree[:, None] * inv_sqrt_degree
     return with_loops

@@ -170,8 +170,7 @@ def _check_node_count(n: int) -> None:
 
 
 def _symmetric(weights: np.ndarray, n: int) -> np.ndarray:
-    """The n x n matrix of ``weights``' dtype with ``weights`` on both
-    triangles and a zero (False) diagonal.
+    """The n x n matrix of ``weights``' dtype: ``weights`` on both triangles, zero diagonal.
 
     Boolean indexing walks the mask in row-major order, the order of the
     weights; through the transpose it fills the lower triangle.
@@ -259,8 +258,8 @@ def build_graph(landmarks: np.ndarray, features: np.ndarray, tau: float,
     weights.setflags(write=False)
     stats = threshold_stats(raw, tau)
     return GraphSample(landmarks=pts, features=normalized,
-                       adjacency=binarize(raw, stats.threshold), label=int(label),
-                       weights=weights, stats=stats)
+                       adjacency=_symmetric(weights > stats.threshold, pts.shape[0]),
+                       label=int(label), weights=weights, stats=stats)
 
 
 def rethreshold(graph: GraphSample, tau: float) -> GraphSample:

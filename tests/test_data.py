@@ -2,8 +2,10 @@ import csv
 import errno
 import json
 import math
+import os
 import re
 import shutil
+import stat
 import struct
 import warnings
 
@@ -820,6 +822,43 @@ class TestAtomicWrites:
             write_csv(tmp_path / "t.csv", ["a", "b"], rows())
         assert (tmp_path / "t.csv").read_text() == "a,b\n3,4\n"
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_fifo_is_written_in_place(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "file")
+        expected = (tmp_path / "file").read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader that does not block, so the writer's open does not wait for one
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            WRITERS[writer](fifo)
+            assert os.read(reader, len(expected) + 1) == expected
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "file"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_a_symlink_is_followed(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "file")
+        expected = (tmp_path / "file").read_bytes()
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "sub" / "target"
+        target.write_bytes(b"old")
+        (tmp_path / "link").symlink_to(target)
+        WRITERS[writer](tmp_path / "link")
+        assert (tmp_path / "link").is_symlink() and target.read_bytes() == expected
+        assert [p.name for p in (tmp_path / "sub").iterdir()] == ["target"]
+
+    def test_a_rewrite_keeps_the_permission_bits(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json(path, {"a": 1})
+        path.chmod(0o640)
+        write_json(path, {"a": 2})
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert json.loads(path.read_text()) == {"a": 2}
 
 
 class TestSettingBounds:

@@ -928,8 +928,22 @@ def _numpy_blas_is_x86_openblas() -> bool:
     return "openblas" in blas.get("name", "") and platform.machine() in ("x86_64", "AMD64")
 
 
+def _cpu_has_avx2_and_fma() -> bool:
+    """Whether the CPU runs the Haswell and Zen kernels, which use AVX2 and
+    FMA instructions; read from Linux's /proc/cpuinfo, so False elsewhere."""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as handle:
+            flags = next((line.split(":", 1)[1].split() for line in handle
+                          if line.startswith("flags")), [])
+    except OSError:
+        return False
+    return {"avx2", "fma"} <= set(flags)
+
+
 @pytest.mark.skipif(not _numpy_blas_is_x86_openblas(),
                     reason="OPENBLAS_CORETYPE selects kernels of OpenBLAS on x86-64 only")
+@pytest.mark.skipif(not _cpu_has_avx2_and_fma(),
+                    reason="the Haswell and Zen kernels need a CPU with AVX2 and FMA")
 @pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
 def test_train_matches_oracle_on_other_openblas_kernels(coretype):
     """OpenBLAS picks its kernels from the CPU at run time, so the oracle's
@@ -941,6 +955,7 @@ def test_train_matches_oracle_on_other_openblas_kernels(coretype):
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{Path(__file__).name}::TestTrainMatchesOracle"],
         cwd=root / "tests", env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode >= 0, f"the child pytest died of signal {-result.returncode}"
     assert result.returncode == 0, result.stdout[-3000:]
 
 
