@@ -12,12 +12,12 @@ float32 pass, any others a float64 one. Training with the default
 trains in single precision: the Glorot draws, the one-hot labels, and each
 step's features, A_hat and dropout masks are rounded to float32, so every
 activation, gradient and Adam moment is float32, and so are the parameters
-``train`` returns. Checkpoints store float64, which holds float32 weights
-exactly, and load as float64. Either way a run is
-deterministic given the seed: the same generator drives initialization,
-epoch shuffling and dropout masks (drawn in float64 in both precisions) in a
-fixed order, so identical configs and data reproduce identical parameter
-trajectories bit for bit.
+``train`` returns. Checkpoints store each weight in its own precision,
+float32 or float64, and load it as float64, which holds float32 exactly.
+Either way a run is deterministic given the seed: the same generator drives
+initialization, epoch shuffling and dropout masks (drawn in float64 in both
+precisions) in a fixed order, so identical configs and data reproduce
+identical parameter trajectories bit for bit.
 
 ELU is branch-free: elu(x) = max(expm1(min(0, x)), x) and its derivative is
 exp(min(0, x)). On a contiguous preactivation these give the bits of the
@@ -85,7 +85,10 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "facegraph-checkpoint"
-CHECKPOINT_VERSION = 2  # version 1 stored weights as JSON numbers; it still loads
+# Version 3 adds a matrix's "dtype": "float32" key, written only for float32
+# weights, so a file without one stays version 2. Version 1 stored weights as
+# JSON numbers. All three load.
+CHECKPOINT_VERSION = 3
 
 # init_model's budget: parameters plus 64 per layer, for the ~2.5 KB a layer's
 # arrays take beyond their values. Training holds about seven copies in its
@@ -665,26 +668,38 @@ def _param_names(num_layers: int) -> list[str]:
             "readout_weight", "readout_bias"]
 
 
+# The values a version-3 matrix's "dtype" may take, and the bytes each stores an
+# entry in; a matrix without the key, as in version 2, stores float64.
+_DTYPES = {"float32": np.dtype("<f4")}
+
+
 def _matrix_doc(name: str, array: np.ndarray, shape: tuple[int, ...]) -> dict:
-    values = _as_array(name, array, float, shape)
+    values = _as_array(name, _as_float(name, array), None, shape)
     if not np.isfinite(values).all():
         raise NumericError(f"cannot save matrix {name!r}: it holds a non-finite value")
-    values = np.ascontiguousarray(values, dtype="<f8")  # b64encode reads its buffer
-    return {"data": base64.b64encode(values).decode("ascii"), "shape": list(shape)}
+    doc = {"shape": list(shape)}
+    if values.dtype == np.float32:
+        doc["dtype"] = "float32"
+    values = np.ascontiguousarray(values, values.dtype.newbyteorder("<"))  # b64encode reads it
+    doc["data"] = base64.b64encode(values).decode("ascii")
+    return doc
 
 
 def _matrix_from_doc(doc, name: str, shape: tuple[int, ...], version: int) -> np.ndarray:
     try:
         data, stored = doc["data"], doc["shape"]
+        if version < 3 and "dtype" in doc:
+            raise ValueError(f"version {version} stores no dtype")
         if version == 1:  # row-major values as JSON numbers
             if not isinstance(data, list):
                 raise TypeError("version 1 stores a list of numbers")
             values = np.asarray(data, dtype=float)
-        else:  # base64 of the row-major little-endian float64 bytes
+        else:  # base64 of the row-major little-endian bytes of the stored dtype
+            dtype = _DTYPES[doc["dtype"]] if "dtype" in doc else np.dtype("<f8")
             raw = base64.b64decode(data, validate=True)  # TypeError unless a string
-            if len(raw) != 8 * math.prod(stored):
+            if len(raw) != dtype.itemsize * math.prod(stored):
                 raise ValueError(f"{len(raw)} bytes do not fill shape {stored}")
-            values = np.frombuffer(raw, dtype="<f8").astype(float)  # writable native copy
+            values = np.frombuffer(raw, dtype=dtype).astype(float)  # writable native copy
         array = values.reshape(stored)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"malformed matrix entry {name!r}") from exc
@@ -711,9 +726,12 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
 
     Each matrix is ``{"data": ..., "shape": [...]}``, where ``data`` is the
     base64 (RFC 4648, padded, one line) of its row-major little-endian
-    float64 bytes, so save then load reproduces every weight bit for bit; a
-    float32 weight comes back as the float64 of the same value. The
-    byte stream is deterministic for identical weights: it is
+    float64 bytes, so save then load reproduces every weight bit for bit. A
+    float32 array is stored as its float32 bytes instead, and its matrix
+    carries ``"dtype": "float32"``; it comes back as the float64 of the same
+    values. A file is version 3 when some matrix carries that key and
+    version 2 otherwise, so float64 weights give the bytes they always did.
+    The byte stream is deterministic for identical weights: it is
     ``json.dump(doc, sort_keys=True, separators=(",", ":"))`` plus a
     newline. A non-finite weight or ``preprocess`` value raises
     :class:`NumericError` naming its matrix or key before the file is
@@ -729,11 +747,12 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
     if len(model.params) != num_layers + 2:  # before param_shapes: see load_checkpoint
         raise InvalidInputError(f"{len(model.params)} parameters for a model of "
                                 f"{_show(num_layers)} layers, which has {num_layers + 2}")
-    *layer_docs, weight_doc, bias_doc = map(
-        _matrix_doc, _param_names(num_layers), model.params, param_shapes(model.config))
+    matrices = list(map(
+        _matrix_doc, _param_names(num_layers), model.params, param_shapes(model.config)))
+    *layer_docs, weight_doc, bias_doc = matrices
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+        "version": CHECKPOINT_VERSION if any("dtype" in m for m in matrices) else 2,
         "config": asdict(model.config),
         "layer_weights": layer_docs,
         "readout_weight": weight_doc,
@@ -771,10 +790,13 @@ def save_checkpoint(path, model: GcnModel, preprocess: dict | None = None) -> No
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, preprocess), preprocess None if absent.
 
-    Version-1 files, which stored the weights as JSON numbers, still load.
-    Every parameter comes back as a writable, C-contiguous float64 array; it
-    must be finite and have the shape :func:`param_shapes` gives for the
-    stored config. The 'preprocess' block is returned as stored, for its user
+    Version-1 files, which stored the weights as JSON numbers, and version-2
+    ones, which store every weight as float64 bytes, still load. A version-3
+    matrix is float64 bytes too unless it carries ``"dtype": "float32"``, for
+    4 bytes per entry; any other ``dtype``, or one in an older version, is
+    refused. Every parameter comes back as a writable, C-contiguous float64
+    array, float32 values widened exactly; it must be finite and have the
+    shape :func:`param_shapes` gives for the stored config. The 'preprocess' block is returned as stored, for its user
     to check. An 'optimizer' block, which older versions could write, is ignored.
     """
     try:
@@ -785,7 +807,7 @@ def load_checkpoint(path):
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = doc.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported version {version!r}")
     try:
         config = GcnConfig(**doc["config"])

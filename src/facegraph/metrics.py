@@ -127,11 +127,14 @@ def format_report(report: MetricsReport, class_names=None) -> str:
     """Human-readable rendering of a metrics report. Past
     :data:`MAX_TABLE_CLASSES` classes one line stands in for the confusion
     table. The report's confusion matrix must pass :func:`compute_metrics`'s
-    checks, its per-class recall hold one real number per class, and its
-    other fields be real numbers; else InvalidInputError."""
+    checks, its per-class recall hold one real number per class, its
+    other fields be real numbers, and ``class_names``, if given, be a
+    sequence (not one string) of a string per class; else InvalidInputError."""
     counts, _ = _counts(report.confusion)
     num_classes = counts.shape[0]
     recalls = _as_array("per-class recall", report.per_class_recall, float, (num_classes,))
+    if isinstance(class_names, (str, bytes)):  # list() would split it into letters
+        raise InvalidInputError(f"class names must be a sequence of strings, got {class_names!r}")
     names = ([f"class_{c}" for c in range(num_classes)] if class_names is None
              else list(class_names))
     if len(names) != num_classes:

@@ -182,22 +182,45 @@ def naive_adam_step(params, grads, first, second, step, lr, weight_decay,
     return new_params, new_first, new_second
 
 
+# struct's code for the values a checkpoint matrix stores, by its "dtype" key
+STRUCT_CODES = {None: "d", "float32": "f"}
+
+
+def checkpoint_values(entry):
+    """The values a version-2 or version-3 checkpoint matrix ``entry`` stores,
+    as Python floats, unpacked by ``struct`` as its ``dtype`` key says."""
+    code = STRUCT_CODES[entry.get("dtype")]
+    raw = base64.b64decode(entry["data"], validate=True)
+    return list(struct.unpack(f"<{len(raw) // struct.calcsize(code)}{code}", raw))
+
+
+def pack_checkpoint_values(entry, values):
+    """``values`` as the ``data`` of checkpoint matrix ``entry``: the base64 of
+    them packed by ``struct`` as its ``dtype`` key says."""
+    code = STRUCT_CODES[entry.get("dtype")]
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
 def json_dump_checkpoint(path, model, preprocess=None, *, version):
     """The checkpoint document built from Python lists and streamed by json.dump.
 
-    Version 1, the earlier format, stores each matrix's row-major values as
-    JSON numbers. Version 2, the one ``save_checkpoint`` writes, stores the
-    base64 of those values packed by ``struct`` as little-endian doubles.
+    Version 1, the earliest format, stores each matrix's row-major values as
+    JSON numbers. Version 2 stores the base64 of those values packed by
+    ``struct`` as little-endian doubles. Version 3 stores a float32 array's
+    values packed as little-endian floats, with ``"dtype": "float32"``, and
+    any other array as version 2 does.
     """
     config = model.config
     *layer_weights, readout_weight, readout_bias = model.params
 
     def matrix(array):
         values = array.ravel().tolist()  # row-major for any memory layout
-        if version == 2:
-            packed = struct.pack(f"<{len(values)}d", *values)
-            values = base64.b64encode(packed).decode("ascii")
-        return {"shape": list(array.shape), "data": values}
+        entry = {"shape": list(array.shape), "data": values}
+        if version == 3 and array.dtype == np.float32:
+            entry["dtype"] = "float32"
+        if version > 1:
+            entry["data"] = pack_checkpoint_values(entry, values)
+        return entry
 
     doc = {
         "format": "facegraph-checkpoint",

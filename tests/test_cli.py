@@ -18,6 +18,7 @@ import facegraph
 from facegraph import cli
 from facegraph.cli import main
 from facegraph.metrics import MAX_CLASSES, MetricsReport
+from oracles import checkpoint_values, pack_checkpoint_values
 
 TINY = ["--classes", "2", "--per-class", "6", "--landmarks", "6",
         "--feature-dim", "8", "--feature-noise", "0.05"]
@@ -38,18 +39,29 @@ def quick_train(tmp_path, dataset, name="run", epochs="4", extra=()):
     return out
 
 
-def base64_doubles(values):
-    """A version-2 checkpoint's ``data``: base64 of little-endian doubles."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+def matrices(doc):
+    """The matrix entries of a checkpoint document, in parameter order."""
+    return [*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]]
 
 
 def version_1(doc):
-    """A version-2 checkpoint document turned into version 1, in place: each
-    matrix's data becomes its values as JSON numbers."""
-    for entry in (*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]):
-        raw = base64.b64decode(entry["data"], validate=True)
-        entry["data"] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    """A version-2 or version-3 checkpoint document turned into version 1, in
+    place: each matrix's data becomes its values as JSON numbers."""
+    for entry in matrices(doc):
+        entry["data"] = checkpoint_values(entry)
+        entry.pop("dtype", None)
     doc["version"] = 1
+    return doc
+
+
+def version_2(doc):
+    """A checkpoint document turned into version 2, in place: each matrix
+    stores its values as doubles and carries no dtype."""
+    for entry in matrices(doc):
+        values = checkpoint_values(entry)
+        entry.pop("dtype", None)
+        entry["data"] = pack_checkpoint_values(entry, values)
+    doc["version"] = 2
     return doc
 
 
@@ -367,7 +379,8 @@ class TestEval:
                      "--epochs", "1"]) == 0
         doc = json.loads((run / "checkpoint.json").read_text())
         for entry in (doc["readout_weight"], doc["readout_bias"]):
-            entry["data"] = base64_doubles([1e308] * math.prod(entry["shape"]))
+            entry.pop("dtype")  # 1e308 needs doubles
+            entry["data"] = pack_checkpoint_values(entry, [1e308] * math.prod(entry["shape"]))
         checkpoint = tmp_path / "huge.json"
         checkpoint.write_text(json.dumps(doc))
         out = tmp_path / "ev"
@@ -393,8 +406,8 @@ def with_optimizer_block(doc):
 
 class TestOlderCheckpoint:
     def test_optimizer_block_is_ignored(self, tmp_path):
-        # a version-1 file with and without the optimizer block, and its
-        # version-2 twin, give the same metrics.json
+        # a version-1 file with and without the optimizer block, and the
+        # version-3 file it came from, give the same metrics.json
         dataset = synth(tmp_path)
         run = quick_train(tmp_path, dataset, epochs="2", extra=["--hidden", "8"])
         doc = version_1(json.loads((run / "checkpoint.json").read_text()))
@@ -410,6 +423,28 @@ class TestOlderCheckpoint:
                          "--checkpoint", str(checkpoint)]) == 0
             outputs.append((out / "metrics.json").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_version_2_file_of_float32_weights(self, tmp_path):
+        # the layout that stored CLI-trained float32 weights as doubles still
+        # loads, to the same weights, and evaluates to the same metrics.json
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="2", extra=["--hidden", "8"])
+        doc = json.loads((run / "checkpoint.json").read_text())
+        assert doc["version"] == 3
+        assert {entry.get("dtype") for entry in matrices(doc)} == {"float32"}
+        older = tmp_path / "v2.json"
+        older.write_text(json.dumps(version_2(doc)))
+        now, _ = facegraph.load_checkpoint(run / "checkpoint.json")
+        loaded, _ = facegraph.load_checkpoint(older)
+        for p, q in zip(now.params, loaded.params, strict=True):
+            assert p.tobytes() == q.tobytes()
+        outputs = []
+        for name, checkpoint in (("now", run / "checkpoint.json"), ("v2", older)):
+            out = tmp_path / name
+            assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
+                         "--checkpoint", str(checkpoint)]) == 0
+            outputs.append((out / "metrics.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestInferencePrecision:
@@ -539,7 +574,8 @@ class TestBadCheckpoint:
     @pytest.mark.parametrize("edit", [
         # hidden 8: layer 1 is 8x8; 4x16 holds the same 64 numbers
         lambda d: d["layer_weights"][1].update(shape=[4, 16]),
-        lambda d: d["readout_bias"].update(shape=[3], data=base64_doubles([0.0] * 3)),
+        lambda d: d["readout_bias"].update(
+            shape=[3], data=pack_checkpoint_values(d["readout_bias"], [0.0] * 3)),
         lambda d: d["layer_weights"].pop(),
         lambda d: d["preprocess"].update(tau="abc"),
         lambda d: d["preprocess"].update(tau=None),
@@ -556,16 +592,18 @@ class TestBadCheckpoint:
         lambda d: version_1(d)["readout_bias"]["data"].__setitem__(0, 10 ** 400),
         lambda d: d["config"].update(num_layers=2.0),
         lambda d: d["config"].update(hidden_dim=8.0),
-        # two classes: the readout bias holds 2 doubles
-        lambda d: d["readout_bias"].update(data=base64_doubles([0.0, math.nan])),
-        lambda d: d["readout_bias"].update(data=base64_doubles([math.inf, 0.0])),
-        # 16 bytes once the "*" outside the alphabet is dropped
-        lambda d: d["readout_bias"].update(data="AAAAAAAAAAA*AAAAAAAAAAA=="),
+        # two classes: the readout bias holds 2 float32 values
+        lambda d: d["readout_bias"].update(
+            data=pack_checkpoint_values(d["readout_bias"], [0.0, math.nan])),
+        lambda d: d["readout_bias"].update(
+            data=pack_checkpoint_values(d["readout_bias"], [math.inf, 0.0])),
+        # 8 bytes once the "*" outside the alphabet is dropped
+        lambda d: d["readout_bias"].update(data="AAAAA*AAAAAA="),
         lambda d: d["readout_bias"].update(data=base64.b64encode(bytes(12)).decode()),
         lambda d: d["readout_bias"].update(shape=[-1]),  # reshape alone would accept it
         lambda d: d["readout_bias"].update(data=[0.0, 0.0]),
         lambda d: d.update(version=1),
-        lambda d: d.update(version=3),
+        lambda d: d.update(version=4),
         lambda d: d["preprocess"].update(encoder_dim=10 ** 9),
         lambda d: d["preprocess"].update(patch_h=10 ** 6, patch_w=10 ** 6),
     ], ids=["layer_shape", "bias_length", "layer_count",
@@ -574,7 +612,7 @@ class TestBadCheckpoint:
             "preprocess_not_object", "weight_null", "bias_overflow",
             "bias_huge_int", "num_layers_float", "hidden_dim_float",
             "v2_nan_bytes", "v2_inf_bytes", "v2_not_base64", "v2_bytes_off_shape",
-            "v2_shape_wildcard", "v2_list", "v1_string", "version_3",
+            "v2_shape_wildcard", "v2_list", "v1_string", "version_4",
             "encoder_dim_over_budget", "patch_over_budget"])
     def test_edited_checkpoint(self, tmp_path, edit):
         dataset = synth(tmp_path)
@@ -586,6 +624,33 @@ class TestBadCheckpoint:
         code = main(["eval", "--out-dir", str(tmp_path / "ev"),
                      "--dataset", str(dataset), "--checkpoint", str(checkpoint)])
         assert code == 2
+
+    # a float32 entry of doubles, a dtype missing, unknown or not a string where
+    # the layout needs one, and a dtype in a file of a version without them
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["readout_bias"].update(data=pack_checkpoint_values({}, [0.0, 0.5])),
+        lambda d: d["readout_bias"].pop("dtype"),
+        lambda d: d["readout_bias"].update(dtype="float16"),
+        lambda d: d["readout_bias"].update(dtype="float64"),
+        lambda d: d["readout_bias"].update(dtype=None),
+        lambda d: d["readout_bias"].update(dtype=32),
+        lambda d: d["readout_bias"].update(dtype=["float32"]),
+        lambda d: d.update(version=2),
+        lambda d: version_1(d)["readout_bias"].update(dtype="float32"),
+    ], ids=["float32_of_doubles", "dtype_missing", "dtype_float16", "dtype_float64",
+            "dtype_null", "dtype_int", "dtype_list", "dtype_in_v2", "dtype_in_v1"])
+    def test_edited_dtype(self, tmp_path, capsys, edit):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="1", extra=["--hidden", "8"])
+        doc = json.loads((run / "checkpoint.json").read_text())
+        edit(doc)
+        checkpoint = tmp_path / "edited.json"
+        checkpoint.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--out-dir", str(tmp_path / "ev"),
+                     "--dataset", str(dataset), "--checkpoint", str(checkpoint)])
+        assert code == 2
+        assert "malformed matrix entry '" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         b"[]", b"\xff\xfe{}", b'{"version": 1' + b"0" * 5000 + b"}",

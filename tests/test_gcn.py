@@ -4,7 +4,6 @@ import math
 import os
 import platform
 import re
-import struct
 import subprocess
 import sys
 import warnings
@@ -47,6 +46,7 @@ from facegraph import (
 )
 from facegraph.metrics import MAX_CLASSES
 from oracles import (
+    checkpoint_values,
     json_dump_checkpoint,
     naive_adam_step,
     naive_predict,
@@ -1081,6 +1081,28 @@ def extreme_model(hidden, with_preprocess):
     return model, preprocess
 
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+FLOAT32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def extreme_float32_model(hidden, with_preprocess, mixed):
+    """``extreme_model``'s shapes with float32 weights that span exponents
+    +-37 and hold -0.0, subnormals and +-float32 max; if ``mixed``, the
+    readout weight stays float64."""
+    model, preprocess = extreme_model(hidden, with_preprocess)
+    rng = np.random.default_rng(hidden + 10 * mixed)
+    params = []
+    for p in model.params:
+        q = rng.normal(size=p.shape) * 10.0 ** rng.integers(-37, 37, size=p.shape)
+        q.ravel()[rng.integers(0, q.size, size=3)] = rng.choice(
+            [-0.0, FLOAT32_TINY, -FLOAT32_TINY, 3 * FLOAT32_TINY, FLOAT32_MAX, -FLOAT32_MAX],
+            size=3)
+        params.append(q.astype(np.float32))
+    if mixed:
+        params[-2] = model.params[-2]
+    return replace(model, params=params), preprocess
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = init_model(GcnConfig(in_dim=4, num_classes=3, hidden_dim=8), 1)
@@ -1168,15 +1190,80 @@ class TestCheckpoint:
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
+    @pytest.mark.parametrize("hidden", [1, 256, 257])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["float32", "mixed"])
+    @pytest.mark.parametrize("with_preprocess", [False, True],
+                             ids=["no_preprocess", "preprocess"])
+    def test_float32_bytes_match_json_dump(self, tmp_path, hidden, mixed, with_preprocess):
+        model, preprocess = extreme_float32_model(hidden, with_preprocess, mixed)
+        save_checkpoint(tmp_path / "written.json", model, preprocess=preprocess)
+        json_dump_checkpoint(tmp_path / "dumped.json", model, preprocess=preprocess,
+                             version=3)
+        assert ((tmp_path / "written.json").read_bytes()
+                == (tmp_path / "dumped.json").read_bytes())
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["float32", "mixed"])
+    def test_float32_round_trip_bit_for_bit(self, tmp_path, mixed):
+        model, preprocess = extreme_float32_model(7, True, mixed)
+        model.params[0].ravel()[:6] = [-0.0, FLOAT32_TINY, -FLOAT32_TINY, 3 * FLOAT32_TINY,
+                                       FLOAT32_MAX, -FLOAT32_MAX]
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model, preprocess=preprocess)
+        doc = json.loads(path.read_text())
+        entries = [*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]]
+        assert doc["version"] == 3
+        assert [e.get("dtype") for e in entries] == [
+            "float32" if p.dtype == np.float32 else None for p in model.params]
+        loaded, loaded_preprocess = load_checkpoint(path)
+        assert loaded.config == model.config and loaded_preprocess == preprocess
+        for p, q in zip(model.params, loaded.params, strict=True):
+            assert q.dtype == np.float64 and q.dtype.isnative
+            assert q.flags.writeable and q.flags.c_contiguous
+            assert same_bits(q, p.astype(np.float64))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["readout_bias"].update(data=base64.b64encode(bytes(16)).decode()),
+        lambda d: d["readout_bias"].pop("dtype"),
+        lambda d: d["readout_bias"].update(dtype="float16"),
+        lambda d: d["readout_bias"].update(dtype="float64"),
+        lambda d: d["readout_bias"].update(dtype="<f4"),
+        lambda d: d["readout_bias"].update(dtype=None),
+        lambda d: d["readout_bias"].update(dtype=4),
+        lambda d: d["readout_bias"].update(dtype={"float32": 1}),
+    ], ids=["float32_of_doubles", "dtype_missing", "dtype_float16", "dtype_float64",
+            "dtype_typestr", "dtype_null", "dtype_int", "dtype_object"])
+    def test_bad_dtype_refused(self, tmp_path, edit):
+        model = init_model(GcnConfig(in_dim=2, num_classes=2, hidden_dim=2, num_layers=1), 1)
+        model.params = [p.astype(np.float32) for p in model.params]
+        path = tmp_path / "model.json"
+        save_checkpoint(path, model)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="^malformed matrix entry 'readout_bias'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_dtype_key_refused_before_version_3(self, tmp_path, version):
+        model = init_model(GcnConfig(in_dim=2, num_classes=2, hidden_dim=2, num_layers=1), 1)
+        model.params = [p.astype(np.float32) for p in model.params]
+        path = tmp_path / "model.json"
+        json_dump_checkpoint(path, model, version=version)
+        load_checkpoint(path)  # loads without the key
+        doc = json.loads(path.read_text())
+        doc["readout_bias"]["dtype"] = "float32"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="^malformed matrix entry 'readout_bias'$"):
+            load_checkpoint(path)
+
     def test_data_unpacks_to_the_weights_bit_for_bit(self, tmp_path):
         model, _ = extreme_model(7, False)
         save_checkpoint(tmp_path / "model.json", model)
         doc = json.loads((tmp_path / "model.json").read_text())
         entries = [*doc["layer_weights"], doc["readout_weight"], doc["readout_bias"]]
         for entry, p in zip(entries, model.params):
-            assert entry["shape"] == list(p.shape)
-            raw = base64.b64decode(entry["data"], validate=True)
-            values = struct.unpack(f"<{p.size}d", raw)
+            assert entry["shape"] == list(p.shape) and "dtype" not in entry
+            values = checkpoint_values(entry)
             assert np.array_equal(np.array(values).view(np.int64),
                                   p.ravel().view(np.int64))
 
@@ -1220,8 +1307,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="'readout_bias'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 3, True, 2.0, "2", None],
-                             ids=["zero", "three", "true", "float", "text", "null"])
+    @pytest.mark.parametrize("version", [0, 4, True, 2.0, "2", None],
+                             ids=["zero", "four", "true", "float", "text", "null"])
     def test_unsupported_version_rejected(self, tmp_path, version):
         model = init_model(GcnConfig(in_dim=3, num_classes=2, hidden_dim=4), 1)
         path = tmp_path / "model.json"
@@ -1425,7 +1512,7 @@ class TestPrecision:
         graphs = separable_graphs()
         config = GcnConfig(in_dim=8, num_classes=2, hidden_dim=8)
         model, _ = train(graphs, config, TrainConfig(epochs=3, precision="float32"))
-        # saving widens the float32 weights; loading gives those values as float64
+        # saving keeps the float32 weights; loading gives those values as float64
         save_checkpoint(tmp_path / "model.json", model)
         loaded, _ = load_checkpoint(tmp_path / "model.json")
         for p, q in zip(model.params, loaded.params, strict=True):

@@ -229,6 +229,13 @@ class TestRendering:
         with pytest.raises(InvalidInputError, match="class names must be strings"):
             format_report(report, class_names=names)
 
+    @pytest.mark.parametrize("names", ["ab", b"ab"], ids=["str", "bytes"])
+    def test_format_report_names_are_not_one_string(self, names):
+        # one string is not a sequence of one-letter names
+        report = compute_metrics(np.diag([1, 2]), loss=0.1)
+        with pytest.raises(InvalidInputError, match="class names must be a sequence"):
+            format_report(report, class_names=names)
+
     def test_format_report_headline_bytes(self):
         report = compute_metrics(np.array([[3, 0], [1, 0]]), loss=0.25)
         head = format_report(report, ["happy", "sad"]).split("\n")[:5]
