@@ -40,12 +40,15 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .features import EncoderConfig, _check_patch
+from .features import POOL_GRID, EncoderConfig, _check_patch, _projection_matrix
 from .gcn import (
     ACTIVATIONS,
+    CHECKPOINT_VERSION,
     GcnConfig,
     GcnModel,
     TrainConfig,
+    _matrix_doc,
+    _matrix_from_doc,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -246,15 +249,20 @@ def _load(config: ChainMap):
     return dataset
 
 
-def _graphs(config: ChainMap, dataset):
+def _graphs(config: ChainMap, dataset, projection=None):
     patch = _parse_patch(config["patch"])
     return dataset_graphs(dataset, config["tau"], patch_size=patch,
-                          encoder=_build(EncoderConfig, config))
+                          encoder=_build(EncoderConfig, config, projection=projection))
 
 
 def _load_graphs(config: ChainMap):
     dataset = _load(config)
     return dataset, _graphs(config, dataset)
+
+
+def _encodes(dataset) -> bool:
+    """Whether some sample has no stored features, so its image is encoded."""
+    return any(sample.features is None for sample in dataset.samples)
 
 
 def _merge_preprocess(config: ChainMap, preprocess) -> ChainMap:
@@ -293,6 +301,19 @@ def _inference_model(model: GcnModel) -> GcnModel:
     return model
 
 
+def _stored_projection(config: ChainMap, preprocess):
+    """The encoder projection the checkpoint stores, if the encoder settings
+    in effect are those it was drawn with; else None, and the encoder draws
+    its own."""
+    if preprocess is None or "encoder_projection" not in preprocess:
+        return None
+    if any(config[key] != preprocess.get(key) for key in ("encoder_seed", "encoder_dim")):
+        return None  # a setting overridden, or a hand-edited block
+    shape = (config["encoder_dim"], POOL_GRID * POOL_GRID)
+    return _matrix_from_doc(preprocess["encoder_projection"], "encoder_projection",
+                            shape, CHECKPOINT_VERSION)
+
+
 def _checkpoint_graphs(config: ChainMap, out_dir: Path):
     """The checkpoint's model, for inference, and graphs; config.json is
     echoed with its settings."""
@@ -300,8 +321,10 @@ def _checkpoint_graphs(config: ChainMap, out_dir: Path):
     model, preprocess = load_checkpoint(config["checkpoint"])
     model = _inference_model(model)
     config = _merge_preprocess(config, preprocess)
+    projection = _stored_projection(config, preprocess)
     write_json(out_dir / "config.json", dict(config))
-    dataset, graphs = _load_graphs(config)
+    dataset = _load(config)
+    graphs = _graphs(config, dataset, projection)
     if dataset.num_classes != model.config.num_classes:
         raise DatasetError(f"{config['checkpoint']}: {model.config.num_classes} "
                            f"classes, the dataset {dataset.num_classes}")
@@ -325,8 +348,10 @@ def cmd_build_graph(config: ChainMap, out_dir: Path) -> int:
     return 0
 
 
-def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
-    """Shared train pipeline; returns the test set's report."""
+def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs, encoded: bool):
+    """Shared train pipeline; returns the test set's report. The checkpoint
+    stores the encoder's projection if ``encoded``, that is, if some sample's
+    features came from its image."""
     train_idx, test_idx = split_indices(dataset, config["test_fraction"],
                                         config["seed"], config["split"])
     train_set = [graphs[i] for i in train_idx]
@@ -338,6 +363,10 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
     model, history = train(train_set, model_config, train_config)
     preprocess = {key: config[key] for key in _PREPROCESS}
     preprocess["patch_h"], preprocess["patch_w"] = _parse_patch(config["patch"])
+    if encoded:
+        matrix = _projection_matrix(config["encoder_seed"], config["encoder_dim"])
+        preprocess["encoder_projection"] = _matrix_doc("encoder_projection", matrix,
+                                                       matrix.shape)
     save_checkpoint(out_dir / "checkpoint.json", model, preprocess=preprocess)
     columns = ["epoch", "lr", "loss", "accuracy"]
     write_csv(out_dir / "history.csv", columns, ([r[c] for c in columns] for r in history))
@@ -348,7 +377,7 @@ def _train_and_eval(config: ChainMap, out_dir: Path, dataset, graphs):
 
 def cmd_train(config: ChainMap, out_dir: Path) -> int:
     dataset, graphs = _load_graphs(config)
-    report = _train_and_eval(config, out_dir, dataset, graphs)
+    report = _train_and_eval(config, out_dir, dataset, graphs, _encodes(dataset))
     print(format_report(report, dataset.class_names))
     return 0
 
@@ -389,7 +418,7 @@ def cmd_sweep(config: ChainMap, out_dir: Path) -> int:
     columns = [param, "Acc", "F1-Score", "WAR", "UAR", "loss", "mean_edges", "status"]
     rows = []
     # Shared by the points. A failure leaves them unset, and the next point retries.
-    dataset = graphs = None
+    dataset = graphs = encoded = None
     for token in tokens:
         point_config = None
         try:
@@ -408,10 +437,11 @@ def cmd_sweep(config: ChainMap, out_dir: Path) -> int:
             else:
                 graphs = None  # the last patch size's graphs go first
                 graphs = _graphs(point_config, dataset)
+                encoded = _encodes(dataset)
                 if param == "tau":  # later points need only the labels and ids
                     for sample in dataset.samples:
                         sample.features = sample.image = None
-            report = _train_and_eval(point_config, point_dir, dataset, graphs)
+            report = _train_and_eval(point_config, point_dir, dataset, graphs, encoded)
             mean_edges = float(np.mean([edge_count(g.adjacency) for g in graphs]))
             rows.append({param: token, **report_row(report),
                          "mean_edges": repr(mean_edges), "status": "ok"})

@@ -3,8 +3,8 @@
 Cuts fixed-size patches around landmark positions (edge replication at the
 borders) and encodes each patch with a deterministic pooled-projection
 encoder: average-pool to an 8x8 grid, scale to [0, 1], multiply by a seeded
-random projection. Precomputed feature files can be used instead, see
-:mod:`facegraph.data`.
+random projection, or by the one :class:`EncoderConfig` is given.
+Precomputed feature files can be used instead, see :mod:`facegraph.data`.
 
 A sample's patches are encoded together, bit-for-bit equal to a reference
 that clamps every pixel index, takes ``np.mean`` of each cell and ``P @ grid``
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,10 +59,20 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Settings of the built-in pooled-projection patch encoder."""
+    """Settings of the built-in pooled-projection patch encoder.
+
+    The encoder multiplies each pooled 8x8 grid by an ``out_dim x 64``
+    projection, drawn from ``projection_seed`` by default. ``projection``,
+    when given, is that matrix itself, used in place of the draw: a finite
+    ``out_dim x 64`` array of real numbers, kept as a read-only, C-contiguous
+    float64 copy (an :class:`InvalidInputError` otherwise). The CLI passes
+    the one a checkpoint stores, so inference need not draw it. It takes no
+    part in comparison or repr; the seed still names the matrix it came from.
+    """
 
     out_dim: int = 64
     projection_seed: int = 1000
+    projection: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_ints(self, 1, "out_dim")
@@ -70,6 +80,15 @@ class EncoderConfig:
         if self.out_dim > MAX_ENCODER_DIM:
             raise UsageError(f"encoder output dimension {_show(self.out_dim)}, above the "
                              f"budget of {MAX_ENCODER_DIM}")
+        if self.projection is not None:
+            matrix = _as_array("projection", self.projection, np.float64,
+                               (self.out_dim, POOL_GRID * POOL_GRID))
+            if not np.isfinite(matrix).all():
+                raise InvalidInputError("projection must be finite")
+            # a copy, C-contiguous as the drawn matrix is, so each gemv rounds as with it
+            matrix = np.array(matrix, order="C")
+            matrix.setflags(write=False)
+            object.__setattr__(self, "projection", matrix)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -211,7 +230,9 @@ def _encode(patches: np.ndarray, config: EncoderConfig) -> np.ndarray:
     counts = np.outer(cells_h.sum(axis=1), cells_w.sum(axis=1))
     # C order, so each grid below is a contiguous vector
     grids = (sums / counts / 255.0).reshape(n, POOL_GRID * POOL_GRID)
-    matrix = _projection_matrix(config.projection_seed, config.out_dim)
+    matrix = config.projection
+    if matrix is None:
+        matrix = _projection_matrix(config.projection_seed, config.out_dim)
     # a stack of column vectors: matmul calls one gemv per grid
     return np.matmul(matrix, grids[:, :, None])[:, :, 0]
 

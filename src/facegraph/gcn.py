@@ -686,23 +686,33 @@ def _matrix_doc(name: str, array: np.ndarray, shape: tuple[int, ...]) -> dict:
 
 
 def _matrix_from_doc(doc, name: str, shape: tuple[int, ...], version: int) -> np.ndarray:
+    """The float64 array a matrix entry of a version-``version`` file stores;
+    a :class:`CheckpointError` naming ``name`` and the reason otherwise."""
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
         data, stored = doc["data"], doc["shape"]
         if version < 3 and "dtype" in doc:
-            raise ValueError(f"version {version} stores no dtype")
+            raise ValueError(f"a version-{version} file stores no dtype")
         if version == 1:  # row-major values as JSON numbers
             if not isinstance(data, list):
                 raise TypeError("version 1 stores a list of numbers")
             values = np.asarray(data, dtype=float)
         else:  # base64 of the row-major little-endian bytes of the stored dtype
-            dtype = _DTYPES[doc["dtype"]] if "dtype" in doc else np.dtype("<f8")
+            dtype = np.dtype("<f8")
+            if "dtype" in doc:
+                key = doc["dtype"]
+                if not (isinstance(key, str) and key in _DTYPES):
+                    raise ValueError(f"unknown dtype {key!r}")
+                dtype = _DTYPES[key]
             raw = base64.b64decode(data, validate=True)  # TypeError unless a string
             if len(raw) != dtype.itemsize * math.prod(stored):
                 raise ValueError(f"{len(raw)} bytes do not fill shape {stored}")
             values = np.frombuffer(raw, dtype=dtype).astype(float)  # writable native copy
         array = values.reshape(stored)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"malformed matrix entry {name!r}") from exc
+        reason = f"no {exc.args[0]!r} key" if isinstance(exc, KeyError) else str(exc)
+        raise CheckpointError(f"malformed matrix entry {name!r}: {reason}") from exc
     if array.shape != shape:
         raise CheckpointError(f"matrix entry {name!r} has shape {list(array.shape)}, "
                               f"the config needs {list(shape)}")

@@ -17,6 +17,7 @@ import pytest
 import facegraph
 from facegraph import cli
 from facegraph.cli import main
+from facegraph.features import _projection_matrix
 from facegraph.metrics import MAX_CLASSES, MetricsReport
 from oracles import checkpoint_values, pack_checkpoint_values
 
@@ -325,7 +326,8 @@ class TestEval:
     def test_every_graph_setting_goes_through_the_checkpoint(self, tmp_path):
         """Each graph setting but the dataset is stored in the checkpoint's
         ``preprocess`` block, the patch as ``patch_h`` and ``patch_w``, and
-        comes back into the settings ``eval`` runs with."""
+        comes back into the settings ``eval`` runs with. On an image set the
+        block also holds the projection the encoder settings draw."""
         given = {"tau": 0.3, "patch": "20x10", "encoder_dim": 16, "encoder_seed": 5}
         assert set(given) == set(cli._GRAPH) - {"dataset"}
         assert all(value != cli.DEFAULTS[key] for key, value in given.items())
@@ -334,8 +336,12 @@ class TestEval:
                  for arg in (f"--{key.replace('_', '-')}", str(value))]
         run = quick_train(tmp_path, dataset, epochs="1", extra=flags)
         stored = json.loads((run / "checkpoint.json").read_text())["preprocess"]
+        projection = np.random.default_rng(5).standard_normal((16, 64)) / 8
         assert stored == {**{k: v for k, v in given.items() if k != "patch"},
-                          "patch_h": 20, "patch_w": 10}
+                          "patch_h": 20, "patch_w": 10,
+                          "encoder_projection": {
+                              "shape": [16, 64],
+                              "data": pack_checkpoint_values({}, projection.ravel().tolist())}}
         out = tmp_path / "ev"
         assert main(["eval", "--out-dir", str(out), "--dataset", str(dataset),
                      "--checkpoint", str(run / "checkpoint.json")]) == 0
@@ -510,6 +516,180 @@ class TestInferencePrecision:
             trees.append(file_tree(out))
         assert trees[0] == trees[1] and set(trees[0]) == {Path("config.json"),
                                                           Path("metrics.json")}
+
+
+def edited_checkpoint(checkpoint, path, edit):
+    """``checkpoint`` with ``edit`` applied to its document, written to ``path``."""
+    doc = json.loads(Path(checkpoint).read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def negate_projection(doc):
+    entry = doc["preprocess"]["encoder_projection"]
+    entry["data"] = pack_checkpoint_values(entry, [-v for v in checkpoint_values(entry)])
+
+
+class TestStoredProjection:
+    """A checkpoint trained on images stores its encoder's projection, and
+    inference encodes with it while the encoder settings are the stored ones."""
+
+    @pytest.fixture(scope="class")
+    def image_run(self, tmp_path_factory):
+        """An image set and a checkpoint trained on it at the encoder defaults."""
+        tmp_path = tmp_path_factory.mktemp("image_run")
+        dataset = synth(tmp_path, "imgds", extra=["--with-images"])
+        run = quick_train(tmp_path, dataset, epochs="2", extra=["--hidden", "8"])
+        return dataset, run / "checkpoint.json"
+
+    @staticmethod
+    def infer(out, command, dataset, checkpoint, *flags):
+        """The bytes ``command`` writes for ``checkpoint``, config.json included."""
+        assert main([command, "--out-dir", str(out), "--dataset", str(dataset),
+                     "--checkpoint", str(checkpoint), *flags]) == 0
+        return file_tree(out)
+
+    def test_stored_matrix_is_the_seeded_draw(self, image_run):
+        _, checkpoint = image_run
+        preprocess = json.loads(checkpoint.read_text())["preprocess"]
+        entry = preprocess["encoder_projection"]
+        assert set(entry) == {"data", "shape"} and entry["shape"] == [64, 64]
+        stored = np.array(checkpoint_values(entry)).reshape(64, 64)
+        assert np.array_equal(stored.view(np.int64),
+                              _projection_matrix(1000, 64).view(np.int64))
+
+    def test_feature_set_checkpoint_stores_none(self, tmp_path):
+        dataset = synth(tmp_path)
+        run = quick_train(tmp_path, dataset, epochs="1")
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", "--out-dir", str(sweep), "--dataset", str(dataset),
+                     "--param", "tau", "--grid", "0.3,0.6", "--epochs", "1",
+                     "--batch-size", "4", "--hidden", "8"]) == 0
+        for path in (run / "checkpoint.json", *sorted(sweep.rglob("checkpoint.json"))):
+            assert "encoder_projection" not in json.loads(path.read_text())["preprocess"]
+
+    @pytest.mark.parametrize("features", [(), (0,)], ids=["images", "mixed"])
+    def test_every_tau_point_stores_it(self, tmp_path, features):
+        # later points see the samples with their features and images released
+        dataset = facegraph.load_dataset(synth(tmp_path, "imgds", extra=["--with-images"]))
+        for i in features:
+            dataset.samples[i].features = np.ones((6, 8), dtype=np.float32)
+        facegraph.save_dataset(dataset, tmp_path / "ds")
+        flags = ["--dataset", str(tmp_path / "ds"), "--epochs", "1", "--batch-size", "4",
+                 "--hidden", "8", "--encoder-dim", "8"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--out-dir", str(out), "--param", "tau",
+                     "--grid", "0.3,0.6", *flags]) == 0
+        for tau in ("0.3", "0.6"):
+            single = tmp_path / f"train_{tau}"
+            assert main(["train", "--out-dir", str(single), "--tau", tau, *flags]) == 0
+            checkpoint = (single / "checkpoint.json").read_bytes()
+            assert b'"encoder_projection"' in checkpoint
+            assert (out / f"point_tau_{tau}" / "checkpoint.json").read_bytes() == checkpoint
+
+    @pytest.mark.parametrize("command, output", [("eval", "metrics.json"),
+                                                 ("export-embeddings", "embeddings.csv")])
+    def test_checkpoint_without_it_gives_the_same_files(self, tmp_path, image_run,
+                                                        command, output):
+        # a checkpoint written before the key existed draws the same matrix
+        dataset, checkpoint = image_run
+        older = edited_checkpoint(checkpoint, tmp_path / "older.json",
+                                  lambda d: d["preprocess"].pop("encoder_projection"))
+        now = self.infer(tmp_path / "now", command, dataset, checkpoint)
+        before = self.infer(tmp_path / "before", command, dataset, older)
+        assert now.pop(Path("config.json")) != before.pop(Path("config.json"))  # the path
+        assert now == before and set(now) == {Path(output)}
+
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_the_stored_matrix_is_the_one_used(self, tmp_path, image_run, command):
+        dataset, checkpoint = image_run
+        negated = edited_checkpoint(checkpoint, tmp_path / "negated.json", negate_projection)
+        plain = self.infer(tmp_path / "plain", command, dataset, checkpoint)
+        other = self.infer(tmp_path / "other", command, dataset, negated)
+        assert plain.keys() == other.keys() and all(
+            plain[name] != other[name] for name in plain)
+
+    def test_overridden_encoder_seed_draws_its_own(self, tmp_path, image_run, monkeypatch):
+        dataset, checkpoint = image_run
+        negated = edited_checkpoint(checkpoint, tmp_path / "negated.json", negate_projection)
+        draws = []
+
+        def spy(seed, out_dim):
+            draws.append((seed, out_dim))
+            return drawn(seed, out_dim)
+
+        drawn = facegraph.features._projection_matrix
+        monkeypatch.setattr(facegraph.features, "_projection_matrix", spy)
+        runs = {}
+        for name, path, flags in (("stored", checkpoint, ()), ("negated", negated, ()),
+                                  ("seed_1000", negated, ("--encoder-seed", "1000")),
+                                  ("seed_5", checkpoint, ("--encoder-seed", "5")),
+                                  ("negated_seed_5", negated, ("--encoder-seed", "5"))):
+            draws.clear()
+            tree = self.infer(tmp_path / name, "eval", dataset, path, *flags)
+            runs[name] = tree[Path("metrics.json")], set(draws)
+        assert runs["stored"][1] == runs["negated"][1] == runs["seed_1000"][1] == set()
+        assert runs["seed_1000"][0] == runs["negated"][0] != runs["stored"][0]
+        assert runs["seed_5"] == runs["negated_seed_5"] == (runs["seed_5"][0], {(5, 64)})
+        assert runs["seed_5"][0] != runs["stored"][0]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: e.update(shape=[64, 63], data=pack_checkpoint_values(e, [0.5] * 64 * 63)),
+         "matrix entry 'encoder_projection' has shape [64, 63], the config needs [64, 64]"),
+        (lambda e: e.update(shape=[63, 64], data=pack_checkpoint_values(e, [0.5] * 64 * 63)),
+         "matrix entry 'encoder_projection' has shape [63, 64], the config needs [64, 64]"),
+        (lambda e: e.update(data=pack_checkpoint_values(e, [math.nan] + [0.5] * 4095)),
+         "matrix entry 'encoder_projection' holds a non-finite value"),
+        (lambda e: e.update(data=pack_checkpoint_values(e, [0.5] * 4095 + [-math.inf])),
+         "matrix entry 'encoder_projection' holds a non-finite value"),
+        # the reason is the base64 decoder's own
+        (lambda e: e.update(data=e["data"][:-1]), "malformed matrix entry 'encoder_projection': "),
+        (lambda e: e.update(data="*" + e["data"]), "malformed matrix entry 'encoder_projection': "),
+        (lambda e: e.update(data=[0.5] * 4096), "malformed matrix entry 'encoder_projection': "),
+        (lambda e: e.pop("data"), "malformed matrix entry 'encoder_projection': no 'data' key"),
+        (lambda e: e.update(dtype="float16"),
+         "malformed matrix entry 'encoder_projection': unknown dtype 'float16'"),
+        (lambda e: e.clear(), "malformed matrix entry 'encoder_projection': no 'data' key"),
+    ], ids=["columns", "rows", "nan", "inf", "truncated_base64", "not_base64", "list",
+            "no_data", "dtype", "empty"])
+    def test_malformed_entry_exits_2(self, tmp_path, image_run, capsys, edit, message):
+        dataset, checkpoint = image_run
+        edited = edited_checkpoint(checkpoint, tmp_path / "edited.json",
+                                   lambda d: edit(d["preprocess"]["encoder_projection"]))
+        capsys.readouterr()
+        code = main(["eval", "--out-dir", str(tmp_path / "ev"), "--dataset", str(dataset),
+                     "--checkpoint", str(edited)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {message}") and err.count("\n") == 1
+        if not message.endswith(": "):
+            assert err == f"data error: {message}\n"
+        assert not (tmp_path / "ev" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("drop, imported", [(False, False), (True, True)],
+                             ids=["stored", "dropped"])
+    def test_inference_imports_no_numpy_random(self, tmp_path, image_run, drop, imported):
+        """``eval`` and ``export-embeddings`` of a checkpoint that stores the
+        projection never load ``numpy.random``; one without it draws the
+        matrix, which does."""
+        dataset, checkpoint = image_run
+        if drop:
+            checkpoint = edited_checkpoint(
+                checkpoint, tmp_path / "older.json",
+                lambda d: d["preprocess"].pop("encoder_projection"))
+        code = ("import sys\n"
+                "from facegraph.cli import main\n"
+                "for command in ('eval', 'export-embeddings'):\n"
+                "    assert main([command, '--out-dir', command, '--dataset', sys.argv[1],\n"
+                "                 '--checkpoint', sys.argv[2]]) == 0\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(facegraph.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code, str(dataset), str(checkpoint)],
+                                cwd=tmp_path, env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(imported)
 
 
 class TestClassBudget:

@@ -392,6 +392,59 @@ class TestReadOnlyCaches:
         assert info.currsize == info.maxsize < 100
 
 
+class TestGivenProjection:
+    """``EncoderConfig.projection`` replaces the seeded draw: the drawn matrix
+    given back encodes bit for bit as the seed does."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_drawn_matrix_encodes_as_the_seed(self, order):
+        rng = np.random.default_rng(8)
+        image = rng.integers(0, 256, size=(40, 50), dtype=np.uint8)
+        landmarks = rng.uniform(-5.0, 55.0, size=(12, 2))
+        seeded = EncoderConfig(out_dim=16, projection_seed=7)
+        given = EncoderConfig(out_dim=16, projection_seed=7,
+                              projection=np.array(_projection_matrix(7, 16), order=order))
+        assert np.array_equal(bits(features_for_sample(image, landmarks, 9, 7, given)),
+                              bits(features_for_sample(image, landmarks, 9, 7, seeded)))
+        patch = image[:9, :7]
+        assert np.array_equal(bits(encode_patch_toy(patch, given)),
+                              bits(encode_patch_toy(patch, seeded)))
+
+    def test_given_matrix_is_used(self):
+        patch = np.arange(64).reshape(8, 8)
+        matrix = np.eye(64)[:3]
+        config = EncoderConfig(out_dim=3, projection=matrix.tolist())
+        assert np.array_equal(encode_patch_toy(patch, config), np.arange(3) / 255.0)
+        negated = EncoderConfig(projection=-_projection_matrix(1000, 64))
+        assert np.array_equal(encode_patch_toy(patch, negated),
+                              -encode_patch_toy(patch, EncoderConfig()))
+
+    def test_kept_as_a_read_only_copy(self):
+        matrix = np.zeros((2, 64), dtype=np.float32)
+        config = EncoderConfig(out_dim=2, projection=matrix)
+        matrix[0, 0] = 1.0
+        stored = config.projection
+        assert stored.dtype == np.float64 and stored.flags.c_contiguous
+        assert not stored.flags.writeable and not stored.any()
+
+    def test_left_out_of_comparison_and_repr(self):
+        given = EncoderConfig(out_dim=2, projection=np.ones((2, 64)))
+        assert given == EncoderConfig(out_dim=2) and hash(given) == hash(EncoderConfig(out_dim=2))
+        assert repr(given) == "EncoderConfig(out_dim=2, projection_seed=1000)"
+
+    @pytest.mark.parametrize("projection, message", [
+        (np.ones((64, 63)), r"^projection must be 2-D of shape \(64, 64\), got shape \(64, 63\)$"),
+        (np.ones(64 * 64), r"^projection must be 2-D of shape \(64, 64\)"),
+        (np.full((64, 64), np.nan), "^projection must be finite$"),
+        (np.full((64, 64), np.inf), "^projection must be finite$"),
+        (np.ones((64, 64), dtype=complex), "^projection must hold real numbers"),
+        ([["a"] * 64] * 64, "^projection: not one array"),
+    ], ids=["columns", "flat", "nan", "inf", "complex", "text"])
+    def test_bad_matrix_refused(self, projection, message):
+        with pytest.raises(InvalidInputError, match=message):
+            EncoderConfig(projection=projection)
+
+
 class TestSettingBounds:
     """The encoder's seed is >= 0 and its fields are stored as Python ints; the
     library refuses a patch over the pixel budget before cutting it."""

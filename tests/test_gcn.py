@@ -1221,18 +1221,20 @@ class TestCheckpoint:
             assert q.flags.writeable and q.flags.c_contiguous
             assert same_bits(q, p.astype(np.float64))
 
-    @pytest.mark.parametrize("edit", [
-        lambda d: d["readout_bias"].update(data=base64.b64encode(bytes(16)).decode()),
-        lambda d: d["readout_bias"].pop("dtype"),
-        lambda d: d["readout_bias"].update(dtype="float16"),
-        lambda d: d["readout_bias"].update(dtype="float64"),
-        lambda d: d["readout_bias"].update(dtype="<f4"),
-        lambda d: d["readout_bias"].update(dtype=None),
-        lambda d: d["readout_bias"].update(dtype=4),
-        lambda d: d["readout_bias"].update(dtype={"float32": 1}),
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d["readout_bias"].update(data=base64.b64encode(bytes(16)).decode()),
+         "16 bytes do not fill shape [2]"),
+        (lambda d: d["readout_bias"].pop("dtype"), "8 bytes do not fill shape [2]"),
+        (lambda d: d["readout_bias"].update(dtype="float16"), "unknown dtype 'float16'"),
+        (lambda d: d["readout_bias"].update(dtype="float64"), "unknown dtype 'float64'"),
+        (lambda d: d["readout_bias"].update(dtype="<f4"), "unknown dtype '<f4'"),
+        (lambda d: d["readout_bias"].update(dtype=None), "unknown dtype None"),
+        (lambda d: d["readout_bias"].update(dtype=4), "unknown dtype 4"),
+        (lambda d: d["readout_bias"].update(dtype={"float32": 1}),
+         "unknown dtype {'float32': 1}"),
     ], ids=["float32_of_doubles", "dtype_missing", "dtype_float16", "dtype_float64",
             "dtype_typestr", "dtype_null", "dtype_int", "dtype_object"])
-    def test_bad_dtype_refused(self, tmp_path, edit):
+    def test_bad_dtype_refused(self, tmp_path, edit, reason):
         model = init_model(GcnConfig(in_dim=2, num_classes=2, hidden_dim=2, num_layers=1), 1)
         model.params = [p.astype(np.float32) for p in model.params]
         path = tmp_path / "model.json"
@@ -1240,7 +1242,8 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="^malformed matrix entry 'readout_bias'$"):
+        message = f"malformed matrix entry 'readout_bias': {reason}"
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
@@ -1253,7 +1256,9 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["readout_bias"]["dtype"] = "float32"
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="^malformed matrix entry 'readout_bias'$"):
+        message = (f"malformed matrix entry 'readout_bias': "
+                   f"a version-{version} file stores no dtype")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
     def test_data_unpacks_to_the_weights_bit_for_bit(self, tmp_path):
